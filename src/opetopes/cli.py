@@ -23,7 +23,6 @@ from . import documents
 from .errors import DocumentError, InsufficientDimension, InvalidSet, OpetopeError, UnknownFixture
 from .fixtures import build_fixture
 from .operads import OperadLevel, check_operad_axioms
-from .osets import validate
 from .universality import check_weak_n_category
 
 
@@ -52,24 +51,35 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+def _below(minimum: int, *flags) -> bool:
+    """Report the first ``(name, value)`` flag below ``minimum``; True if any."""
+    for name, value in flags:
+        if value < minimum:
+            print("input error: %s must be >= %d, got %d" % (name, minimum, value), file=sys.stderr)
+            return True
+    return False
+
+
 def cmd_check(args) -> int:
+    # A negative n or bound leaves no niche to check, which would PASS vacuously.
+    if _below(0, ("--n", args.n), ("--bound", args.bound)):
+        return 2
     try:
         doc = documents.load(args.set)
         oset = documents.set_from_document(doc)
     except DocumentError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
-    report = validate(oset)
-    if not report.ok:
-        print("input error: set fails validation", file=sys.stderr)
-        for line in report.violations[:10]:
-            print("  " + line, file=sys.stderr)
-        return 2
     try:
         verdict = check_weak_n_category(
             oset, args.n, args.bound, workers=args.workers
         )
-    except (InvalidSet, InsufficientDimension) as exc:
+    except InvalidSet as exc:
+        print("input error: set fails validation", file=sys.stderr)
+        for line in exc.report.violations[:10]:
+            print("  " + line, file=sys.stderr)
+        return 2
+    except InsufficientDimension as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
     out_doc = documents.verdict_to_document(verdict)
@@ -89,6 +99,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_slice_audit(args) -> int:
+    if _below(1, ("--levels", args.levels), ("--bound", args.bound)):
+        return 2
     worst = 0
     for level in range(args.levels):
         report = check_operad_axioms(OperadLevel(level), args.bound, workers=args.workers)

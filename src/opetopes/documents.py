@@ -97,10 +97,11 @@ def set_from_document(doc: dict) -> OpetopicSet:
         raise DocumentError("expected an opetopic_set document")
     try:
         cells = {str(k): str(v) for k, v in doc["cells"].items()}
-        faces = {
-            str(k): (tuple(str(f) for f in v["infaces"]), str(v["outface"]))
-            for k, v in doc["faces"].items()
-        }
+        faces = {}
+        for k, v in doc["faces"].items():
+            if not isinstance(v["infaces"], list):
+                raise DocumentError("faces of %r: infaces must be a list" % k)
+            faces[str(k)] = (tuple(str(f) for f in v["infaces"]), str(v["outface"]))
         return OpetopicSet(int(doc["max_dim"]), int(doc["shape_bound"]), cells, faces)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DocumentError("malformed opetopic_set document: %s" % exc)

@@ -68,7 +68,15 @@ class UnknownFixture(OpetopeError):
 
 
 class InvalidSet(OpetopeError):
-    """The opetopic set failed validation and cannot be checked."""
+    """The opetopic set failed validation and cannot be checked.
+
+    ``report`` is the failing validation report, so callers can show its
+    violations without validating again.
+    """
+
+    def __init__(self, message: str, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class InsufficientDimension(OpetopeError):

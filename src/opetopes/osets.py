@@ -20,7 +20,7 @@ punctured niches used by the universality recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DimOutOfRange, IllTyped, MalformedConfig, UnknownCell
 from . import shapes
@@ -62,6 +62,36 @@ def edge_incidences(shape: Opetope) -> Dict[EdgeKey, Tuple[Incidence, Incidence]
     return out
 
 
+class ShapeEntry(NamedTuple):
+    """What the set reads off one shape, derived once per shape code.
+
+    ``input_codes`` is empty and ``output_code`` None for the point;
+    ``incidences`` is ``edge_incidences(shape)``, and ``incidence_items``
+    its items sorted by edge.
+    """
+
+    shape: Opetope
+    input_codes: Tuple[str, ...]
+    output_code: Optional[str]
+    incidences: Dict[EdgeKey, Tuple[Incidence, Incidence]]
+    incidence_items: Tuple[Tuple[EdgeKey, Tuple[Incidence, Incidence]], ...]
+    edge_types: Dict[EdgeKey, str]
+
+    @classmethod
+    def of(cls, shape: Opetope) -> "ShapeEntry":
+        if shape.dim == 0:
+            return cls(shape, (), None, {}, (), {})
+        incidences = edge_incidences(shape)
+        return cls(
+            shape,
+            tuple(s.code for s in shape.inputs),
+            shape.output.code,
+            incidences,
+            tuple(sorted(incidences.items())),
+            {edge: _edge_type_code(shape, edge) for edge in incidences},
+        )
+
+
 class OpetopicSet:
     """An immutable finite opetopic set.
 
@@ -81,7 +111,10 @@ class OpetopicSet:
         self.shape_bound = shape_bound
         self.cells = dict(cells)
         self.faces = {name: (tuple(ins), out) for name, (ins, out) in faces.items()}
-        self._shapes: Dict[str, Opetope] = {}
+        # One entry per shape code, filled on first use.  Filling is
+        # idempotent (equal codes give equal entries), so concurrent readers
+        # at worst derive an entry twice.
+        self._table: Dict[str, ShapeEntry] = {}
         self._by_shape: Dict[str, Tuple[str, ...]] = {}
         for name in sorted(self.cells):
             code = self.cells[name]
@@ -103,10 +136,15 @@ class OpetopicSet:
                     self._niche_index.setdefault(key, ())
                     self._niche_index[key] += (name,)
 
+    def shape_entry(self, code: str) -> ShapeEntry:
+        """The table entry of a shape code; IllTyped if it does not parse."""
+        entry = self._table.get(code)
+        if entry is None:
+            entry = self._table[code] = ShapeEntry.of(shapes.from_code(code))
+        return entry
+
     def shape(self, code: str) -> Opetope:
-        if code not in self._shapes:
-            self._shapes[code] = shapes.from_code(code)
-        return self._shapes[code]
+        return self.shape_entry(code).shape
 
     def shape_of(self, cell: str) -> Opetope:
         if cell not in self.cells:
@@ -165,18 +203,21 @@ def validate(oset: OpetopicSet) -> ValidationReport:
     """
     report = ValidationReport()
 
+    for name in sorted(set(oset.faces) - set(oset.cells)):
+        report.violations.append("cell %s: has faces but is missing from cells" % name)
     for name in sorted(oset.cells):
         code = oset.cells[name]
         try:
-            shape = oset.shape(code)
+            entry = oset.shape_entry(code)
         except IllTyped as exc:
             report.violations.append("cell %s: unparseable shape %r (%s)" % (name, code, exc))
             continue
-        if shape.dim > oset.max_dim:
+        dim = entry.shape.dim
+        if dim > oset.max_dim:
             report.violations.append(
-                "cell %s: dimension %d exceeds max_dim %d" % (name, shape.dim, oset.max_dim)
+                "cell %s: dimension %d exceeds max_dim %d" % (name, dim, oset.max_dim)
             )
-        if shape.dim == 0:
+        if dim == 0:
             if name in oset.faces:
                 report.violations.append("cell %s: 0-cells have no faces" % name)
             continue
@@ -184,9 +225,10 @@ def validate(oset: OpetopicSet) -> ValidationReport:
             report.violations.append("cell %s: missing face assignment" % name)
             continue
         ins, out = oset.faces[name]
-        if len(ins) != shape.arity:
+        if len(ins) != len(entry.input_codes):
             report.violations.append(
-                "cell %s: %d infaces assigned, shape has %d" % (name, len(ins), shape.arity)
+                "cell %s: %d infaces assigned, shape has %d"
+                % (name, len(ins), len(entry.input_codes))
             )
             continue
         bad = False
@@ -194,24 +236,24 @@ def validate(oset: OpetopicSet) -> ValidationReport:
             if face not in oset.cells:
                 report.violations.append("cell %s: unknown inface %r" % (name, face))
                 bad = True
-            elif oset.cells[face] != shape.inputs[i].code:
+            elif oset.cells[face] != entry.input_codes[i]:
                 report.violations.append(
                     "cell %s: inface %d is %s-shaped, expected %s"
-                    % (name, i, oset.cells[face], shape.inputs[i].code)
+                    % (name, i, oset.cells[face], entry.input_codes[i])
                 )
                 bad = True
         if out not in oset.cells:
             report.violations.append("cell %s: unknown outface %r" % (name, out))
             bad = True
-        elif oset.cells[out] != shape.output.code:
+        elif oset.cells[out] != entry.output_code:
             report.violations.append(
                 "cell %s: outface is %s-shaped, expected %s"
-                % (name, oset.cells[out], shape.output.code)
+                % (name, oset.cells[out], entry.output_code)
             )
             bad = True
         if bad:
             continue
-        for edge, (upper, lower) in sorted(edge_incidences(shape).items()):
+        for edge, (upper, lower) in entry.incidence_items:
             a = oset.resolve(name, upper)
             b = oset.resolve(name, lower)
             report.relations_checked.append(
@@ -293,29 +335,29 @@ def make_config(
     edge must be pinned (pins on resolvable edges are checked and then
     dropped, so equal configurations have equal representations).
     """
-    shape = oset.shape(shape_code)
+    entry = oset.shape_entry(shape_code)
     infaces = tuple(infaces)
-    if len(infaces) != (shape.arity if shape.dim >= 1 else 0):
-        raise MalformedConfig("expected %d inface slots" % shape.arity)
+    if len(infaces) != len(entry.input_codes):
+        raise MalformedConfig("expected %d inface slots" % len(entry.input_codes))
     for i, cell in enumerate(infaces):
         if cell is None:
             continue
         if cell not in oset.cells:
             raise UnknownCell("no cell named %r" % cell)
-        if oset.cells[cell] != shape.inputs[i].code:
+        if oset.cells[cell] != entry.input_codes[i]:
             raise MalformedConfig(
-                "inface %d must be %s-shaped" % (i, shape.inputs[i].code)
+                "inface %d must be %s-shaped" % (i, entry.input_codes[i])
             )
     if outface is not None:
         if outface not in oset.cells:
             raise UnknownCell("no cell named %r" % outface)
-        if oset.cells[outface] != shape.output.code:
-            raise MalformedConfig("outface must be %s-shaped" % shape.output.code)
+        if oset.cells[outface] != entry.output_code:
+            raise MalformedConfig("outface must be %s-shaped" % entry.output_code)
     pins = dict(pins or {})
     kept: List[Tuple[EdgeKey, str]] = []
-    for edge, (upper, lower) in sorted(edge_incidences(shape).items()):
-        a = _resolve_partial(oset, shape, infaces, outface, upper)
-        b = _resolve_partial(oset, shape, infaces, outface, lower)
+    for edge, (upper, lower) in entry.incidence_items:
+        a = _resolve_partial(oset, entry.shape, infaces, outface, upper)
+        b = _resolve_partial(oset, entry.shape, infaces, outface, lower)
         pin = pins.pop(edge, None)
         values = {v for v in (a, b, pin) if v is not None}
         if len(values) > 1:
@@ -329,7 +371,7 @@ def make_config(
             kept.append((edge, pin))
     if pins:
         raise MalformedConfig("pins on unknown edges: %r" % sorted(pins))
-    return BoundaryConfig(shape_code, infaces, outface, tuple(sorted(kept)))
+    return BoundaryConfig(shape_code, infaces, outface, tuple(kept))
 
 
 def frame_of(oset: OpetopicSet, cell: str) -> BoundaryConfig:
@@ -348,7 +390,7 @@ def niche_of(oset: OpetopicSet, cell: str) -> BoundaryConfig:
         raise MalformedConfig("0-cells occupy no niche")
     ins, _ = oset.faces[cell]
     pins = {}
-    for edge, (upper, lower) in edge_incidences(shape).items():
+    for edge, (upper, lower) in oset.shape_entry(oset.cells[cell]).incidence_items:
         a = _resolve_partial(oset, shape, ins, None, upper)
         b = _resolve_partial(oset, shape, ins, None, lower)
         if a is None and b is None:
@@ -383,8 +425,7 @@ def cell_matches(oset: OpetopicSet, cfg: BoundaryConfig, cell: str) -> bool:
             return False
     if cfg.outface is not None and cfg.outface != out:
         return False
-    shape = oset.shape(cfg.shape_code)
-    incidences = edge_incidences(shape)
+    incidences = oset.shape_entry(cfg.shape_code).incidences
     for edge, pin in cfg.pins:
         if oset.resolve(cell, incidences[edge][0]) != pin:
             return False
@@ -413,22 +454,24 @@ def forced_outface_boundary(
 ) -> Optional[Tuple[Tuple[str, ...], str]]:
     """The boundary any outface filler of the configuration must have.
 
-    For a niche (all infaces assigned, free edges pinned) every face of
-    the would-be outface cell is determined by the incidence relations;
-    the forced infaces and outface are returned.  None when some face is
-    not determined (or the shape has no relations to force it).
+    When the outface is missing and every other face is assigned or
+    pinned -- niches and punctured niches alike -- each face of the
+    would-be outface cell is fixed by the incidence relations: an edge
+    meeting the outface carries the cell that its other reference
+    resolves to, or else its pin.  The forced infaces and outface are
+    returned.  None when some face is not determined (or the shape has
+    no relations to force it).
     """
-    shape = oset.shape(cfg.shape_code)
-    if shape.dim < 2:
+    entry = oset.shape_entry(cfg.shape_code)
+    if entry.shape.dim < 2:
         return None
-    out_shape = shape.output
     pins = dict(cfg.pins)
     wanted_in: Dict[int, Optional[str]] = {}
     wanted_out: Optional[str] = None
-    for edge, refs in edge_incidences(shape).items():
+    for edge, refs in entry.incidence_items:
         value = pins.get(edge)
         for ref in refs:
-            resolved = _resolve_partial(oset, shape, cfg.infaces, cfg.outface, ref)
+            resolved = _resolve_partial(oset, entry.shape, cfg.infaces, cfg.outface, ref)
             if resolved is not None:
                 value = resolved
         for ref in refs:
@@ -436,28 +479,37 @@ def forced_outface_boundary(
                 wanted_in[ref[1]] = value
             elif ref[0] == "oo":
                 wanted_out = value
+    arity = len(oset.shape_entry(entry.output_code).input_codes)
     if wanted_out is None:
         return None
-    if sorted(wanted_in) != list(range(out_shape.arity)):
+    if sorted(wanted_in) != list(range(arity)):
         return None
-    if any(wanted_in[p] is None for p in range(out_shape.arity)):
+    if any(wanted_in[p] is None for p in range(arity)):
         return None
-    return tuple(wanted_in[p] for p in range(out_shape.arity)), wanted_out
+    return tuple(wanted_in[p] for p in range(arity)), wanted_out
 
 
 def outface_extensions(oset: OpetopicSet, cfg: BoundaryConfig) -> Tuple[str, ...]:
-    """Cells that can fill the configuration's outface slot, sorted."""
+    """Cells that can fill the configuration's outface slot, sorted.
+
+    These are the cells ``b`` for which ``config_with(oset, cfg,
+    outface=b)`` is well-formed: with ``cfg`` as ``make_config`` builds
+    it, the only edges that assigning ``b`` can break are those meeting
+    the outface, and each of those already carries a fixed cell, so
+    ``b`` must have exactly the forced boundary.  Shapes below dimension
+    2 have no relations, and every cell of the outface shape fits.
+    """
     if cfg.outface is not None:
         return (cfg.outface,)
-    shape = oset.shape(cfg.shape_code)
-    out = []
-    for cell in oset.cells_of_shape(shape.output.code):
-        try:
-            config_with(oset, cfg, outface=cell)
-        except MalformedConfig:
-            continue
-        out.append(cell)
-    return tuple(sorted(out))
+    entry = oset.shape_entry(cfg.shape_code)
+    if entry.shape.dim < 2:
+        return oset.cells_of_shape(entry.output_code)
+    forced = forced_outface_boundary(oset, cfg)
+    if forced is None:
+        return ()
+    ins, out = forced
+    pool = oset._niche_index.get((entry.output_code, ins), ())
+    return tuple(sorted(c for c in pool if oset.outface_of(c) == out))
 
 
 def competitors(oset: OpetopicSet, cell: str, mode: str) -> Tuple[str, ...]:
@@ -500,25 +552,27 @@ def enumerate_configs(
     for sh in candidates:
         if sh.dim != dim or sh.size > bound:
             continue
+        entry = oset.shape_entry(sh.code)
+        arity = len(entry.input_codes)
         missing_choices: Iterable[Optional[int]]
         if kind == "punctured_niche":
-            missing_choices = range(sh.arity)
+            missing_choices = range(arity)
         else:
             missing_choices = (None,)
         for missing in missing_choices:
             pools = []
-            for i in range(sh.arity):
+            for i in range(arity):
                 if missing is not None and i == missing:
                     pools.append((None,))
                 else:
-                    pools.append(oset.cells_of_shape(sh.inputs[i].code))
+                    pools.append(oset.cells_of_shape(entry.input_codes[i]))
             for assignment in _product(pools):
                 if kind == "frame":
-                    outs = oset.cells_of_shape(sh.output.code)
+                    outs = oset.cells_of_shape(entry.output_code)
                 else:
                     outs = (None,)
                 for out in outs:
-                    for cfg in _pin_completions(oset, sh, assignment, out):
+                    for cfg in _pin_completions(oset, entry, assignment, out):
                         found.append(cfg)
     uniq = sorted(set(found), key=BoundaryConfig.sort_key)
     return tuple(uniq)
@@ -534,22 +588,22 @@ def _product(pools: Sequence[Sequence]) -> Iterator[tuple]:
 
 
 def _pin_completions(
-    oset: OpetopicSet, shape: Opetope, infaces, outface
+    oset: OpetopicSet, entry: ShapeEntry, infaces, outface
 ) -> Iterator[BoundaryConfig]:
     """Configurations over one assignment, pins ranging over matching cells."""
     free: List[Tuple[EdgeKey, str]] = []
-    for edge, (upper, lower) in sorted(edge_incidences(shape).items()):
-        a = _resolve_partial(oset, shape, infaces, outface, upper)
-        b = _resolve_partial(oset, shape, infaces, outface, lower)
+    for edge, (upper, lower) in entry.incidence_items:
+        a = _resolve_partial(oset, entry.shape, infaces, outface, upper)
+        b = _resolve_partial(oset, entry.shape, infaces, outface, lower)
         if a is not None and b is not None and a != b:
             return
         if a is None and b is None:
-            free.append((edge, _edge_type_code(shape, edge)))
+            free.append((edge, entry.edge_types[edge]))
     pools = [oset.cells_of_shape(code) for _, code in free]
     for combo in _product(pools):
         pins = {edge: cell for (edge, _), cell in zip(free, combo)}
         try:
-            yield make_config(oset, shape.code, infaces, outface, pins)
+            yield make_config(oset, entry.shape.code, infaces, outface, pins)
         except MalformedConfig:
             continue
 

@@ -312,7 +312,7 @@ def check_weak_n_category(
     """
     report = validate(oset)
     if not report.ok:
-        raise InvalidSet("the set fails validation: %s" % report.violations[0])
+        raise InvalidSet("the set fails validation: %s" % report.violations[0], report)
     if oset.max_dim < n + 1:
         raise InsufficientDimension(
             "max_dim %d < n+1 = %d" % (oset.max_dim, n + 1)

@@ -50,7 +50,7 @@ def test_check_rejects_garbage(tmp_path, capsys):
     assert main(["check", str(bad), "--n", "1", "--bound", "4"]) == 2
 
 
-def test_check_rejects_invalid_sets(tmp_path):
+def test_check_rejects_invalid_sets(tmp_path, capsys):
     doc = {
         "format_version": "1",
         "kind": "opetopic_set",
@@ -62,6 +62,32 @@ def test_check_rejects_invalid_sets(tmp_path):
     bad = tmp_path / "invalid.json"
     bad.write_text(json.dumps(doc))
     assert main(["check", str(bad), "--n", "0", "--bound", "2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["input error: set fails validation", "  cell a: unknown outface 'ghost'"]
+
+
+def test_check_rejects_a_negative_bound(tmp_path, capsys):
+    fix = tmp_path / "broken.json"
+    main(["fixture", "broken_magma", "--out", str(fix)])
+    assert main(["check", str(fix), "--n", "1", "--bound", "-1"]) == 2
+    assert "input error: --bound" in capsys.readouterr().err
+
+
+def test_check_rejects_a_negative_n(tmp_path, capsys):
+    fix = tmp_path / "broken.json"
+    main(["fixture", "broken_magma", "--out", str(fix)])
+    assert main(["check", str(fix), "--n", "-1", "--bound", "4"]) == 2
+    assert "input error: --n" in capsys.readouterr().err
+
+
+def test_slice_audit_rejects_a_zero_bound(capsys):
+    assert main(["slice-audit", "--bound", "0"]) == 2
+    assert "input error: --bound" in capsys.readouterr().err
+
+
+def test_slice_audit_rejects_zero_levels(capsys):
+    assert main(["slice-audit", "--levels", "0"]) == 2
+    assert "input error: --levels" in capsys.readouterr().err
 
 
 def test_unknown_fixture_is_an_input_error(tmp_path):

@@ -34,6 +34,19 @@ def test_opetopic_set_round_trips(tmp_path, z2_set):
     assert documents.set_to_document(loaded) == doc
 
 
+def test_string_infaces_are_rejected():
+    doc = {
+        "format_version": "1",
+        "kind": "opetopic_set",
+        "max_dim": 1,
+        "shape_bound": 2,
+        "cells": {"o": "pt", "a": "ar"},
+        "faces": {"a": {"infaces": "o", "outface": "o"}},
+    }
+    with pytest.raises(DocumentError):
+        documents.set_from_document(doc)
+
+
 def test_verdict_document_contains_the_rule(z2_set):
     verdict = check_weak_n_category(z2_set, 1, 2)
     doc = documents.verdict_to_document(verdict)

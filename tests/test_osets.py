@@ -18,7 +18,8 @@ from opetopes import (
     occupants,
     validate,
 )
-from opetopes.osets import cell_matches, config_with, edge_incidences
+from opetopes.fixtures import build_fixture, z2_weak2
+from opetopes.osets import cell_matches, config_with, edge_incidences, outface_extensions
 
 
 def binary_shapes():
@@ -223,6 +224,15 @@ def test_missing_faces_are_reported_not_crashed():
     assert any("missing face assignment" in v for v in report.violations)
 
 
+def test_faces_of_cells_missing_from_cells_are_reported():
+    arrow = enumerate_opetopes(1, 1)[0]
+    oset = OpetopicSet(
+        1, 2, {"o": "pt", "a": arrow.code}, {"a": (("o",), "o"), "ghost": (("o",), "o")}
+    )
+    report = validate(oset)
+    assert report.violations == ["cell ghost: has faces but is missing from cells"]
+
+
 def test_unparseable_shape_codes_are_reported_not_crashed():
     oset = OpetopicSet(1, 2, {"o": "pt", "bad": "[truncated"}, {})
     report = validate(oset)
@@ -238,3 +248,33 @@ def test_enumerated_configs_are_canonical_and_well_kinded(z2_set):
                 z2_set, cfg.shape_code, cfg.infaces, cfg.outface, dict(cfg.pins)
             )
             assert rebuilt == cfg
+
+
+def _trial_outface_extensions(oset, cfg):
+    """Reference: every cell of the outface shape that config_with accepts."""
+    out_code = oset.shape(cfg.shape_code).output.code
+    found = []
+    for cell in oset.cells_of_shape(out_code):
+        try:
+            config_with(oset, cfg, outface=cell)
+        except MalformedConfig:
+            continue
+        found.append(cell)
+    return tuple(sorted(found))
+
+
+@pytest.mark.parametrize(
+    "make_set",
+    [lambda: build_fixture("z3_monoid"), lambda: build_fixture("broken_magma"), z2_weak2],
+    ids=["z3_monoid", "broken_magma", "z2_weak2"],
+)
+def test_outface_extensions_match_trial_extension(make_set):
+    oset = make_set()
+    for dim in range(2, oset.max_dim + 1):
+        for cfg in enumerate_configs(oset, "punctured_niche", dim):
+            assert outface_extensions(oset, cfg) == _trial_outface_extensions(oset, cfg), cfg
+    for code in {oset.cells[c] for c in oset.cells}:
+        shape = oset.shape(code)
+        assert oset.shape_entry(code).incidence_items == tuple(
+            sorted(edge_incidences(shape).items())
+        )
