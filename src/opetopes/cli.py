@@ -38,6 +38,8 @@ def _render_text(doc: dict) -> str:
 
 
 def cmd_enumerate(args) -> int:
+    if _below(0, ("--dim", args.dim), ("--bound", args.bound)):
+        return 2
     doc = documents.opetope_list_document(args.dim, args.bound)
     for line in documents.inface_count_summary(doc):
         print(line)

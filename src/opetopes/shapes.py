@@ -18,24 +18,36 @@ Distinct node orders are distinct shapes; this is what makes the
 symmetric-group action on k-ary shapes free and yields k! two-dimensional
 shapes with k infaces.
 
-Canonical codes are parseable byte strings; equality of shapes is equality
-of codes, and enumeration everywhere is sorted by code.  The code grammar
-and the staged metatree serialization are documented in FORMAT.md.
+Canonical codes are parseable byte strings, and enumeration everywhere is
+sorted by code.  The code grammar and the staged metatree serialization are
+documented in FORMAT.md.
+
+Shapes are interned per code (hash-consing): enumeration, ``compose``,
+``permute_inputs``, ``identity_on``, ``graft``, ``from_code`` and
+``from_metatree`` all return the one canonical object of each code, so two
+interned shapes are equal exactly when they are the same object.  A shape
+built directly with ``Opetope(dim, tree)`` is still valid and compares
+equal to the canonical one by code.  The intern table holds its shapes
+weakly.  Results derived from a shape (its permutations, composites,
+identity and ray shapes) are kept in the memo of the canonical shape, so
+each is built and validated once and lives as long as that shape.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+import threading
+import weakref
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ArityMismatch, DegreeMismatch, IllTyped, TypeMismatch, ZeroDimensional
 from .trees import PasteTree, Path, TreeNode, empty_tree, single_node_tree, substitute_tree
 
 
 class Opetope:
-    """An n-dimensional shape; immutable, hashable, compared by code."""
+    """An n-dimensional shape; immutable, hashable, interned per code."""
 
-    __slots__ = ("dim", "tree", "_code", "_output", "_size")
+    __slots__ = ("dim", "tree", "_code", "_output", "_size", "_memo", "__weakref__")
 
     def __init__(self, dim: int, tree: Optional[PasteTree]):
         if dim < 0:
@@ -52,6 +64,7 @@ class Opetope:
         self._code = None
         self._output = None
         self._size = None
+        self._memo = None
 
     # -- operation view ----------------------------------------------------
 
@@ -106,6 +119,8 @@ class Opetope:
     # -- dunder ------------------------------------------------------------
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, Opetope) and self.dim == other.dim and self.code == other.code
 
     def __hash__(self):
@@ -118,8 +133,48 @@ class Opetope:
         return "Opetope(%r)" % self.code
 
 
+# -- interning ---------------------------------------------------------------
+
+# One canonical shape per code, held weakly; the lock guards the miss paths
+# of ``canonical`` and ``derived``, which run once per distinct shape or key.
+_INTERNED: "weakref.WeakValueDictionary[str, Opetope]" = weakref.WeakValueDictionary()
+_LOCK = threading.Lock()
+
+
+def canonical(shape: Opetope) -> Opetope:
+    """The interned shape with ``shape``'s code; ``shape`` itself on a miss."""
+    code = shape.code
+    found = _INTERNED.get(code)
+    if found is None:
+        with _LOCK:
+            found = _INTERNED.setdefault(code, shape)
+    return found
+
+
+def derived(shape: Opetope, key: tuple, build: Callable[..., Opetope], *args) -> Opetope:
+    """``build(*args)``, interned and kept under ``key`` in the memo of the
+    canonical shape equal to ``shape``.
+
+    The key must determine the result; each distinct key is built once.
+    An error raised by ``build`` propagates and nothing is kept.
+    """
+    # Only canonical shapes carry a memo.
+    owner = shape if shape._memo is not None else canonical(shape)
+    memo = owner._memo
+    if memo is not None:
+        found = memo.get(key)
+        if found is not None:
+            return found
+    result = canonical(build(*args))
+    with _LOCK:
+        if owner._memo is None:
+            owner._memo = {}
+        return owner._memo.setdefault(key, result)
+
+
 POINT = Opetope(0, None)
 ARROW = Opetope(1, None)
+_INTERNED.update(pt=POINT, ar=ARROW)
 
 
 def _validate_tree(dim: int, tree: PasteTree) -> None:
@@ -150,6 +205,10 @@ def identity_on(shape: Opetope) -> Opetope:
     """The unary shape on ``shape``: the identity operation at its level."""
     if shape.dim == 0:
         return ARROW
+    return derived(shape, ("identity",), _identity_on, shape)
+
+
+def _identity_on(shape: Opetope) -> Opetope:
     return Opetope(shape.dim + 1, single_node_tree(shape.dim - 1, shape))
 
 
@@ -160,9 +219,14 @@ def compose(f: Opetope, gs: Sequence[Opetope]) -> Opetope:
     the i-th input of ``f``.  The result's inputs are the concatenation of
     the ``g_i`` inputs and its output equals ``f``'s output.
     """
+    gs = tuple(gs)
+    return derived(f, ("compose", gs), _composed, f, gs)
+
+
+def _composed(f: Opetope, gs: Tuple[Opetope, ...]) -> Opetope:
+    """``compose`` without the memo: check the operands, then build."""
     if f.dim < 1:
         raise TypeMismatch("the point cannot be composed")
-    gs = tuple(gs)
     if len(gs) != f.arity:
         raise ArityMismatch("operation of arity %d applied to %d arguments" % (f.arity, len(gs)))
     for i, g in enumerate(gs):
@@ -189,6 +253,11 @@ def permute_inputs(f: Opetope, sigma: Sequence[int]) -> Opetope:
     """The right action ``f . sigma``: input i of the result is input
     ``sigma[i]`` of ``f`` (0-indexed).  The output is unchanged."""
     sigma = tuple(sigma)
+    return derived(f, ("permute", sigma), _permuted, f, sigma)
+
+
+def _permuted(f: Opetope, sigma: Tuple[int, ...]) -> Opetope:
+    """``permute_inputs`` without the memo: check ``sigma``, then build."""
     if f.dim < 1:
         raise TypeMismatch("the point cannot be permuted")
     if len(sigma) != f.arity or sorted(sigma) != list(range(f.arity)):
@@ -262,8 +331,10 @@ def _enumerate_cached(dim: int, bound: int) -> Tuple[Opetope, ...]:
         shapes = []
         for t in _enumerate_cached(dim - 2, bound):
             if t.size <= bound:
-                shapes.append(Opetope(dim, empty_tree(dim - 2, t)))
-        labels = [op for op in _enumerate_cached(dim - 1, bound) if op.size + 1 <= bound]
+                shapes.append(canonical(Opetope(dim, empty_tree(dim - 2, t))))
+        # A label costs its own size plus its node, so only the listing one
+        # bound down can supply labels; the filter drops dims 0 and 1 at bound 0.
+        labels = [op for op in _enumerate_cached(dim - 1, max(bound - 1, 0)) if op.size + 1 <= bound]
         by_output: Dict[Opetope, List[Opetope]] = {}
         for op in labels:
             by_output.setdefault(op.output, []).append(op)
@@ -278,7 +349,7 @@ def _enumerate_cached(dim: int, bound: int) -> Tuple[Opetope, ...]:
             for nu in itertools.permutations(base.node_order):
                 for lam in itertools.permutations(base.leaf_order):
                     shapes.append(
-                        Opetope(dim, PasteTree(dim - 2, root, None, nu, lam))
+                        canonical(Opetope(dim, PasteTree(dim - 2, root, None, nu, lam)))
                     )
         shapes.sort(key=lambda s: s.code)
         result = tuple(shapes)
@@ -372,6 +443,9 @@ def _encode_node(node: TreeNode) -> str:
 
 def from_code(code: str) -> Opetope:
     """Parse a canonical code back into a shape (inverse of ``.code``)."""
+    found = _INTERNED.get(code)
+    if found is not None:
+        return found
     try:
         shape, rest = _parse(code, 0)
     except IndexError:
@@ -421,7 +495,7 @@ def _parse(s: str, i: int) -> Tuple[Opetope, int]:
         if root is None
         else PasteTree(base.level, root, None, nu, lam)
     )
-    return Opetope(tree_dim, tree), i
+    return canonical(Opetope(tree_dim, tree)), i
 
 
 def _parse_node(s: str, i: int) -> Tuple[TreeNode, int]:
@@ -556,7 +630,7 @@ def from_metatree(stages: Sequence[dict]) -> Opetope:
             return ARROW
         dim = stage + 1
         if entry.get("empty"):
-            return Opetope(dim, empty_tree(dim - 2, from_code(entry["type_code"])))
+            return canonical(Opetope(dim, empty_tree(dim - 2, from_code(entry["type_code"]))))
         labels: List[Opetope] = []
 
         def count_nodes(spec) -> int:
@@ -577,7 +651,7 @@ def from_metatree(stages: Sequence[dict]) -> Opetope:
         base = PasteTree(dim - 2, root, None, _preorder(root), _planar_leaves(root))
         nu = tuple(base.preorder_paths()[k] for k in entry["node_order"])
         lam = tuple(base.planar_leaf_paths()[k] for k in entry["leaf_order"])
-        return Opetope(dim, PasteTree(dim - 2, root, None, nu, lam))
+        return canonical(Opetope(dim, PasteTree(dim - 2, root, None, nu, lam)))
 
     top = build(len(stages) - 1)
     if any(cursors[d] != len(stages[d]["trees"]) for d in range(len(stages))):

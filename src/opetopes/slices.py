@@ -12,7 +12,7 @@ relations, and identifying its reduction laws is out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from .errors import CompositeMismatch, NoSuchNode, UnsupportedOperad
+from .errors import CompositeMismatch, UnsupportedOperad
 from . import shapes
 from .operads import OperadLevel, Operation
 from .trees import PasteTree, Path, substitute_tree
@@ -64,11 +64,7 @@ def substitute(outer: PasteTree, at_node: Path, inner: PasteTree) -> PasteTree:
     node's input slots, in leaf order.  Substituting an empty tree deletes
     a unary identity node.
     """
-    try:
-        victim = outer.node_at(at_node)
-    except NoSuchNode:
-        raise
-    expected = victim.label
+    expected = outer.node_at(at_node).label
     actual = shapes.graft(inner)
     if actual != expected:
         raise CompositeMismatch(

@@ -43,7 +43,7 @@ from .osets import (
     outface_extensions,
     validate,
 )
-from .shapes import Opetope, identity_on
+from .shapes import Opetope, derived, identity_on
 from .trees import PasteTree, TreeNode
 
 
@@ -105,20 +105,21 @@ def ray_on_output_shape(base: Opetope, mirrored: bool) -> Tuple[Opetope, int, in
     base node's output; the composite outface has the base's own shape.
     Returns the shape with the inface positions of the base node and of
     the unary node; ``mirrored`` swaps the listing order, giving the other
-    of the two genuinely distinct shapes.
+    of the two genuinely distinct shapes.  The shape is kept in the base
+    shape's memo.
     """
+    shape = derived(base, ("ray-output", mirrored), _ray_on_output, base, mirrored)
+    return (shape, 1, 0) if mirrored else (shape, 0, 1)
+
+
+def _ray_on_output(base: Opetope, mirrored: bool) -> Opetope:
     ray = identity_on(base.output)
     root = TreeNode(ray, (TreeNode(base, (None,) * base.arity),))
     leaf_order = tuple((0, p) for p in range(base.arity))
     base_path, ray_path = (0,), ()
-    if mirrored:
-        node_order = (ray_path, base_path)
-        base_pos, ray_pos = 1, 0
-    else:
-        node_order = (base_path, ray_path)
-        base_pos, ray_pos = 0, 1
+    node_order = (ray_path, base_path) if mirrored else (base_path, ray_path)
     tree = PasteTree(base.dim - 1, root, None, node_order, leaf_order)
-    return Opetope(base.dim + 1, tree), base_pos, ray_pos
+    return Opetope(base.dim + 1, tree)
 
 
 def ray_on_input_shape(base: Opetope, slot: int, mirrored: bool) -> Tuple[Opetope, int, int]:
@@ -128,8 +129,13 @@ def ray_on_input_shape(base: Opetope, slot: int, mirrored: bool) -> Tuple[Opetop
     the composite outface again has the base's shape, with the pasted slot
     fed through the unary cell.  Returns the shape with the positions of
     the base node and the unary node; ``mirrored`` swaps the listing
-    order.
+    order.  The shape is kept in the base shape's memo.
     """
+    shape = derived(base, ("ray-input", slot, mirrored), _ray_on_input, base, slot, mirrored)
+    return (shape, 0, 1) if mirrored else (shape, 1, 0)
+
+
+def _ray_on_input(base: Opetope, slot: int, mirrored: bool) -> Opetope:
     ray = identity_on(base.inputs[slot])
     children = [None] * base.arity
     children[slot] = TreeNode(ray, (None,))
@@ -138,14 +144,9 @@ def ray_on_input_shape(base: Opetope, slot: int, mirrored: bool) -> Tuple[Opetop
         (p, 0) if p == slot else (p,) for p in range(base.arity)
     )
     base_path, ray_path = (), (slot,)
-    if mirrored:
-        node_order = (base_path, ray_path)
-        base_pos, ray_pos = 0, 1
-    else:
-        node_order = (ray_path, base_path)
-        base_pos, ray_pos = 1, 0
+    node_order = (base_path, ray_path) if mirrored else (ray_path, base_path)
     tree = PasteTree(base.dim - 1, root, None, node_order, leaf_order)
-    return Opetope(base.dim + 1, tree), base_pos, ray_pos
+    return Opetope(base.dim + 1, tree)
 
 
 def _output_composition_niche(

@@ -1,3 +1,5 @@
+import weakref
+
 import pytest
 
 from opetopes import build_fixture
@@ -26,3 +28,20 @@ def z3_set():
 @pytest.fixture(scope="session")
 def broken_set():
     return build_fixture("broken_magma")
+
+
+@pytest.fixture
+def fresh_shapes(monkeypatch):
+    """Empty the shape intern table, the enumeration cache and the memos of
+    the point and the arrow, so every derived shape is built anew; the
+    returned function empties them again.  All are restored afterwards."""
+    from opetopes import ARROW, POINT, shapes
+
+    def reset():
+        monkeypatch.setattr(shapes, "_INTERNED", weakref.WeakValueDictionary(pt=POINT, ar=ARROW))
+        monkeypatch.setattr(shapes, "_ENUM_CACHE", {})
+        monkeypatch.setattr(POINT, "_memo", None)
+        monkeypatch.setattr(ARROW, "_memo", None)
+
+    reset()
+    return reset

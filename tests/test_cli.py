@@ -80,6 +80,13 @@ def test_check_rejects_a_negative_n(tmp_path, capsys):
     assert "input error: --n" in capsys.readouterr().err
 
 
+def test_enumerate_rejects_a_negative_bound(capsys):
+    assert main(["enumerate", "--dim", "2", "--bound", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert "input error: --bound" in captured.err
+    assert captured.out == ""
+
+
 def test_slice_audit_rejects_a_zero_bound(capsys):
     assert main(["slice-audit", "--bound", "0"]) == 2
     assert "input error: --bound" in capsys.readouterr().err

@@ -207,6 +207,17 @@ def test_audit_report_identical_across_worker_counts():
     assert one.violations == many.violations == []
 
 
+def test_audit_with_shared_shape_memos_is_worker_invariant(fresh_shapes):
+    # Four threads fill the intern table and the memos concurrently; a
+    # sequential run on tables emptied again must report the same.
+    many = check_operad_axioms(OperadLevel(1), 4, workers=4)
+    fresh_shapes()
+    one = check_operad_axioms(OperadLevel(1), 4, workers=1)
+    assert one == many
+    assert one.instances == {"a": 86, "b": 34, "c": 14050, "d": 75, "e": 75}
+    assert one.violations == []
+
+
 def test_type_round_trip_on_five_hundred_shapes():
     pool = list(enumerate_opetopes(2, 6)) + list(enumerate_opetopes(3, 4))
     assert len(pool) >= 500

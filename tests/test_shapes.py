@@ -1,4 +1,8 @@
-"""Enumeration counts, canonical codes, faces, and metatree round-trips."""
+"""Enumeration counts, canonical codes, faces, metatree round-trips, and
+shape interning."""
+
+import hashlib
+import itertools
 
 import pytest
 
@@ -164,3 +168,138 @@ def test_metatree_text_rendering():
     assert "dim 2: ((_))" in text
     nullary3 = next(s for s in enumerate_opetopes(3, 1) if s.arity == 0)
     assert "!" in render_metatree(nullary3)
+
+
+# -- interning and the per-shape memo --------------------------------------------
+
+
+def test_codes_parse_to_the_interned_shape():
+    for dim in range(5):
+        for bound in range(6):
+            for shape in enumerate_opetopes(dim, bound):
+                assert from_code(shape.code) is shape
+
+
+def test_permute_and_compose_return_interned_shapes():
+    from opetopes.shapes import compose, permute_inputs
+
+    for f in enumerate_opetopes(2, 4):
+        for sigma in itertools.permutations(range(f.arity)):
+            g = permute_inputs(f, sigma)
+            assert from_code(g.code) is g
+            assert permute_inputs(f, list(sigma)) is g
+    unary = next(s for s in enumerate_opetopes(2, 1) if s.arity == 1)
+    for f in enumerate_opetopes(3, 4):
+        gs = [identity_on(t) for t in f.inputs]
+        h = compose(f, gs)
+        assert h is f
+        assert compose(f, gs) is h
+    binary = next(s for s in enumerate_opetopes(2, 2) if s.arity == 2)
+    h = compose(binary, [unary, binary])
+    assert from_code(h.code) is h
+    assert h.arity == 3
+
+
+def test_directly_built_shapes_equal_their_interned_twin():
+    from opetopes import Opetope
+    from opetopes.shapes import canonical, permute_inputs
+
+    for f in enumerate_opetopes(3, 3):
+        twin = Opetope(f.dim, f.tree)
+        assert twin is not f
+        assert twin == f and f == twin and hash(twin) == hash(f)
+        assert canonical(twin) is f
+        for sigma in itertools.permutations(range(f.arity)):
+            assert permute_inputs(twin, sigma) is permute_inputs(f, sigma)
+
+
+def test_errors_are_not_memoised():
+    from opetopes import DegreeMismatch
+    from opetopes.shapes import permute_inputs
+
+    ternary = next(s for s in enumerate_opetopes(2, 3) if s.arity == 3)
+    for _ in range(2):
+        with pytest.raises(DegreeMismatch):
+            permute_inputs(ternary, (0, 0, 1))
+    assert permute_inputs(ternary, (0, 1, 2)) is ternary
+
+
+def test_label_listing_is_the_bounded_listing_one_down():
+    # Enumeration draws labels from the listing one bound down; that listing
+    # must be exactly the size filter of the larger one.
+    for dim in range(5):
+        for bound in range(1, 7):
+            smaller = enumerate_opetopes(dim, bound - 1)
+            larger = enumerate_opetopes(dim, bound)
+            assert smaller == tuple(s for s in larger if s.size <= bound - 1)
+
+
+def test_bound_six_listings_are_pinned(fresh_shapes):
+    # Built cold and largest first, so no smaller listing is cached yet.  The
+    # digest was taken from an enumerator that drew its labels from the full
+    # bound-6 listing of the dimension below.
+    four = enumerate_opetopes(4, 6)
+    digest = hashlib.sha256("\n".join(s.code for s in four).encode()).hexdigest()
+    assert digest == "26fb53ff1069d788da71f1c7b918b8b2eadaaab2e35f0f0b6a30710e1b0638cf"
+    assert len(four) == 1857
+    assert len(enumerate_opetopes(3, 6)) == 16867
+    assert len(enumerate_opetopes(2, 6)) == 874
+
+
+def test_memo_does_not_make_the_audit_vacuous(fresh_shapes, monkeypatch):
+    # A wrong permutation built once and memoised must still show up as a
+    # law (c) violation: the audit compares results, it never assumes a law.
+    from opetopes import OperadLevel, check_operad_axioms, shapes
+
+    target = next(s for s in enumerate_opetopes(2, 3) if s.arity == 3)
+    bad_sigma = (1, 0, 2)
+    built = []
+    genuine = shapes._permuted
+
+    def corrupted(f, sigma):
+        if f == target and sigma == bad_sigma:
+            built.append(sigma)
+            return f
+        return genuine(f, sigma)
+
+    monkeypatch.setattr(shapes, "_permuted", corrupted)
+    report = check_operad_axioms(OperadLevel(1), 3)
+    assert built == [bad_sigma]
+    law_c = [v for v in report.violations if v.axiom == "c"]
+    assert any(v.operands == (target.code, repr(bad_sigma), repr((0, 2, 1))) for v in law_c)
+
+
+def test_threads_intern_one_object_per_code(fresh_shapes):
+    import sys
+    import threading
+
+    from opetopes.shapes import permute_inputs
+
+    codes = [s.code for s in enumerate_opetopes(3, 4)]
+    chain = enumerate_opetopes(2, 5)[-1]
+    perms = list(itertools.permutations(range(chain.arity)))
+    fresh_shapes()
+    chain = from_code(chain.code)
+    results = {}
+
+    def work(index):
+        parsed = [from_code(code) for code in codes]
+        permuted = [permute_inputs(chain, sigma) for sigma in perms]
+        results[index] = parsed + permuted
+
+    workers = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert sorted(results) == list(range(8))
+    first = results[0]
+    for index in range(1, 8):
+        assert all(a is b for a, b in zip(results[index], first))
+    assert all(from_code(s.code) is s for s in first)
