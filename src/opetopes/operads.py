@@ -51,7 +51,7 @@ def check_perm(sigma: Sequence[int], degree: Optional[int] = None) -> Perm:
 def compose_perms(sigma: Sequence[int], tau: Sequence[int]) -> Perm:
     """Function composition ``sigma . tau`` (apply ``tau`` first)."""
     sigma, tau = check_perm(sigma), check_perm(tau, len(sigma))
-    return tuple(sigma[tau[i]] for i in range(len(tau)))
+    return tuple(map(sigma.__getitem__, tau))
 
 
 def block_permutation(sigma: Sequence[int], block_sizes: Sequence[int]) -> Perm:
@@ -287,7 +287,49 @@ class AxiomReport:
         return not self.violations
 
 
+class _ShapeView:
+    """A tower level read on its interned shapes, for the axiom audit.
+
+    The operations are the (level+1)-dimensional shapes, keyed by code;
+    inputs and output are interned, so equal means identical.  The
+    structure maps are looked up in :mod:`shapes` at each call.
+    """
+
+    def __init__(self, operad: OperadLevel, size_bound: int):
+        self._ops = shapes.enumerate_opetopes(operad.level + 1, size_bound)
+
+    def ops(self):
+        return self._ops
+
+    def size(self, f: Opetope) -> int:
+        return f.size
+
+    def key(self, f: Opetope) -> str:
+        return f.code
+
+    def arity(self, f: Opetope) -> int:
+        return f.arity
+
+    def inputs(self, f: Opetope):
+        return f.inputs
+
+    def output(self, f: Opetope):
+        return f.output
+
+    def compose(self, f, gs):
+        return shapes.compose(f, gs)
+
+    def permute(self, f, sigma):
+        return shapes.permute_inputs(f, sigma)
+
+    def identity(self, t):
+        return shapes.identity_on(t)
+
+
 class _TowerView:
+    """A tower level read on ``Operation``/``TypeId`` handles, which
+    algebras key their actions and carriers by."""
+
     def __init__(self, operad: OperadLevel, size_bound: int):
         self._ops = operad.operations(size_bound)
         self._operad = operad
@@ -353,26 +395,35 @@ class _TableView:
         return self._operad.identity(t)
 
 
-def _view(operad, size_bound):
+def _view(operad, size_bound, tower=_TowerView):
+    """The view an operad is read through; ``tower`` reads tower levels."""
     if isinstance(operad, OperadLevel):
-        return _TowerView(operad, size_bound)
+        return tower(operad, size_bound)
     if isinstance(operad, TableOperad):
         return _TableView(operad)
     raise UnsupportedOperad("cannot audit %r" % (operad,))
 
 
-def _arg_tuples(view, input_types, budget) -> Iterator[Tuple[tuple, int]]:
+def _by_output(view) -> Dict[object, List]:
+    """The view's operations grouped by output type, in operation order."""
+    by_output: Dict[object, List] = {}
+    for g in view.ops():
+        by_output.setdefault(view.output(g), []).append(g)
+    return by_output
+
+
+def _arg_tuples(view, by_output, input_types, budget) -> Iterator[Tuple[tuple, int]]:
     """All tuples of operations matching the given input types, with total
     size within budget."""
     if not input_types:
         yield (), 0
         return
     head, rest = input_types[0], input_types[1:]
-    for g in view._by_output.get(head, ()):
+    for g in by_output.get(head, ()):
         used = view.size(g)
         if used > budget:
             continue
-        for tail, tail_used in _arg_tuples(view, rest, budget - used):
+        for tail, tail_used in _arg_tuples(view, by_output, rest, budget - used):
             if used + tail_used <= budget:
                 yield (g,) + tail, used + tail_used
 
@@ -383,102 +434,104 @@ def check_operad_axioms(operad, size_bound: int, workers: int = 1) -> AxiomRepor
     Quantified operands range over the operations of size <= size_bound;
     an instance participates when the total size of all its operands stays
     within the bound.  Permutations always range over the full symmetric
-    group of the relevant arity.  The report is identical for any worker
+    group of the relevant arity.  A tower level is read on its interned
+    shapes.  The instances of each operation run together, one operation
+    per task when ``workers > 1``.  The report is identical for any worker
     count: violations are collected and sorted by canonical key.
     """
     if size_bound < 1:
         raise ValueError("size_bound must be >= 1")
-    view = _view(operad, size_bound)
-    by_output: Dict[object, List] = {}
-    for g in view.ops():
-        by_output.setdefault(view.output(g), []).append(g)
-    view._by_output = by_output
+    view = _view(operad, size_bound, tower=_ShapeView)
+    by_output = _by_output(view)
 
-    report = AxiomReport(size_bound=size_bound)
-    checks: List[Tuple[str, tuple]] = []
-
-    for f in view.ops():
-        f_size = view.size(f)
-        if f_size > size_bound:
-            continue
-        checks.append(("b", (f,)))
-        k = view.arity(f)
-        for sigma in itertools.permutations(range(k)):
-            for tau in itertools.permutations(range(k)):
-                checks.append(("c", (f, sigma, tau)))
-        for gs, gs_size in _arg_tuples(view, view.inputs(f), size_bound - f_size):
-            checks.append(("d", (f, gs)))
-            checks.append(("e", (f, gs)))
-            inner_types = tuple(t for g in gs for t in view.inputs(g))
-            remaining = size_bound - f_size - gs_size
-            for hs, _ in _arg_tuples(view, inner_types, remaining):
-                checks.append(("a", (f, gs, hs)))
-
-    def run(check) -> List[AxiomViolation]:
-        axiom, operands = check
-        out: List[AxiomViolation] = []
-        if axiom == "a":
-            f, gs, hs = operands
-            blocks = []
-            start = 0
-            for g in gs:
-                blocks.append(hs[start : start + view.arity(g)])
-                start += view.arity(g)
-            lhs = view.compose(f, [view.compose(g, b) for g, b in zip(gs, blocks)])
-            rhs = view.compose(view.compose(f, gs), hs)
-            if lhs != rhs:
-                keys = (view.key(f),) + tuple(map(view.key, gs)) + tuple(map(view.key, hs))
-                out.append(AxiomViolation("a", keys, view.key(lhs), view.key(rhs)))
-        elif axiom == "b":
-            (f,) = operands
-            left = view.compose(view.identity(view.output(f)), [f])
-            right = view.compose(f, [view.identity(t) for t in view.inputs(f)])
-            if left != f:
-                out.append(AxiomViolation("b", (view.key(f), "left-unit"), view.key(left), view.key(f)))
-            if right != f:
-                out.append(AxiomViolation("b", (view.key(f), "right-unit"), view.key(right), view.key(f)))
-        elif axiom == "c":
-            f, sigma, tau = operands
-            lhs = view.permute(f, compose_perms(sigma, tau))
-            rhs = view.permute(view.permute(f, sigma), tau)
-            if lhs != rhs:
-                out.append(
-                    AxiomViolation(
-                        "c", (view.key(f), repr(sigma), repr(tau)), view.key(lhs), view.key(rhs)
-                    )
-                )
-        elif axiom == "d":
-            f, gs = operands
-            arities = [view.arity(g) for g in gs]
-            for sigma in itertools.permutations(range(len(gs))):
-                lhs = view.compose(view.permute(f, sigma), [gs[sigma[i]] for i in range(len(gs))])
-                rhs = view.permute(view.compose(f, gs), block_permutation(sigma, arities))
-                if lhs != rhs:
-                    keys = (view.key(f),) + tuple(map(view.key, gs)) + (repr(sigma),)
-                    out.append(AxiomViolation("d", keys, view.key(lhs), view.key(rhs)))
-        elif axiom == "e":
-            f, gs = operands
-            pools = [tuple(itertools.permutations(range(view.arity(g)))) for g in gs]
-            for sigmas in itertools.product(*pools):
-                lhs = view.compose(f, [view.permute(g, s) for g, s in zip(gs, sigmas)])
-                rhs = view.permute(view.compose(f, gs), direct_sum_permutation(sigmas))
-                if lhs != rhs:
-                    keys = (view.key(f),) + tuple(map(view.key, gs)) + (repr(sigmas),)
-                    out.append(AxiomViolation("e", keys, view.key(lhs), view.key(rhs)))
-        return out
-
-    for axiom, _ in checks:
-        report.instances[axiom] = report.instances.get(axiom, 0) + 1
+    def run(f):
+        return _audit_operation(view, by_output, size_bound, f)
 
     if workers <= 1:
-        results = map(run, checks)
+        results = map(run, view.ops())
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, checks, chunksize=64))
-    for out in results:
-        report.violations.extend(out)
+            results = list(pool.map(run, view.ops()))
+    report = AxiomReport(size_bound=size_bound)
+    for counts, violations in results:
+        for axiom, count in counts.items():
+            report.instances[axiom] = report.instances.get(axiom, 0) + count
+        report.violations.extend(violations)
     report.violations.sort(key=AxiomViolation.sort_key)
     return report
+
+
+def _audit_operation(view, by_output, size_bound: int, f):
+    """Every law instance whose outermost operation is ``f``: the unit law
+    (b), the permutation law (c) over all pairs of permutations, and for
+    each argument tuple ``gs`` the equivariance laws (d) and (e) and
+    associativity (a) over every inner tuple ``hs``.
+
+    ``f`` permuted by each permutation is built once and shared by (c) and
+    (d); ``f (gs)`` is built once and shared by (d), (e) and (a).  Every
+    instance still computes both of its sides.  Returns the instance count
+    per law, in first-run order, and the violations found.
+    """
+    key = view.key
+    out: List[AxiomViolation] = []
+    counts: Dict[str, int] = {"b": 1}
+
+    left = view.compose(view.identity(view.output(f)), [f])
+    right = view.compose(f, [view.identity(t) for t in view.inputs(f)])
+    if left != f:
+        out.append(AxiomViolation("b", (key(f), "left-unit"), key(left), key(f)))
+    if right != f:
+        out.append(AxiomViolation("b", (key(f), "right-unit"), key(right), key(f)))
+
+    perms = tuple(itertools.permutations(range(view.arity(f))))
+    permuted = {sigma: view.permute(f, sigma) for sigma in perms}
+    counts["c"] = len(perms) ** 2
+    for sigma in perms:
+        f_sigma = permuted[sigma]
+        for tau in perms:
+            # compose_perms(sigma, tau), unchecked: both are permutations
+            lhs = view.permute(f, tuple(map(sigma.__getitem__, tau)))
+            rhs = view.permute(f_sigma, tau)
+            if lhs != rhs:
+                out.append(
+                    AxiomViolation("c", (key(f), repr(sigma), repr(tau)), key(lhs), key(rhs))
+                )
+
+    budget = size_bound - view.size(f)
+    for gs, gs_size in _arg_tuples(view, by_output, view.inputs(f), budget):
+        fg = view.compose(f, gs)
+        gs_keys = (key(f),) + tuple(map(key, gs))
+        arities = [view.arity(g) for g in gs]
+
+        counts["d"] = counts.get("d", 0) + 1
+        for sigma in perms:
+            lhs = view.compose(permuted[sigma], [gs[i] for i in sigma])
+            rhs = view.permute(fg, block_permutation(sigma, arities))
+            if lhs != rhs:
+                out.append(AxiomViolation("d", gs_keys + (repr(sigma),), key(lhs), key(rhs)))
+
+        counts["e"] = counts.get("e", 0) + 1
+        pools = [tuple(itertools.permutations(range(k))) for k in arities]
+        for sigmas in itertools.product(*pools):
+            lhs = view.compose(f, [view.permute(g, s) for g, s in zip(gs, sigmas)])
+            rhs = view.permute(fg, direct_sum_permutation(sigmas))
+            if lhs != rhs:
+                out.append(AxiomViolation("e", gs_keys + (repr(sigmas),), key(lhs), key(rhs)))
+
+        inner_types = tuple(t for g in gs for t in view.inputs(g))
+        for hs, _ in _arg_tuples(view, by_output, inner_types, budget - gs_size):
+            counts["a"] = counts.get("a", 0) + 1
+            blocks = []
+            start = 0
+            for k in arities:
+                blocks.append(hs[start : start + k])
+                start += k
+            lhs = view.compose(f, [view.compose(g, b) for g, b in zip(gs, blocks)])
+            rhs = view.compose(fg, hs)
+            if lhs != rhs:
+                keys = gs_keys + tuple(map(key, hs))
+                out.append(AxiomViolation("a", keys, key(lhs), key(rhs)))
+    return counts, out
 
 
 # -- algebras ---------------------------------------------------------------------
@@ -521,10 +574,7 @@ def check_algebra_axioms(alg: Algebra, size_bound: int) -> AxiomReport:
     """Replay the algebra laws over all bounded operations and all argument
     tuples from the finite carriers."""
     view = _view(alg.operad, size_bound)
-    by_output: Dict[object, List] = {}
-    for g in view.ops():
-        by_output.setdefault(view.output(g), []).append(g)
-    view._by_output = by_output
+    by_output = _by_output(view)
 
     report = AxiomReport(size_bound=size_bound)
 
@@ -560,7 +610,7 @@ def check_algebra_axioms(alg: Algebra, size_bound: int) -> AxiomReport:
                             "alg-c", (view.key(f), repr(sigma), repr(args)), "", ""
                         )
                     )
-        for gs, _ in _arg_tuples(view, view.inputs(f), size_bound - f_size):
+        for gs, _ in _arg_tuples(view, by_output, view.inputs(f), size_bound - f_size):
             report.instances["alg-a"] = report.instances.get("alg-a", 0) + 1
             composite = view.compose(f, gs)
             for args in args_for(composite):

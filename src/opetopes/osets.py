@@ -120,9 +120,12 @@ class OpetopicSet:
             code = self.cells[name]
             self._by_shape.setdefault(code, ())
             self._by_shape[code] += (name,)
-        # Cells with unparseable shapes or missing face entries stay out of
-        # the index; validation reports them instead of construction failing.
+        # Cells of dimension >= 1 by shape code and infaces, and by shape
+        # code and outface.  Cells with unparseable shapes or missing face
+        # entries stay out of the indexes; validation reports them instead
+        # of construction failing.
         self._niche_index: Dict[Tuple[str, Tuple[str, ...]], Tuple[str, ...]] = {}
+        self._outface_index: Dict[Tuple[str, str], Tuple[str, ...]] = {}
         for code, names in self._by_shape.items():
             try:
                 dim = self.shape(code).dim
@@ -132,9 +135,9 @@ class OpetopicSet:
                 for name in names:
                     if name not in self.faces:
                         continue
-                    key = (code, self.faces[name][0])
-                    self._niche_index.setdefault(key, ())
-                    self._niche_index[key] += (name,)
+                    ins, out = self.faces[name]
+                    self._niche_index[(code, ins)] = self._niche_index.get((code, ins), ()) + (name,)
+                    self._outface_index[(code, out)] = self._outface_index.get((code, out), ()) + (name,)
 
     def shape_entry(self, code: str) -> ShapeEntry:
         """The table entry of a shape code; IllTyped if it does not parse."""
@@ -433,20 +436,22 @@ def cell_matches(oset: OpetopicSet, cfg: BoundaryConfig, cell: str) -> bool:
 
 
 def occupants(oset: OpetopicSet, cfg: BoundaryConfig) -> Tuple[str, ...]:
-    """All cells of the configuration's shape extending it, sorted."""
-    if cfg.kind == "niche" and cfg.shape_code in oset._by_shape:
-        assigned = tuple(c for c in cfg.infaces)
-        pool = oset._niche_index.get((cfg.shape_code, assigned), ())
-        if not cfg.pins:
+    """All cells of the configuration's shape extending it, sorted.
+
+    The candidates are read from an index when the configuration fixes a
+    key: the cells with exactly its infaces when every inface is
+    assigned, else the cells with its outface when that is assigned.
+    Otherwise every cell of the shape is a candidate.
+    """
+    if None not in cfg.infaces:
+        pool = oset._niche_index.get((cfg.shape_code, cfg.infaces), ())
+        if cfg.outface is None and not cfg.pins:
             return tuple(sorted(pool))
-        return tuple(sorted(c for c in pool if cell_matches(oset, cfg, c)))
-    return tuple(
-        sorted(
-            c
-            for c in oset.cells_of_shape(cfg.shape_code)
-            if cell_matches(oset, cfg, c)
-        )
-    )
+    elif cfg.outface is not None:
+        pool = oset._outface_index.get((cfg.shape_code, cfg.outface), ())
+    else:
+        pool = oset.cells_of_shape(cfg.shape_code)
+    return tuple(sorted(c for c in pool if cell_matches(oset, cfg, c)))
 
 
 def forced_outface_boundary(

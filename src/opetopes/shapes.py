@@ -41,13 +41,13 @@ import weakref
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ArityMismatch, DegreeMismatch, IllTyped, TypeMismatch, ZeroDimensional
-from .trees import PasteTree, Path, TreeNode, empty_tree, single_node_tree, substitute_tree
+from .trees import PasteTree, TreeNode, empty_tree, single_node_tree, substitute_tree
 
 
 class Opetope:
     """An n-dimensional shape; immutable, hashable, interned per code."""
 
-    __slots__ = ("dim", "tree", "_code", "_output", "_size", "_memo", "__weakref__")
+    __slots__ = ("dim", "tree", "_code", "_inputs", "_output", "_size", "_memo", "__weakref__")
 
     def __init__(self, dim: int, tree: Optional[PasteTree]):
         if dim < 0:
@@ -62,6 +62,7 @@ class Opetope:
         self.dim = dim
         self.tree = tree
         self._code = None
+        self._inputs = None
         self._output = None
         self._size = None
         self._memo = None
@@ -83,7 +84,9 @@ class Opetope:
             raise ZeroDimensional("the point is not an operation")
         if self.dim == 1:
             return (POINT,)
-        return tuple(self.tree.node_at(p).label for p in self.tree.node_order)
+        if self._inputs is None:
+            self._inputs = tuple(self.tree.node_at(p).label for p in self.tree.node_order)
+        return self._inputs
 
     @property
     def output(self) -> "Opetope":
@@ -290,8 +293,8 @@ def graft(tree: PasteTree) -> Opetope:
         return compose(node.label, args)
 
     planar = fold(tree.root)
-    mu = tree.planar_leaf_paths()
-    sigma = tuple(mu.index(leaf) for leaf in tree.leaf_order)
+    leaves = tree.index.leaves
+    sigma = tuple(leaves[leaf] for leaf in tree.leaf_order)
     return permute_inputs(planar, sigma)
 
 
@@ -339,15 +342,9 @@ def _enumerate_cached(dim: int, bound: int) -> Tuple[Opetope, ...]:
         for op in labels:
             by_output.setdefault(op.output, []).append(op)
         for root, used in _gen_root(labels, by_output, bound):
-            base = PasteTree(
-                dim - 2,
-                root,
-                None,
-                _preorder(root),
-                _planar_leaves(root),
-            )
-            for nu in itertools.permutations(base.node_order):
-                for lam in itertools.permutations(base.leaf_order):
+            nodes, leaves = root.index
+            for nu in itertools.permutations(nodes):
+                for lam in itertools.permutations(leaves):
                     shapes.append(
                         canonical(Opetope(dim, PasteTree(dim - 2, root, None, nu, lam)))
                     )
@@ -355,33 +352,6 @@ def _enumerate_cached(dim: int, bound: int) -> Tuple[Opetope, ...]:
         result = tuple(shapes)
     _ENUM_CACHE[key] = result
     return result
-
-
-def _preorder(root: TreeNode) -> Tuple[Path, ...]:
-    out = []
-
-    def walk(node, path):
-        out.append(path)
-        for j, child in enumerate(node.children):
-            if child is not None:
-                walk(child, path + (j,))
-
-    walk(root, ())
-    return tuple(out)
-
-
-def _planar_leaves(root: TreeNode) -> Tuple[Path, ...]:
-    out = []
-
-    def walk(node, path):
-        for j, child in enumerate(node.children):
-            if child is None:
-                out.append(path + (j,))
-            else:
-                walk(child, path + (j,))
-
-    walk(root, ())
-    return tuple(out)
 
 
 def _gen_root(labels, by_output, budget) -> Iterator[Tuple[TreeNode, int]]:
@@ -429,9 +399,8 @@ def _encode(shape: Opetope) -> str:
         body = "!" + tree.edge_type.code
     else:
         body = _encode_node(tree.root)
-    pre = {p: i for i, p in enumerate(tree.preorder_paths())}
-    leaves = {p: i for i, p in enumerate(tree.planar_leaf_paths())}
-    nu = ".".join(str(pre[p]) for p in tree.node_order)
+    nodes, leaves = tree.index
+    nu = ".".join(str(nodes[p]) for p in tree.node_order)
     lam = ".".join(str(leaves[p]) for p in tree.leaf_order)
     return "[%s|n%s|l%s]" % (body, nu, lam)
 
@@ -466,12 +435,10 @@ def _parse(s: str, i: int) -> Tuple[Opetope, int]:
     if s[i] == "!":
         edge, i = _parse(s, i + 1)
         tree_dim = edge.dim + 2
-        base = empty_tree(edge.dim, edge)
         root = None
     else:
         root, i = _parse_node(s, i)
         tree_dim = root.label.dim + 1
-        base = PasteTree(tree_dim - 2, root, None, _preorder(root), _planar_leaves(root))
     if s[i] != "|" or s[i + 1] != "n":
         raise IllTyped("expected node order at offset %d in %r" % (i, s))
     i += 2
@@ -483,18 +450,19 @@ def _parse(s: str, i: int) -> Tuple[Opetope, int]:
     if s[i] != "]":
         raise IllTyped("unterminated code at offset %d in %r" % (i, s))
     i += 1
-    pre = base.preorder_paths() if root is not None else ()
-    leaves = base.planar_leaf_paths() if root is not None else ((),)
+    if root is None:
+        tree = empty_tree(tree_dim - 2, edge)
+        nodes, leaves = tree.index
+    else:
+        nodes, leaves = root.index
+    pre, planar = tuple(nodes), tuple(leaves)
     try:
         nu = tuple(pre[k] for k in nu_idx)
-        lam = tuple(leaves[k] for k in lam_idx)
+        lam = tuple(planar[k] for k in lam_idx)
     except IndexError:
         raise IllTyped("order index out of range in %r" % s)
-    tree = (
-        empty_tree(base.level, base.edge_type)
-        if root is None
-        else PasteTree(base.level, root, None, nu, lam)
-    )
+    if root is not None:
+        tree = PasteTree(tree_dim - 2, root, None, nu, lam)
     return canonical(Opetope(tree_dim, tree)), i
 
 
@@ -563,16 +531,15 @@ def metatree_stages(shape: Opetope) -> List[dict]:
         if tree.is_empty:
             stages[stage].append({"empty": True, "type_code": tree.edge_type.code})
             return
-        pre = {p: i for i, p in enumerate(tree.preorder_paths())}
-        leaves = {p: i for i, p in enumerate(tree.planar_leaf_paths())}
+        nodes, leaves = tree.index
         stages[stage].append(
             {
                 "root": _node_json(tree.root),
-                "node_order": [pre[p] for p in tree.node_order],
+                "node_order": [nodes[p] for p in tree.node_order],
                 "leaf_order": [leaves[p] for p in tree.leaf_order],
             }
         )
-        for p in tree.preorder_paths():
+        for p in nodes:
             emit(tree.node_at(p).label, stage - 1)
 
     emit(shape, shape.dim - 1)
@@ -648,9 +615,9 @@ def from_metatree(stages: Sequence[dict]) -> Opetope:
             return TreeNode(label, tuple(children))
 
         root = make(entry["root"])
-        base = PasteTree(dim - 2, root, None, _preorder(root), _planar_leaves(root))
-        nu = tuple(base.preorder_paths()[k] for k in entry["node_order"])
-        lam = tuple(base.planar_leaf_paths()[k] for k in entry["leaf_order"])
+        pre, planar = tuple(root.index.nodes), tuple(root.index.leaves)
+        nu = tuple(pre[k] for k in entry["node_order"])
+        lam = tuple(planar[k] for k in entry["leaf_order"])
         return canonical(Opetope(dim, PasteTree(dim - 2, root, None, nu, lam)))
 
     top = build(len(stages) - 1)

@@ -30,15 +30,28 @@ enforced one layer up, in :mod:`opetopes.shapes`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterator, NamedTuple, Optional, Tuple
 
 from .errors import IllTyped, NoSuchNode
 
 Path = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
+class TreeIndex(NamedTuple):
+    """Every node path with its preorder position and every leaf path with
+    its planar (depth-first slot) position; each dict lists its paths in
+    that order."""
+
+    nodes: Dict[Path, int]
+    leaves: Dict[Path, int]
+
+
+# The empty tree's single edge is its only leaf.
+_EMPTY_INDEX = TreeIndex({}, {(): 0})
+
+
+@dataclass(frozen=True, slots=True)
 class TreeNode:
     """One node of a pasting tree: a label plus one child per slot.
 
@@ -48,6 +61,7 @@ class TreeNode:
 
     label: object
     children: Tuple[Optional["TreeNode"], ...]
+    _index: Optional[TreeIndex] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.children) != self.label.arity:
@@ -55,6 +69,36 @@ class TreeNode:
                 "node labelled %r needs %d child slots, got %d"
                 % (self.label, self.label.arity, len(self.children))
             )
+
+    @property
+    def index(self) -> TreeIndex:
+        """The index of the tree rooted at this node.
+
+        Computed on first use and kept on the node, so every tree sharing
+        this root (the permuted variants of one shape) reads the same one.
+        Threads racing on first use build equal indexes; either is kept.
+        """
+        found = self._index
+        if found is None:
+            found = _index_tree(self)
+            object.__setattr__(self, "_index", found)
+        return found
+
+
+def _index_tree(root: TreeNode) -> TreeIndex:
+    nodes: Dict[Path, int] = {}
+    leaves: Dict[Path, int] = {}
+
+    def walk(node, path):
+        nodes[path] = len(nodes)
+        for j, child in enumerate(node.children):
+            if child is None:
+                leaves[path + (j,)] = len(leaves)
+            else:
+                walk(child, path + (j,))
+
+    walk(root, ())
+    return TreeIndex(nodes, leaves)
 
 
 @dataclass(frozen=True)
@@ -81,11 +125,10 @@ class PasteTree:
             return
         if self.edge_type is not None:
             raise IllTyped("nonempty tree must not carry an edge type")
-        nodes = set(self.iter_node_paths())
-        if set(self.node_order) != nodes or len(self.node_order) != len(nodes):
+        nodes, leaves = self.root.index
+        if nodes.keys() != set(self.node_order) or len(self.node_order) != len(nodes):
             raise IllTyped("node_order is not a permutation of the node set")
-        leaves = set(self.iter_leaf_paths())
-        if set(self.leaf_order) != leaves or len(self.leaf_order) != len(leaves):
+        if leaves.keys() != set(self.leaf_order) or len(self.leaf_order) != len(leaves):
             raise IllTyped("leaf_order is not a permutation of the leaf set")
 
     # -- basic queries ----------------------------------------------------
@@ -112,32 +155,18 @@ class PasteTree:
             node = node.children[j]
         return node
 
+    @property
+    def index(self) -> TreeIndex:
+        """Preorder and planar leaf positions, shared by all trees on one root."""
+        return _EMPTY_INDEX if self.root is None else self.root.index
+
     def iter_node_paths(self) -> Iterator[Path]:
         """Node addresses in preorder (root first, slots left to right)."""
-
-        def walk(node, path):
-            yield path
-            for j, child in enumerate(node.children):
-                if child is not None:
-                    yield from walk(child, path + (j,))
-
-        if self.root is not None:
-            yield from walk(self.root, ())
+        return iter(self.index.nodes)
 
     def iter_leaf_paths(self) -> Iterator[Path]:
         """Leaf addresses in lexicographic (depth-first slot) order."""
-        if self.root is None:
-            yield ()
-            return
-
-        def walk(node, path):
-            for j, child in enumerate(node.children):
-                if child is None:
-                    yield path + (j,)
-                else:
-                    yield from walk(child, path + (j,))
-
-        yield from walk(self.root, ())
+        return iter(self.index.leaves)
 
     def iter_edge_paths(self) -> Iterator[Path]:
         """All edge addresses: the root edge, then every slot edge."""
@@ -148,10 +177,10 @@ class PasteTree:
                 yield path + (j,)
 
     def preorder_paths(self) -> Tuple[Path, ...]:
-        return tuple(self.iter_node_paths())
+        return tuple(self.index.nodes)
 
     def planar_leaf_paths(self) -> Tuple[Path, ...]:
-        return tuple(self.iter_leaf_paths())
+        return tuple(self.index.leaves)
 
 
 def empty_tree(level: int, edge_type: object) -> PasteTree:

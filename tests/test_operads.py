@@ -23,7 +23,8 @@ from opetopes import (
     initial_operad,
     permute,
 )
-from opetopes.operads import Operation
+from opetopes import shapes
+from opetopes.operads import AxiomViolation, Operation
 from opetopes.trees import PasteTree, TreeNode
 from opetopes import ARROW
 
@@ -216,6 +217,67 @@ def test_audit_with_shared_shape_memos_is_worker_invariant(fresh_shapes):
     assert one == many
     assert one.instances == {"a": 86, "b": 34, "c": 14050, "d": 75, "e": 75}
     assert one.violations == []
+
+
+def test_deeper_audit_is_worker_invariant(fresh_shapes):
+    # The pool maps one task per operation; at level 3 the operations are
+    # 4-dimensional shapes and compose works through substituted trees.
+    many = check_operad_axioms(OperadLevel(3), 5, workers=3)
+    fresh_shapes()
+    one = check_operad_axioms(OperadLevel(3), 5, workers=1)
+    assert one == many
+    assert one.instances == {"a": 160, "b": 229, "c": 253, "d": 162, "e": 162}
+    assert one.violations == []
+
+
+LEVEL1_BOUND4 = {"a": 86, "b": 34, "c": 14050, "d": 75, "e": 75}
+
+
+def _corrupt_composite(monkeypatch, f, gs, wrong):
+    """Make the unmemoised composite of ``f (gs)`` return ``wrong``."""
+    real = shapes._composed
+
+    def corrupted(g, args):
+        if g == f and tuple(args) == tuple(gs):
+            return wrong
+        return real(g, args)
+
+    monkeypatch.setattr(shapes, "_composed", corrupted)
+
+
+def test_wrong_shared_composite_breaks_equivariance(fresh_shapes, monkeypatch):
+    # f (g, e) with f and g binary and e nullary is the only shape of its
+    # kind at level 1 bound 4; its composite feeds (d), (e) and (a).  At
+    # level 1 every type is the arrow, so the other binary shape is a
+    # well-typed wrong value.  (a) cannot show it here: the inner tuple
+    # has to be nullary, and composing the wrong binary shape with two
+    # nullaries gives the same nullary shape as the right one.
+    ops = enumerate_opetopes(2, 4)
+    binary = [s for s in ops if s.arity == 2]
+    nullary = next(s for s in ops if s.arity == 0)
+    f, g = binary[0], binary[1]
+    gs = (g, nullary)
+    right = shapes._composed(f, gs)
+    wrong = next(s for s in binary if s != right)
+    _corrupt_composite(monkeypatch, f, gs, wrong)
+    report = check_operad_axioms(OperadLevel(1), 4)
+    assert report.instances == LEVEL1_BOUND4
+    # Other instances that compose f (g, e) on one side fail too.
+    assert {v.axiom for v in report.violations} == {"d", "e"}
+    keys = (f.code, g.code, nullary.code)
+    named = {(v.axiom, v.operands[:3]) for v in report.violations}
+    assert {("d", keys), ("e", keys)} <= named
+
+
+def test_wrong_identity_composite_breaks_the_left_unit(fresh_shapes, monkeypatch):
+    ops = enumerate_opetopes(2, 4)
+    binary = [s for s in ops if s.arity == 2]
+    f = binary[0]
+    wrong = binary[1]
+    _corrupt_composite(monkeypatch, shapes.identity_on(f.output), (f,), wrong)
+    report = check_operad_axioms(OperadLevel(1), 4)
+    assert report.instances == LEVEL1_BOUND4
+    assert AxiomViolation("b", (f.code, "left-unit"), wrong.code, f.code) in report.violations
 
 
 def test_type_round_trip_on_five_hundred_shapes():

@@ -278,3 +278,37 @@ def test_outface_extensions_match_trial_extension(make_set):
         assert oset.shape_entry(code).incidence_items == tuple(
             sorted(edge_incidences(shape).items())
         )
+
+
+def _scanned_occupants(oset, cfg):
+    """Reference: every cell of the configuration's shape that extends it."""
+    return tuple(
+        sorted(c for c in oset.cells_of_shape(cfg.shape_code) if cell_matches(oset, cfg, c))
+    )
+
+
+@pytest.mark.parametrize(
+    "make_set",
+    [lambda: build_fixture("z3_monoid"), lambda: build_fixture("broken_magma"), z2_weak2],
+    ids=["z3_monoid", "broken_magma", "z2_weak2"],
+)
+def test_occupants_match_a_scan_of_the_shape(make_set):
+    # Frames and niches are read off the niche index, the outface
+    # extensions of punctured niches off the outface index, and punctured
+    # niches scan the shape's cells.
+    oset = make_set()
+    configs = []
+    for dim in range(1, oset.max_dim + 1):
+        configs += enumerate_configs(oset, "frame", dim)
+        configs += enumerate_configs(oset, "niche", dim)
+        for cfg in enumerate_configs(oset, "punctured_niche", dim):
+            configs.append(cfg)
+            configs += [config_with(oset, cfg, outface=b) for b in outface_extensions(oset, cfg)]
+    kinds = {cfg.kind for cfg in configs}
+    assert kinds == {"frame", "niche", "punctured_niche", "partial"}
+    occupied = 0
+    for cfg in configs:
+        found = occupants(oset, cfg)
+        assert found == _scanned_occupants(oset, cfg), cfg
+        occupied += bool(found)
+    assert occupied > 0
