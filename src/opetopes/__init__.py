@@ -34,33 +34,29 @@ from .shapes import (
     ARROW,
     POINT,
     Opetope,
+    compose,
     enumerate_opetopes,
     faces,
     from_code,
     from_metatree,
     identity_on,
     metatree_stages,
+    permute_inputs,
     render_metatree,
 )
 from .operads import (
     Algebra,
     AxiomReport,
-    Operation,
     OperadLevel,
     TableOperad,
-    TypeId,
-    as_type,
     block_permutation,
     check_algebra_axioms,
     check_operad_axioms,
-    compose,
     compose_perms,
     direct_sum_permutation,
     eval_algebra,
-    from_type,
     identity_perm,
     initial_operad,
-    permute,
 )
 from .slices import ReductionLaw, graft_composite, slice_operad, substitute
 from .counting import brute_force_count

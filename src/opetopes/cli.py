@@ -73,9 +73,7 @@ def cmd_check(args) -> int:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
     try:
-        verdict = check_weak_n_category(
-            oset, args.n, args.bound, workers=args.workers
-        )
+        verdict = check_weak_n_category(oset, args.n, args.bound)
     except InvalidSet as exc:
         print("input error: set fails validation", file=sys.stderr)
         for line in exc.report.violations[:10]:
@@ -105,7 +103,7 @@ def cmd_slice_audit(args) -> int:
         return 2
     worst = 0
     for level in range(args.levels):
-        report = check_operad_axioms(OperadLevel(level), args.bound, workers=args.workers)
+        report = check_operad_axioms(OperadLevel(level), args.bound)
         total = sum(report.instances.values())
         print(
             "level %d: %d instances, %d violations"
@@ -154,13 +152,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--bound", type=int, required=True, help="niche shape bound")
     p.add_argument("--out", help="write the verdict document here")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("slice-audit", help="replay the operad laws on tower levels")
     p.add_argument("--levels", type=int, default=3, help="audit levels 0..levels-1")
     p.add_argument("--bound", type=int, default=4)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_slice_audit)
 
     p = sub.add_parser("fixture", help="write a named golden opetopic set")

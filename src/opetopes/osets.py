@@ -111,9 +111,7 @@ class OpetopicSet:
         self.shape_bound = shape_bound
         self.cells = dict(cells)
         self.faces = {name: (tuple(ins), out) for name, (ins, out) in faces.items()}
-        # One entry per shape code, filled on first use.  Filling is
-        # idempotent (equal codes give equal entries), so concurrent readers
-        # at worst derive an entry twice.
+        # One entry per shape code, filled on first use.
         self._table: Dict[str, ShapeEntry] = {}
         self._by_shape: Dict[str, Tuple[str, ...]] = {}
         for name in sorted(self.cells):
@@ -257,8 +255,16 @@ def validate(oset: OpetopicSet) -> ValidationReport:
         if bad:
             continue
         for edge, (upper, lower) in entry.incidence_items:
-            a = oset.resolve(name, upper)
-            b = oset.resolve(name, lower)
+            try:
+                a = oset.resolve(name, upper)
+                b = oset.resolve(name, lower)
+            except (IndexError, KeyError):
+                # A face's own face entry is missing or has the wrong
+                # length; that cell's check reports it.
+                report.violations.append(
+                    "cell %s: edge %r runs through a face with malformed faces" % (name, edge)
+                )
+                continue
             report.relations_checked.append(
                 "%s@%r: %r = %r" % (name, edge, upper, lower)
             )

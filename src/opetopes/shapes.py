@@ -316,7 +316,9 @@ def enumerate_opetopes(dim: int, node_bound: int) -> Tuple[Opetope, ...]:
     """
     if dim < 0:
         raise IllTyped("dimension must be a natural number")
-    return _enumerate_cached(dim, max(node_bound, 0))
+    if node_bound < 0:
+        raise IllTyped("node bound must be a natural number")
+    return _enumerate_cached(dim, node_bound)
 
 
 _ENUM_CACHE: Dict[Tuple[int, int], Tuple[Opetope, ...]] = {}
@@ -411,7 +413,12 @@ def _encode_node(node: TreeNode) -> str:
 
 
 def from_code(code: str) -> Opetope:
-    """Parse a canonical code back into a shape (inverse of ``.code``)."""
+    """Parse a canonical code back into a shape (inverse of ``.code``).
+
+    Only the canonical spelling parses: a code that would build a shape
+    with another code (say ``n00`` for ``n0``, or leaf indices on an empty
+    tree) is rejected.
+    """
     found = _INTERNED.get(code)
     if found is not None:
         return found
@@ -431,6 +438,7 @@ def _parse(s: str, i: int) -> Tuple[Opetope, int]:
         return ARROW, i + 2
     if i >= len(s) or s[i] != "[":
         raise IllTyped("bad code at offset %d in %r" % (i, s))
+    start = i
     i += 1
     if s[i] == "!":
         edge, i = _parse(s, i + 1)
@@ -463,7 +471,10 @@ def _parse(s: str, i: int) -> Tuple[Opetope, int]:
         raise IllTyped("order index out of range in %r" % s)
     if root is not None:
         tree = PasteTree(tree_dim - 2, root, None, nu, lam)
-    return canonical(Opetope(tree_dim, tree)), i
+    shape = canonical(Opetope(tree_dim, tree))
+    if s[start:i] != shape.code:
+        raise IllTyped("%r is not the canonical code %r" % (s[start:i], shape.code))
+    return shape, i
 
 
 def _parse_node(s: str, i: int) -> Tuple[TreeNode, int]:

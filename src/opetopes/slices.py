@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from .errors import CompositeMismatch, UnsupportedOperad
 from . import shapes
-from .operads import OperadLevel, Operation
+from .shapes import Opetope
+from .operads import OperadLevel
 from .trees import PasteTree, Path, substitute_tree
 
 
@@ -25,14 +26,14 @@ def slice_operad(operad) -> OperadLevel:
     return OperadLevel(operad.level + 1)
 
 
-def graft_composite(tree: PasteTree) -> Operation:
+def graft_composite(tree: PasteTree) -> Opetope:
     """Compose all node labels of a well-typed pasting tree bottom-up.
 
     The empty tree composes to the identity on its edge type.  The result
     does not depend on the order the nodes are folded; associativity
     guarantees this, and the property tests replay it.
     """
-    return Operation(tree.level, shapes.graft(tree))
+    return shapes.graft(tree)
 
 
 @dataclass(frozen=True)
@@ -45,15 +46,15 @@ class ReductionLaw:
     """
 
     tree: PasteTree
-    composite: Operation = field(init=False)
+    composite: Opetope = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "composite", graft_composite(self.tree))
 
     @property
-    def as_operation(self) -> Operation:
+    def as_operation(self) -> Opetope:
         """The law read as an operation of the slice level."""
-        return Operation(self.tree.level + 1, shapes.Opetope(self.tree.level + 2, self.tree))
+        return shapes.canonical(Opetope(self.tree.level + 2, self.tree))
 
 
 def substitute(outer: PasteTree, at_node: Path, inner: PasteTree) -> PasteTree:

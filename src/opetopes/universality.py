@@ -20,7 +20,6 @@ always checked.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -300,7 +299,6 @@ def check_weak_n_category(
     oset: OpetopicSet,
     n: int,
     shape_bound: int,
-    workers: int = 1,
     memo: bool = True,
 ) -> CheckVerdict:
     """Decide both weak n-category conditions over the bounded niche space.
@@ -308,8 +306,8 @@ def check_weak_n_category(
     Condition 1: every niche of dimension 1..n+1 whose shape fits the
     bound has an occupant universal in it.  Condition 2: for every such
     niche whose infaces are all universal, every universal occupant has a
-    universal outface.  Records are produced in canonical order and the
-    verdict is identical for any worker count.
+    universal outface.  Records are produced in canonical order, so the
+    verdict is deterministic.
     """
     report = validate(oset)
     if not report.ok:
@@ -327,52 +325,41 @@ def check_weak_n_category(
         verdict.niche_counts[dim] = len(batch)
         niches.extend(batch)
 
-    def examine(cfg: BoundaryConfig) -> Tuple[dict, Optional[dict]]:
-        occ = occupants(ctx.oset, cfg)
+    for cfg in niches:
+        occ = occupants(oset, cfg)
         universal = [u for u in occ if is_universal(ctx, u)]
         rec1 = {
             "niche": _config_label(cfg),
             "occupants": len(occ),
             "universal_occupant": universal[0] if universal else None,
         }
-        rec2 = None
-        infaces_universal = all(is_universal(ctx, c) for c in cfg.infaces)
-        if infaces_universal:
-            bad = None
-            for u in universal:
-                out = ctx.oset.outface_of(u)
-                out_verdict = is_universal(ctx, out)
-                if not out_verdict:
-                    bad = {
-                        "occupant": u,
-                        "outface": out,
-                        "trace": list(out_verdict.witnesses),
-                    }
-                    break
-            rec2 = {
-                "niche": _config_label(cfg),
-                "universal_occupants": len(universal),
-                "non_universal_composite": bad,
-            }
-        return rec1, rec2
-
-    if workers <= 1:
-        results = [examine(cfg) for cfg in niches]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(examine, niches))
-
-    for rec1, rec2 in results:
         verdict.condition1.append(rec1)
         if rec1["universal_occupant"] is None:
             verdict.ok = False
             if verdict.failure is None:
                 verdict.failure = {"condition": 1, **rec1}
-        if rec2 is not None:
-            verdict.condition2.append(rec2)
-            if rec2["non_universal_composite"] is not None:
-                verdict.ok = False
-                if verdict.failure is None:
-                    verdict.failure = {"condition": 2, **rec2}
+        if not all(is_universal(ctx, c) for c in cfg.infaces):
+            continue
+        bad = None
+        for u in universal:
+            out = oset.outface_of(u)
+            out_verdict = is_universal(ctx, out)
+            if not out_verdict:
+                bad = {
+                    "occupant": u,
+                    "outface": out,
+                    "trace": list(out_verdict.witnesses),
+                }
+                break
+        rec2 = {
+            "niche": _config_label(cfg),
+            "universal_occupants": len(universal),
+            "non_universal_composite": bad,
+        }
+        verdict.condition2.append(rec2)
+        if bad is not None:
+            verdict.ok = False
+            if verdict.failure is None:
+                verdict.failure = {"condition": 2, **rec2}
     verdict.max_dim_reached = ctx.max_dim_reached
     return verdict

@@ -205,20 +205,19 @@ def test_a6_recursion_contract():
             memo_off.condition1,
             memo_off.condition2,
         )
-        solo = check_weak_n_category(oset, n, bound, workers=1)
-        team = check_weak_n_category(oset, n, bound, workers=4)
-        assert (solo.ok, solo.condition1, solo.condition2, solo.failure) == (
-            team.ok,
-            team.condition1,
-            team.condition2,
-            team.failure,
+        again = check_weak_n_category(oset, n, bound)
+        assert (memo_on.ok, memo_on.condition1, memo_on.condition2, memo_on.failure) == (
+            again.ok,
+            again.condition1,
+            again.condition2,
+            again.failure,
         )
         # per-cell universality terminates under the same bound
         ctx = CheckContext(oset, n)
         for cell in oset.cells:
             is_universal(ctx, cell)
         assert ctx.max_dim_reached <= n + 2
-    report("A6 PASS: depth <= n+2, memo-transparent, worker-invariant on all fixtures")
+    report("A6 PASS: depth <= n+2, memo-transparent, run-to-run identical on all fixtures")
 
 
 def test_a7_determinism(tmp_path):
@@ -229,9 +228,8 @@ def test_a7_determinism(tmp_path):
 
     fix = tmp_path / "z2.json"
     main(["fixture", "z2_monoid", "--out", str(fix)])
-    v1, v2, v3 = (tmp_path / name for name in ("v1.json", "v2.json", "v3.json"))
+    v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
     assert main(["check", str(fix), "--n", "1", "--bound", "2", "--out", str(v1)]) == 0
     assert main(["check", str(fix), "--n", "1", "--bound", "2", "--out", str(v2)]) == 0
-    assert main(["check", str(fix), "--n", "1", "--bound", "2", "--out", str(v3), "--workers", "3"]) == 0
-    assert v1.read_bytes() == v2.read_bytes() == v3.read_bytes()
-    report("A7 PASS: enumerate and check outputs byte-identical across runs and workers")
+    assert v1.read_bytes() == v2.read_bytes()
+    report("A7 PASS: enumerate and check outputs byte-identical across runs")

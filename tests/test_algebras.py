@@ -38,7 +38,7 @@ def monoid_algebra(elements, unit, table, bound=3):
 
     def action(op):
         def apply(*args):
-            return chain_product(op.shape, args, table, unit)
+            return chain_product(op, args, table, unit)
 
         return apply
 
@@ -96,13 +96,31 @@ def test_composite_and_stepwise_evaluation_agree_on_random_instances():
         assert eval_algebra(alg, composite, args) == eval_algebra(alg, f, tuple(mids))
 
 
+def test_eval_algebra_builds_no_listing(monkeypatch):
+    # Evaluating reads the operation's own inputs and output; no listing of
+    # the level's operations is built per call.
+    from opetopes import shapes
+
+    elements, unit, table = _z3()
+    alg = monoid_algebra(elements, unit, table)
+    operad = OperadLevel(1)
+    diag2 = _diag2(operad)
+    composite = operad.compose(diag2, [diag2, operad.identity(diag2.inputs[0])])
+
+    def no_listing(*args):
+        raise AssertionError("eval_algebra enumerated shapes")
+
+    monkeypatch.setattr(shapes, "enumerate_opetopes", no_listing)
+    assert eval_algebra(alg, composite, ("1", "2", "2")) == "2"
+    assert eval_algebra(alg, diag2, ("1", "1")) == "2"
+
+
 def _diag2(operad):
     return next(
         op
         for op in operad.operations(2)
         if op.arity == 2
-        and sorted(op.shape.tree.node_order, key=len, reverse=True)
-        == list(op.shape.tree.node_order)
+        and sorted(op.tree.node_order, key=len, reverse=True) == list(op.tree.node_order)
     )
 
 

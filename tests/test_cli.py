@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from opetopes.cli import main
 
 
@@ -66,6 +68,38 @@ def test_check_rejects_invalid_sets(tmp_path, capsys):
     assert err == ["input error: set fails validation", "  cell a: unknown outface 'ghost'"]
 
 
+@pytest.mark.parametrize(
+    "cell, spelling", [("f0_nil", "[!pt|n|l0.0]"), ("f3_0", "[(ar:_)|n00|l0]")]
+)
+def test_check_rejects_a_non_canonical_shape_code(tmp_path, capsys, cell, spelling):
+    # The spelling parses to the shape of another code, so the cell would
+    # be keyed off every niche index; validation rejects it instead.
+    fix = tmp_path / "z2.json"
+    main(["fixture", "z2_monoid", "--out", str(fix)])
+    doc = json.loads(fix.read_text())
+    doc["cells"][cell] = spelling
+    fix.write_text(json.dumps(doc))
+    assert main(["check", str(fix), "--n", "1", "--bound", "2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "input error: set fails validation"
+    assert err[1].startswith("  cell %s: unparseable shape %r" % (cell, spelling))
+
+
+def test_check_rejects_a_face_whose_own_faces_are_malformed(tmp_path, capsys):
+    # The arrow a0 gets no inface; the 2-cells whose edges run through a0
+    # cannot follow them, and validation reports both instead of raising.
+    fix = tmp_path / "z2.json"
+    main(["fixture", "z2_monoid", "--out", str(fix)])
+    doc = json.loads(fix.read_text())
+    doc["faces"]["a0"]["infaces"] = []
+    fix.write_text(json.dumps(doc))
+    assert main(["check", str(fix), "--n", "1", "--bound", "2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "input error: set fails validation"
+    assert "  cell a0: 0 infaces assigned, shape has 1" in err
+    assert any("runs through a face with malformed faces" in line for line in err)
+
+
 def test_check_rejects_a_negative_bound(tmp_path, capsys):
     fix = tmp_path / "broken.json"
     main(["fixture", "broken_magma", "--out", str(fix)])
@@ -107,14 +141,24 @@ def test_slice_audit_is_clean(capsys):
     assert "violations" in printed
 
 
-def test_check_is_byte_deterministic_across_workers(tmp_path):
+def test_check_is_byte_deterministic_across_runs(tmp_path):
     fix = tmp_path / "z2.json"
     main(["fixture", "z2_monoid", "--out", str(fix)])
-    a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
     main(["check", str(fix), "--n", "1", "--bound", "2", "--out", str(a)])
     main(["check", str(fix), "--n", "1", "--bound", "2", "--out", str(b)])
-    main(["check", str(fix), "--n", "1", "--bound", "2", "--out", str(c), "--workers", "3"])
-    assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_workers_option_is_gone(tmp_path):
+    # Every check runs serially; the old option is an unknown argument.
+    fix = tmp_path / "z2.json"
+    main(["fixture", "z2_monoid", "--out", str(fix)])
+    out = tmp_path / "v.json"
+    argv = ["check", str(fix), "--n", "1", "--bound", "2", "--out", str(out), "--workers", "3"]
+    assert main(argv) == 2
+    assert not out.exists()
+    assert main(["slice-audit", "--levels", "1", "--bound", "1", "--workers", "2"]) == 2
 
 
 def test_fixture_documents_are_byte_deterministic(tmp_path):

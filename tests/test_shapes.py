@@ -159,6 +159,31 @@ def test_malformed_codes_are_rejected_cleanly():
             from_code(bad)
 
 
+@pytest.mark.parametrize(
+    "spelling",
+    [
+        "[!ar|n|l0.0]",  # leaf indices on an empty tree are not ignored
+        "[!ar|n|l]",
+        "[(ar:_)|n00|l0]",  # a zero-padded index
+        "[([(ar:_)|n00|l0]:_)|n0|l0]",  # inside a label
+    ],
+)
+def test_non_canonical_spellings_are_rejected(spelling):
+    from opetopes import IllTyped
+
+    with pytest.raises(IllTyped, match="not the canonical code"):
+        from_code(spelling)
+
+
+def test_negative_node_bound_is_rejected():
+    from opetopes import IllTyped
+
+    for dim in (0, 2, 3):
+        with pytest.raises(IllTyped):
+            enumerate_opetopes(dim, -1)
+    assert enumerate_opetopes(2, 0) == (from_code("[!pt|n|l0]"),)
+
+
 def test_metatree_text_rendering():
     from opetopes import render_metatree
 
