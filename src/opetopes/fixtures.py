@@ -28,6 +28,7 @@ outface reassigned; its dim-3 layer keeps whichever witnesses survive.
 
 from __future__ import annotations
 
+import itertools
 from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -82,7 +83,7 @@ def monoid_set(
     two_shapes = enumerate_opetopes(2, shape_bound)
     filler: Dict[Tuple[str, Tuple[str, ...]], str] = {}
     for si, shape in enumerate(two_shapes):
-        for assignment in _tuples(elements, shape.arity):
+        for assignment in itertools.product(elements, repeat=shape.arity):
             product = override.get(
                 (shape.code, assignment),
                 chain_product(shape, assignment, table, unit),
@@ -101,15 +102,6 @@ def monoid_set(
             _add_association_witnesses(base, filler, cells, faces)
 
     return OpetopicSet(max_dim, shape_bound, cells, faces)
-
-
-def _tuples(elements: Tuple[Element, ...], k: int):
-    if k == 0:
-        yield ()
-        return
-    for head in elements:
-        for tail in _tuples(elements, k - 1):
-            yield (head,) + tail
 
 
 def _standard_binary(two_shapes: Sequence[Opetope]) -> Opetope:

@@ -19,8 +19,9 @@ punctured niches used by the universality recursion.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DimOutOfRange, IllTyped, MalformedConfig, UnknownCell
 from . import shapes
@@ -171,16 +172,21 @@ class OpetopicSet:
     def outface_of(self, cell: str) -> str:
         return self.faces[cell][1]
 
-    def resolve(self, cell: str, ref: Incidence) -> str:
-        """Follow one incidence reference through a cell's faces."""
-        ins, out = self.faces[cell]
-        if ref[0] == "ii":
-            return self.faces[ins[ref[1]]][0][ref[2]]
-        if ref[0] == "oi":
-            return self.faces[ins[ref[1]]][1]
-        if ref[0] == "io":
-            return self.faces[out][0][ref[1]]
-        return self.faces[out][1]
+
+def _resolve(
+    oset: OpetopicSet, infaces: Sequence[Optional[str]], outface: Optional[str], ref: Incidence
+) -> Optional[str]:
+    """Follow one incidence reference through a boundary, whole or partial.
+
+    The second letter of the reference picks the boundary face it runs
+    through, the first letter that face's own face.  None when the
+    boundary leaves the face it runs through unassigned.
+    """
+    face = outface if ref[0][1] == "o" else infaces[ref[1]]
+    if face is None:
+        return None
+    ins, out = oset.faces[face]
+    return out if ref[0][0] == "o" else ins[ref[-1]]
 
 
 # -- validation ---------------------------------------------------------------
@@ -188,8 +194,10 @@ class OpetopicSet:
 
 @dataclass
 class ValidationReport:
+    """Every violation found, sorted, and how many incidences were checked."""
+
     violations: List[str] = field(default_factory=list)
-    relations_checked: List[str] = field(default_factory=list)
+    relations_checked: int = 0
 
     @property
     def ok(self) -> bool:
@@ -199,8 +207,8 @@ class ValidationReport:
 def validate(oset: OpetopicSet) -> ValidationReport:
     """Check face typing and the incidence relations of every cell.
 
-    The report lists every violation, and also the relation instances that
-    were checked, so the generated incidence discipline is auditable.
+    The report lists every violation and counts the incidences whose two
+    references were resolved and compared.
     """
     report = ValidationReport()
 
@@ -256,8 +264,8 @@ def validate(oset: OpetopicSet) -> ValidationReport:
             continue
         for edge, (upper, lower) in entry.incidence_items:
             try:
-                a = oset.resolve(name, upper)
-                b = oset.resolve(name, lower)
+                a = _resolve(oset, ins, out, upper)
+                b = _resolve(oset, ins, out, lower)
             except (IndexError, KeyError):
                 # A face's own face entry is missing or has the wrong
                 # length; that cell's check reports it.
@@ -265,9 +273,7 @@ def validate(oset: OpetopicSet) -> ValidationReport:
                     "cell %s: edge %r runs through a face with malformed faces" % (name, edge)
                 )
                 continue
-            report.relations_checked.append(
-                "%s@%r: %r = %r" % (name, edge, upper, lower)
-            )
+            report.relations_checked += 1
             if a != b:
                 report.violations.append(
                     "cell %s: edge %r joins %s and %s" % (name, edge, a, b)
@@ -318,19 +324,6 @@ class BoundaryConfig:
         )
 
 
-def _resolve_partial(oset: OpetopicSet, cfg_shape: Opetope, infaces, outface, ref) -> Optional[str]:
-    """Resolve an incidence against a partial assignment; None if missing."""
-    if ref[0] == "ii":
-        face = infaces[ref[1]]
-        return None if face is None else oset.faces[face][0][ref[2]]
-    if ref[0] == "oi":
-        face = infaces[ref[1]]
-        return None if face is None else oset.faces[face][1]
-    if ref[0] == "io":
-        return None if outface is None else oset.faces[outface][0][ref[1]]
-    return None if outface is None else oset.faces[outface][1]
-
-
 def make_config(
     oset: OpetopicSet,
     shape_code: str,
@@ -341,8 +334,9 @@ def make_config(
     """Build and normalise a configuration, checking all incidences.
 
     Every edge whose two references both resolve must agree; every free
-    edge must be pinned (pins on resolvable edges are checked and then
-    dropped, so equal configurations have equal representations).
+    edge must be pinned with a cell of the edge's type (pins on resolvable
+    edges are checked and then dropped, so equal configurations have equal
+    representations).
     """
     entry = oset.shape_entry(shape_code)
     infaces = tuple(infaces)
@@ -365,8 +359,8 @@ def make_config(
     pins = dict(pins or {})
     kept: List[Tuple[EdgeKey, str]] = []
     for edge, (upper, lower) in entry.incidence_items:
-        a = _resolve_partial(oset, entry.shape, infaces, outface, upper)
-        b = _resolve_partial(oset, entry.shape, infaces, outface, lower)
+        a = _resolve(oset, infaces, outface, upper)
+        b = _resolve(oset, infaces, outface, lower)
         pin = pins.pop(edge, None)
         values = {v for v in (a, b, pin) if v is not None}
         if len(values) > 1:
@@ -377,6 +371,12 @@ def make_config(
         if a is None and b is None:
             if pin is None:
                 raise MalformedConfig("edge %r of %s needs a pin" % (edge, shape_code))
+            if pin not in oset.cells:
+                raise UnknownCell("no cell named %r" % pin)
+            if oset.cells[pin] != entry.edge_types[edge]:
+                raise MalformedConfig(
+                    "pin on edge %r must be %s-shaped" % (edge, entry.edge_types[edge])
+                )
             kept.append((edge, pin))
     if pins:
         raise MalformedConfig("pins on unknown edges: %r" % sorted(pins))
@@ -392,18 +392,16 @@ def frame_of(oset: OpetopicSet, cell: str) -> BoundaryConfig:
 
 
 def niche_of(oset: OpetopicSet, cell: str) -> BoundaryConfig:
-    """The cell's niche: its infaces, outface missing, free edges pinned
-    from the cell's own boundary."""
+    """The cell's niche: its infaces, outface missing, the edges no inface
+    reaches pinned from the cell's own boundary."""
     shape = oset.shape_of(cell)
     if shape.dim < 1:
         raise MalformedConfig("0-cells occupy no niche")
-    ins, _ = oset.faces[cell]
+    ins, out = oset.faces[cell]
     pins = {}
-    for edge, (upper, lower) in oset.shape_entry(oset.cells[cell]).incidence_items:
-        a = _resolve_partial(oset, shape, ins, None, upper)
-        b = _resolve_partial(oset, shape, ins, None, lower)
-        if a is None and b is None:
-            pins[edge] = oset.resolve(cell, upper)
+    for edge, (upper, lower) in oset.shape_entry(shape.code).incidence_items:
+        if _resolve(oset, ins, None, upper) is None and _resolve(oset, ins, None, lower) is None:
+            pins[edge] = _resolve(oset, ins, out, upper)
     return make_config(oset, shape.code, ins, None, pins)
 
 
@@ -436,7 +434,7 @@ def cell_matches(oset: OpetopicSet, cfg: BoundaryConfig, cell: str) -> bool:
         return False
     incidences = oset.shape_entry(cfg.shape_code).incidences
     for edge, pin in cfg.pins:
-        if oset.resolve(cell, incidences[edge][0]) != pin:
+        if _resolve(oset, ins, out, incidences[edge][0]) != pin:
             return False
     return True
 
@@ -482,7 +480,7 @@ def forced_outface_boundary(
     for edge, refs in entry.incidence_items:
         value = pins.get(edge)
         for ref in refs:
-            resolved = _resolve_partial(oset, entry.shape, cfg.infaces, cfg.outface, ref)
+            resolved = _resolve(oset, cfg.infaces, cfg.outface, ref)
             if resolved is not None:
                 value = resolved
         for ref in refs:
@@ -490,14 +488,10 @@ def forced_outface_boundary(
                 wanted_in[ref[1]] = value
             elif ref[0] == "oo":
                 wanted_out = value
-    arity = len(oset.shape_entry(entry.output_code).input_codes)
-    if wanted_out is None:
+    # The "io" references are the outface's inface positions, each once.
+    if wanted_out is None or None in wanted_in.values():
         return None
-    if sorted(wanted_in) != list(range(arity)):
-        return None
-    if any(wanted_in[p] is None for p in range(arity)):
-        return None
-    return tuple(wanted_in[p] for p in range(arity)), wanted_out
+    return tuple(wanted_in[p] for p in range(len(wanted_in))), wanted_out
 
 
 def outface_extensions(oset: OpetopicSet, cfg: BoundaryConfig) -> Tuple[str, ...]:
@@ -564,59 +558,34 @@ def enumerate_configs(
         if sh.dim != dim or sh.size > bound:
             continue
         entry = oset.shape_entry(sh.code)
-        arity = len(entry.input_codes)
-        missing_choices: Iterable[Optional[int]]
-        if kind == "punctured_niche":
-            missing_choices = range(arity)
-        else:
-            missing_choices = (None,)
+        pools = [oset.cells_of_shape(code) for code in entry.input_codes]
+        outs = oset.cells_of_shape(entry.output_code) if kind == "frame" else (None,)
+        missing_choices = range(len(pools)) if kind == "punctured_niche" else (None,)
         for missing in missing_choices:
-            pools = []
-            for i in range(arity):
-                if missing is not None and i == missing:
-                    pools.append((None,))
-                else:
-                    pools.append(oset.cells_of_shape(entry.input_codes[i]))
-            for assignment in _product(pools):
-                if kind == "frame":
-                    outs = oset.cells_of_shape(entry.output_code)
-                else:
-                    outs = (None,)
-                for out in outs:
-                    for cfg in _pin_completions(oset, entry, assignment, out):
-                        found.append(cfg)
+            slots = [(None,) if i == missing else pool for i, pool in enumerate(pools)]
+            for *infaces, out in itertools.product(*slots, outs):
+                found.extend(_pin_completions(oset, entry, tuple(infaces), out))
     uniq = sorted(set(found), key=BoundaryConfig.sort_key)
     return tuple(uniq)
-
-
-def _product(pools: Sequence[Sequence]) -> Iterator[tuple]:
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for tail in _product(pools[1:]):
-            yield (head,) + tail
 
 
 def _pin_completions(
     oset: OpetopicSet, entry: ShapeEntry, infaces, outface
 ) -> Iterator[BoundaryConfig]:
-    """Configurations over one assignment, pins ranging over matching cells."""
-    free: List[Tuple[EdgeKey, str]] = []
+    """The configurations over one assignment, its free edges pinned with
+    every cell of their types; none when the assignment breaks an
+    incidence.  Each one is checked here, as ``make_config`` would."""
+    free: List[EdgeKey] = []
     for edge, (upper, lower) in entry.incidence_items:
-        a = _resolve_partial(oset, entry.shape, infaces, outface, upper)
-        b = _resolve_partial(oset, entry.shape, infaces, outface, lower)
+        a = _resolve(oset, infaces, outface, upper)
+        b = _resolve(oset, infaces, outface, lower)
         if a is not None and b is not None and a != b:
             return
         if a is None and b is None:
-            free.append((edge, entry.edge_types[edge]))
-    pools = [oset.cells_of_shape(code) for _, code in free]
-    for combo in _product(pools):
-        pins = {edge: cell for (edge, _), cell in zip(free, combo)}
-        try:
-            yield make_config(oset, entry.shape.code, infaces, outface, pins)
-        except MalformedConfig:
-            continue
+            free.append(edge)
+    pools = [oset.cells_of_shape(entry.edge_types[edge]) for edge in free]
+    for combo in itertools.product(*pools):
+        yield BoundaryConfig(entry.shape.code, infaces, outface, tuple(zip(free, combo)))
 
 
 def _edge_type_code(shape: Opetope, edge: EdgeKey) -> str:

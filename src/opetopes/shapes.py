@@ -343,26 +343,18 @@ def _enumerate_cached(dim: int, bound: int) -> Tuple[Opetope, ...]:
         by_output: Dict[Opetope, List[Opetope]] = {}
         for op in labels:
             by_output.setdefault(op.output, []).append(op)
-        for root, used in _gen_root(labels, by_output, bound):
-            nodes, leaves = root.index
-            for nu in itertools.permutations(nodes):
-                for lam in itertools.permutations(leaves):
-                    shapes.append(
-                        canonical(Opetope(dim, PasteTree(dim - 2, root, None, nu, lam)))
-                    )
+        for label in labels:
+            for root, _ in _gen_sub(label, bound, by_output):
+                nodes, leaves = root.index
+                for nu in itertools.permutations(nodes):
+                    for lam in itertools.permutations(leaves):
+                        shapes.append(
+                            canonical(Opetope(dim, PasteTree(dim - 2, root, None, nu, lam)))
+                        )
         shapes.sort(key=lambda s: s.code)
         result = tuple(shapes)
     _ENUM_CACHE[key] = result
     return result
-
-
-def _gen_root(labels, by_output, budget) -> Iterator[Tuple[TreeNode, int]]:
-    for label in labels:
-        cost = 1 + label.size
-        if cost > budget:
-            continue
-        for children, used in _gen_children(label.inputs, budget - cost, by_output):
-            yield TreeNode(label, children), cost + used
 
 
 def _gen_children(slot_types, budget, by_output):

@@ -176,12 +176,6 @@ class PasteTree:
             for j in range(len(node.children)):
                 yield path + (j,)
 
-    def preorder_paths(self) -> Tuple[Path, ...]:
-        return tuple(self.index.nodes)
-
-    def planar_leaf_paths(self) -> Tuple[Path, ...]:
-        return tuple(self.index.leaves)
-
 
 def empty_tree(level: int, edge_type: object) -> PasteTree:
     return PasteTree(level, None, edge_type, (), ((),))

@@ -97,18 +97,17 @@ def _note_dim(ctx: CheckContext, dim: int) -> None:
         )
 
 
-def ray_on_output_shape(base: Opetope, mirrored: bool) -> Tuple[Opetope, int, int]:
+def ray_on_output_shape(base: Opetope, mirrored: bool) -> Tuple[Opetope, int]:
     """The two-node shape pasting a unary cell onto the output of ``base``.
 
     The unary node (the identity shape on the base's outface) consumes the
     base node's output; the composite outface has the base's own shape.
-    Returns the shape with the inface positions of the base node and of
-    the unary node; ``mirrored`` swaps the listing order, giving the other
-    of the two genuinely distinct shapes.  The shape is kept in the base
-    shape's memo.
+    Returns the shape with the inface position of the base node;
+    ``mirrored`` swaps the listing order, giving the other of the two
+    genuinely distinct shapes.  The shape is kept in the base shape's memo.
     """
     shape = derived(base, ("ray-output", mirrored), _ray_on_output, base, mirrored)
-    return (shape, 1, 0) if mirrored else (shape, 0, 1)
+    return (shape, 1) if mirrored else (shape, 0)
 
 
 def _ray_on_output(base: Opetope, mirrored: bool) -> Opetope:
@@ -121,17 +120,17 @@ def _ray_on_output(base: Opetope, mirrored: bool) -> Opetope:
     return Opetope(base.dim + 1, tree)
 
 
-def ray_on_input_shape(base: Opetope, slot: int, mirrored: bool) -> Tuple[Opetope, int, int]:
+def ray_on_input_shape(base: Opetope, slot: int, mirrored: bool) -> Tuple[Opetope, int]:
     """The two-node shape pasting a unary cell onto one input of ``base``.
 
     The unary node sits above slot ``slot`` of the node labelled ``base``;
     the composite outface again has the base's shape, with the pasted slot
-    fed through the unary cell.  Returns the shape with the positions of
-    the base node and the unary node; ``mirrored`` swaps the listing
-    order.  The shape is kept in the base shape's memo.
+    fed through the unary cell.  Returns the shape with the position of
+    the base node; ``mirrored`` swaps the listing order.  The shape is
+    kept in the base shape's memo.
     """
     shape = derived(base, ("ray-input", slot, mirrored), _ray_on_input, base, slot, mirrored)
-    return (shape, 0, 1) if mirrored else (shape, 1, 0)
+    return (shape, 0) if mirrored else (shape, 1)
 
 
 def _ray_on_input(base: Opetope, slot: int, mirrored: bool) -> Opetope:
@@ -154,7 +153,7 @@ def _output_composition_niche(
     """The punctured niche pasting ``cell`` with a missing unary cell on
     its outface, the far end pinned to the frame-competitor ``d_prime``."""
     shape = ctx.oset.shape_of(cell)
-    big, cell_pos, _ = ray_on_output_shape(shape, mirrored)
+    big, cell_pos = ray_on_output_shape(shape, mirrored)
     infaces: List[Optional[str]] = [None, None]
     infaces[cell_pos] = cell
     return make_config(ctx.oset, big.code, infaces, None, {(): d_prime})
@@ -166,7 +165,7 @@ def _input_competition_niche(
     """The punctured niche pasting ``cell`` with a missing unary cell on
     its ``slot``-th inface, the far end pinned to ``a_prime``."""
     shape = ctx.oset.shape_of(cell)
-    big, cell_pos, _ = ray_on_input_shape(shape, slot, mirrored)
+    big, cell_pos = ray_on_input_shape(shape, slot, mirrored)
     infaces: List[Optional[str]] = [None, None]
     infaces[cell_pos] = cell
     return make_config(ctx.oset, big.code, infaces, None, {(slot, 0): a_prime})

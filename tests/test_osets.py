@@ -19,7 +19,25 @@ from opetopes import (
     validate,
 )
 from opetopes.fixtures import build_fixture, z2_weak2
-from opetopes.osets import cell_matches, config_with, edge_incidences, outface_extensions
+from opetopes.osets import (
+    BoundaryConfig,
+    _edge_type_code,
+    cell_matches,
+    config_with,
+    edge_incidences,
+    outface_extensions,
+)
+
+def _face_ref(oset, infaces, outface, ref):
+    """Reference resolver: the cell an incidence reference names on a
+    boundary, None when it runs through an unassigned face."""
+    if ref[0] == "ii":
+        return None if infaces[ref[1]] is None else oset.infaces_of(infaces[ref[1]])[ref[2]]
+    if ref[0] == "oi":
+        return None if infaces[ref[1]] is None else oset.outface_of(infaces[ref[1]])
+    if ref[0] == "io":
+        return None if outface is None else oset.infaces_of(outface)[ref[1]]
+    return None if outface is None else oset.outface_of(outface)
 
 
 def binary_shapes():
@@ -36,7 +54,7 @@ def test_one_point_set_is_valid():
     oset = OpetopicSet(0, 1, {"o": "pt"}, {})
     report = validate(oset)
     assert report.ok
-    assert report.relations_checked == []
+    assert report.relations_checked == 0
 
 
 def test_monoid_fixtures_are_valid(z2_set, z3_set, broken_set):
@@ -49,7 +67,7 @@ def test_validation_is_idempotent_and_order_independent(z2_set):
     first = validate(z2_set)
     second = validate(z2_set)
     assert first.violations == second.violations
-    assert first.relations_checked == second.relations_checked
+    assert first.relations_checked == second.relations_checked > 0
 
 
 def test_wrong_shape_outface_is_reported(z2_set):
@@ -133,11 +151,9 @@ def test_punctured_niche_enumeration_matches_direct_assembly(z2_set):
                     infaces[i] = cell
                 free_pools = []
                 ok = True
-                from opetopes.osets import _edge_type_code, _resolve_partial
-
                 for edge, (upper, lower) in sorted(edge_incidences(shape).items()):
-                    a = _resolve_partial(z2_set, shape, infaces, None, upper)
-                    b = _resolve_partial(z2_set, shape, infaces, None, lower)
+                    a = _face_ref(z2_set, infaces, None, upper)
+                    b = _face_ref(z2_set, infaces, None, lower)
                     if a is not None and b is not None and a != b:
                         ok = False
                         break
@@ -186,6 +202,19 @@ def test_extending_a_config_never_enlarges_occupants(z2_set):
         cfg = niche_of(z2_set, cell)
         extended = config_with(z2_set, cfg, outface=z2_set.outface_of(cell))
         assert set(occupants(z2_set, extended)) <= set(occupants(z2_set, cfg))
+
+
+def test_pin_on_an_unknown_cell_is_rejected(z2_set):
+    nullary = next(s for s in enumerate_opetopes(2, 2) if s.arity == 0)
+    with pytest.raises(UnknownCell):
+        make_config(z2_set, nullary.code, (), None, {(): "nonexistent"})
+
+
+def test_pin_of_the_wrong_shape_is_rejected(z2_set):
+    nullary = next(s for s in enumerate_opetopes(2, 2) if s.arity == 0)
+    assert nullary.code == "[!pt|n|l0]"
+    with pytest.raises(MalformedConfig, match="pin on edge"):
+        make_config(z2_set, nullary.code, (), None, {(): "a1"})
 
 
 def test_cell_matches_respects_pins(z2_set):
@@ -240,14 +269,50 @@ def test_unparseable_shape_codes_are_reported_not_crashed():
     assert any("unparseable" in v for v in report.violations)
 
 
-def test_enumerated_configs_are_canonical_and_well_kinded(z2_set):
-    for kind in ("frame", "niche", "punctured_niche"):
-        for cfg in enumerate_configs(z2_set, kind, 2):
-            assert cfg.kind == kind
-            rebuilt = make_config(
-                z2_set, cfg.shape_code, cfg.infaces, cfg.outface, dict(cfg.pins)
-            )
-            assert rebuilt == cfg
+def _reference_niche(oset, cell):
+    """The cell's niche, built from its faces: the edges that only the
+    outface reaches are pinned with the outface's faces."""
+    ins, out = oset.faces[cell]
+    pins = tuple(
+        (edge, _face_ref(oset, ins, out, upper))
+        for edge, (upper, lower) in sorted(edge_incidences(oset.shape_of(cell)).items())
+        if _face_ref(oset, ins, None, upper) is None and _face_ref(oset, ins, None, lower) is None
+    )
+    return BoundaryConfig(oset.cells[cell], ins, None, pins)
+
+
+def test_enumerated_configs_are_canonical_and_well_kinded():
+    # Enumeration builds its configurations without make_config; each must
+    # be the one make_config builds from the same faces and pins.
+    listed = 0
+    for oset in (build_fixture("z3_monoid"), build_fixture("broken_magma"), z2_weak2()):
+        for dim in range(1, oset.max_dim + 1):
+            for kind in ("frame", "niche", "punctured_niche"):
+                for cfg in enumerate_configs(oset, kind, dim):
+                    assert cfg.kind == kind
+                    rebuilt = make_config(
+                        oset, cfg.shape_code, cfg.infaces, cfg.outface, dict(cfg.pins)
+                    )
+                    assert rebuilt == cfg
+                    listed += 1
+        for cell in oset.cells:
+            if oset.dim_of(cell) >= 1:
+                assert niche_of(oset, cell) == _reference_niche(oset, cell), cell
+    assert listed == 33267
+
+
+def test_outface_inface_references_cover_its_positions_once():
+    # forced_outface_boundary reads the outface's infaces off the "io"
+    # references alone.
+    checked = 0
+    for dim, bound in ((2, 6), (3, 6), (4, 5)):
+        for shape in enumerate_opetopes(dim, bound):
+            refs = [ref for pair in edge_incidences(shape).values() for ref in pair]
+            io = sorted(ref[1] for ref in refs if ref[0] == "io")
+            assert io == list(range(shape.output.arity)), shape.code
+            assert sum(ref[0] == "oo" for ref in refs) == 1, shape.code
+            checked += 1
+    assert checked == 17970
 
 
 def _trial_outface_extensions(oset, cfg):
