@@ -72,6 +72,14 @@ def cmd_check(args) -> int:
     except DocumentError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
+    # The set's shape_bound caps the niches it is meant to be checked on;
+    # past it, the number of niche shapes enumerated grows without limit.
+    if args.bound > oset.shape_bound:
+        print(
+            "input error: --bound %d exceeds the set's shape_bound %d" % (args.bound, oset.shape_bound),
+            file=sys.stderr,
+        )
+        return 2
     try:
         verdict = check_weak_n_category(oset, args.n, args.bound)
     except InvalidSet as exc:

@@ -118,10 +118,7 @@ def _try_fill(base: OpetopicSet, filler, cfg) -> Optional[Tuple[Tuple[str, ...],
     The outface cell is forced by the incidence relations; it must be the
     stored 2-cell with the forced infaces, and carry the forced outface.
     """
-    forced = forced_outface_boundary(base, cfg)
-    if forced is None:
-        return None
-    wanted_infaces, wanted_out = forced
+    wanted_infaces, wanted_out = forced_outface_boundary(base, cfg)
     out_code = base.shape(cfg.shape_code).output.code
     name = filler.get((out_code, wanted_infaces))
     if name is None or base.faces[name][1] != wanted_out:

@@ -9,12 +9,19 @@ the outface's outface for the root edge) and one from above (the node
 producing it, or the outface's own inface for a leaf) -- and those two
 cells must coincide.
 
+Each shape's references are compiled once, when the set first meets the
+shape, into a plan of small integers (see ``ShapeEntry``); validation and
+every configuration read that plan, never the references themselves.
+
 A boundary configuration assigns cells to some of the face positions.
 Edges none of whose two references land on an assigned face are *free*;
 a configuration pins each free edge with an explicit cell two dimensions
 down.  Pins are what distinguish, say, the nullary niches sitting at two
 different base cells, and they carry the fixed lower boundary of the
-punctured niches used by the universality recursion.
+punctured niches used by the universality recursion.  A checked
+configuration also carries the one cell on each of its edges, resolved or
+pinned, so readers such as ``forced_outface_boundary`` never resolve an
+edge twice.
 """
 
 from __future__ import annotations
@@ -63,33 +70,61 @@ def edge_incidences(shape: Opetope) -> Dict[EdgeKey, Tuple[Incidence, Incidence]
     return out
 
 
+# A plan row: the two references of one edge, (upper slot, upper face,
+# lower slot, lower face).  A slot picks a face of the boundary and a face
+# picks a face of that face: i is inface i and -1 the outface.
+PlanRow = Tuple[int, int, int, int]
+
+
+def _slot_pair(ref: Incidence) -> Tuple[int, int]:
+    """One reference as (boundary slot, face slot)."""
+    if ref[0] == "ii":
+        return ref[1], ref[2]
+    if ref[0] == "oi":
+        return ref[1], -1
+    if ref[0] == "io":
+        return -1, ref[1]
+    return -1, -1
+
+
 class ShapeEntry(NamedTuple):
     """What the set reads off one shape, derived once per shape code.
 
-    ``input_codes`` is empty and ``output_code`` None for the point;
-    ``incidences`` is ``edge_incidences(shape)``, and ``incidence_items``
-    its items sorted by edge.
+    ``input_codes`` is empty and ``output_code`` None for the point.
+    ``plan`` compiles ``edge_incidences(shape)``: one ``PlanRow`` per edge,
+    in sorted edge order, which is also the order of a configuration's
+    ``edges``.  ``outface_rows`` lists the edges (by that order) meeting
+    the outface's own outface and then each of its infaces.
     """
 
     shape: Opetope
     input_codes: Tuple[str, ...]
     output_code: Optional[str]
-    incidences: Dict[EdgeKey, Tuple[Incidence, Incidence]]
-    incidence_items: Tuple[Tuple[EdgeKey, Tuple[Incidence, Incidence]], ...]
+    plan: Dict[EdgeKey, PlanRow]
     edge_types: Dict[EdgeKey, str]
+    outface_rows: Tuple[int, ...]
 
     @classmethod
     def of(cls, shape: Opetope) -> "ShapeEntry":
         if shape.dim == 0:
-            return cls(shape, (), None, {}, (), {})
-        incidences = edge_incidences(shape)
+            return cls(shape, (), None, {}, {}, ())
+        plan = {
+            edge: _slot_pair(upper) + _slot_pair(lower)
+            for edge, (upper, lower) in sorted(edge_incidences(shape).items())
+        }
+        # Every face slot of the outface is met by exactly one reference.
+        outface_rows: Dict[int, int] = {}
+        for index, row in enumerate(plan.values()):
+            for slot, face in (row[:2], row[2:]):
+                if slot == -1:
+                    outface_rows[face] = index
         return cls(
             shape,
             tuple(s.code for s in shape.inputs),
             shape.output.code,
-            incidences,
-            tuple(sorted(incidences.items())),
-            {edge: _edge_type_code(shape, edge) for edge in incidences},
+            plan,
+            {edge: _edge_type_code(shape, edge) for edge in plan},
+            tuple(outface_rows[k] for k in range(-1, len(outface_rows) - 1)),
         )
 
 
@@ -173,22 +208,6 @@ class OpetopicSet:
         return self.faces[cell][1]
 
 
-def _resolve(
-    oset: OpetopicSet, infaces: Sequence[Optional[str]], outface: Optional[str], ref: Incidence
-) -> Optional[str]:
-    """Follow one incidence reference through a boundary, whole or partial.
-
-    The second letter of the reference picks the boundary face it runs
-    through, the first letter that face's own face.  None when the
-    boundary leaves the face it runs through unassigned.
-    """
-    face = outface if ref[0][1] == "o" else infaces[ref[1]]
-    if face is None:
-        return None
-    ins, out = oset.faces[face]
-    return out if ref[0][0] == "o" else ins[ref[-1]]
-
-
 # -- validation ---------------------------------------------------------------
 
 
@@ -211,6 +230,7 @@ def validate(oset: OpetopicSet) -> ValidationReport:
     references were resolved and compared.
     """
     report = ValidationReport()
+    faces = oset.faces
 
     for name in sorted(set(oset.faces) - set(oset.cells)):
         report.violations.append("cell %s: has faces but is missing from cells" % name)
@@ -262,10 +282,13 @@ def validate(oset: OpetopicSet) -> ValidationReport:
             bad = True
         if bad:
             continue
-        for edge, (upper, lower) in entry.incidence_items:
+        boundary = ins + (out,)
+        for edge, (su, fu, sl, fl) in entry.plan.items():
             try:
-                a = _resolve(oset, ins, out, upper)
-                b = _resolve(oset, ins, out, lower)
+                face = faces[boundary[su]]
+                a = face[1] if fu < 0 else face[0][fu]
+                face = faces[boundary[sl]]
+                b = face[1] if fl < 0 else face[0][fl]
             except (IndexError, KeyError):
                 # A face's own face entry is missing or has the wrong
                 # length; that cell's check reports it.
@@ -292,28 +315,33 @@ class BoundaryConfig:
     ``infaces`` has one entry per inface position (None = missing) and
     ``outface`` is None when missing.  ``pins`` assigns a cell to every
     free edge (an edge neither of whose face references is assigned).
+
+    ``edges`` is set on every configuration that ``make_config`` or
+    enumeration has checked: the one cell on each edge, resolved or
+    pinned, in the order of the shape's plan.  It follows from the other
+    fields, so equality, hashing, ``sort_key`` and repr leave it out.
     """
 
     shape_code: str
     infaces: Tuple[Optional[str], ...]
     outface: Optional[str]
     pins: Tuple[Tuple[EdgeKey, str], ...]
+    edges: Optional[Tuple[str, ...]] = field(default=None, compare=False, repr=False)
 
     @property
     def kind(self) -> str:
-        missing = [i for i, c in enumerate(self.infaces) if c is None]
+        missing = self.infaces.count(None)
         if self.outface is not None and not missing:
             return "frame"
         if self.outface is None and not missing:
             return "niche"
-        if self.outface is None and len(missing) == 1:
+        if self.outface is None and missing == 1:
             return "punctured_niche"
         return "partial"
 
     @property
     def missing_inface_index(self) -> Optional[int]:
-        missing = [i for i, c in enumerate(self.infaces) if c is None]
-        return missing[0] if len(missing) == 1 else None
+        return self.infaces.index(None) if self.infaces.count(None) == 1 else None
 
     def sort_key(self):
         return (
@@ -336,51 +364,59 @@ def make_config(
     Every edge whose two references both resolve must agree; every free
     edge must be pinned with a cell of the edge's type (pins on resolvable
     edges are checked and then dropped, so equal configurations have equal
-    representations).
+    representations).  The result carries the cell on each edge.
     """
     entry = oset.shape_entry(shape_code)
+    cells = oset.cells
     infaces = tuple(infaces)
     if len(infaces) != len(entry.input_codes):
         raise MalformedConfig("expected %d inface slots" % len(entry.input_codes))
     for i, cell in enumerate(infaces):
         if cell is None:
             continue
-        if cell not in oset.cells:
+        if cell not in cells:
             raise UnknownCell("no cell named %r" % cell)
-        if oset.cells[cell] != entry.input_codes[i]:
+        if cells[cell] != entry.input_codes[i]:
             raise MalformedConfig(
                 "inface %d must be %s-shaped" % (i, entry.input_codes[i])
             )
     if outface is not None:
-        if outface not in oset.cells:
+        if outface not in cells:
             raise UnknownCell("no cell named %r" % outface)
-        if oset.cells[outface] != entry.output_code:
+        if cells[outface] != entry.output_code:
             raise MalformedConfig("outface must be %s-shaped" % entry.output_code)
-    pins = dict(pins or {})
+    pins = dict(pins) if pins else {}
     kept: List[Tuple[EdgeKey, str]] = []
-    for edge, (upper, lower) in entry.incidence_items:
-        a = _resolve(oset, infaces, outface, upper)
-        b = _resolve(oset, infaces, outface, lower)
+    carried: List[str] = []
+    faces = oset.faces
+    boundary = infaces + (outface,)
+    for edge, (su, fu, sl, fl) in entry.plan.items():
+        face = boundary[su]
+        a = None if face is None else (faces[face][1] if fu < 0 else faces[face][0][fu])
+        face = boundary[sl]
+        b = None if face is None else (faces[face][1] if fl < 0 else faces[face][0][fl])
         pin = pins.pop(edge, None)
-        values = {v for v in (a, b, pin) if v is not None}
-        if len(values) > 1:
+        cell = b if a is None else a
+        if (b is not None and b != cell) or (pin is not None and cell is not None and pin != cell):
             raise MalformedConfig(
                 "edge %r of %s resolves inconsistently: %s"
-                % (edge, shape_code, sorted(values))
+                % (edge, shape_code, sorted({v for v in (a, b, pin) if v is not None}))
             )
-        if a is None and b is None:
+        if cell is None:
             if pin is None:
                 raise MalformedConfig("edge %r of %s needs a pin" % (edge, shape_code))
-            if pin not in oset.cells:
+            if pin not in cells:
                 raise UnknownCell("no cell named %r" % pin)
-            if oset.cells[pin] != entry.edge_types[edge]:
+            if cells[pin] != entry.edge_types[edge]:
                 raise MalformedConfig(
                     "pin on edge %r must be %s-shaped" % (edge, entry.edge_types[edge])
                 )
             kept.append((edge, pin))
+            cell = pin
+        carried.append(cell)
     if pins:
         raise MalformedConfig("pins on unknown edges: %r" % sorted(pins))
-    return BoundaryConfig(shape_code, infaces, outface, tuple(kept))
+    return BoundaryConfig(shape_code, infaces, outface, tuple(kept), tuple(carried))
 
 
 def frame_of(oset: OpetopicSet, cell: str) -> BoundaryConfig:
@@ -398,10 +434,11 @@ def niche_of(oset: OpetopicSet, cell: str) -> BoundaryConfig:
     if shape.dim < 1:
         raise MalformedConfig("0-cells occupy no niche")
     ins, out = oset.faces[cell]
-    pins = {}
-    for edge, (upper, lower) in oset.shape_entry(shape.code).incidence_items:
-        if _resolve(oset, ins, None, upper) is None and _resolve(oset, ins, None, lower) is None:
-            pins[edge] = _resolve(oset, ins, out, upper)
+    pins = {
+        edge: oset.faces[out][0][fu]
+        for edge, (su, fu, sl, fl) in oset.shape_entry(shape.code).plan.items()
+        if su == sl == -1
+    }
     return make_config(oset, shape.code, ins, None, pins)
 
 
@@ -432,9 +469,12 @@ def cell_matches(oset: OpetopicSet, cfg: BoundaryConfig, cell: str) -> bool:
             return False
     if cfg.outface is not None and cfg.outface != out:
         return False
-    incidences = oset.shape_entry(cfg.shape_code).incidences
+    boundary = ins + (out,)
+    plan = oset.shape_entry(cfg.shape_code).plan
     for edge, pin in cfg.pins:
-        if _resolve(oset, ins, out, incidences[edge][0]) != pin:
+        su, fu = plan[edge][:2]
+        face = oset.faces[boundary[su]]
+        if (face[1] if fu < 0 else face[0][fu]) != pin:
             return False
     return True
 
@@ -460,59 +500,41 @@ def occupants(oset: OpetopicSet, cfg: BoundaryConfig) -> Tuple[str, ...]:
 
 def forced_outface_boundary(
     oset: OpetopicSet, cfg: BoundaryConfig
-) -> Optional[Tuple[Tuple[str, ...], str]]:
+) -> Tuple[Tuple[str, ...], str]:
     """The boundary any outface filler of the configuration must have.
 
-    When the outface is missing and every other face is assigned or
-    pinned -- niches and punctured niches alike -- each face of the
-    would-be outface cell is fixed by the incidence relations: an edge
-    meeting the outface carries the cell that its other reference
-    resolves to, or else its pin.  The forced infaces and outface are
-    returned.  None when some face is not determined (or the shape has
-    no relations to force it).
+    Each face of the would-be outface cell lies on one edge of the shape,
+    and a checked configuration of dimension >= 2 carries a cell on every
+    edge, so the forced infaces and outface are read off its ``edges``.
+    MalformedConfig below dimension 2, where no relation meets the
+    outface's faces, and for a configuration that carries no edges.
     """
     entry = oset.shape_entry(cfg.shape_code)
     if entry.shape.dim < 2:
-        return None
-    pins = dict(cfg.pins)
-    wanted_in: Dict[int, Optional[str]] = {}
-    wanted_out: Optional[str] = None
-    for edge, refs in entry.incidence_items:
-        value = pins.get(edge)
-        for ref in refs:
-            resolved = _resolve(oset, cfg.infaces, cfg.outface, ref)
-            if resolved is not None:
-                value = resolved
-        for ref in refs:
-            if ref[0] == "io":
-                wanted_in[ref[1]] = value
-            elif ref[0] == "oo":
-                wanted_out = value
-    # The "io" references are the outface's inface positions, each once.
-    if wanted_out is None or None in wanted_in.values():
-        return None
-    return tuple(wanted_in[p] for p in range(len(wanted_in))), wanted_out
+        raise MalformedConfig("configurations below dimension 2 force no outface boundary")
+    if cfg.edges is None:
+        raise MalformedConfig("the configuration carries no edge cells; build it with make_config")
+    edges = cfg.edges
+    out_row, *in_rows = entry.outface_rows
+    return tuple(edges[r] for r in in_rows), edges[out_row]
 
 
 def outface_extensions(oset: OpetopicSet, cfg: BoundaryConfig) -> Tuple[str, ...]:
     """Cells that can fill the configuration's outface slot, sorted.
 
     These are the cells ``b`` for which ``config_with(oset, cfg,
-    outface=b)`` is well-formed: with ``cfg`` as ``make_config`` builds
-    it, the only edges that assigning ``b`` can break are those meeting
-    the outface, and each of those already carries a fixed cell, so
-    ``b`` must have exactly the forced boundary.  Shapes below dimension
-    2 have no relations, and every cell of the outface shape fits.
+    outface=b)`` is well-formed: the only edges that assigning ``b`` can
+    break are those meeting the outface, and each carries a cell in the
+    checked ``cfg``, so ``b`` must have exactly the forced boundary.
+    Shapes below dimension 2 have no relations, and every cell of the
+    outface shape fits.
     """
     if cfg.outface is not None:
         return (cfg.outface,)
     entry = oset.shape_entry(cfg.shape_code)
     if entry.shape.dim < 2:
         return oset.cells_of_shape(entry.output_code)
-    forced = forced_outface_boundary(oset, cfg)
-    if forced is None:
-        return ()
-    ins, out = forced
+    ins, out = forced_outface_boundary(oset, cfg)
     pool = oset._niche_index.get((entry.output_code, ins), ())
     return tuple(sorted(c for c in pool if oset.outface_of(c) == out))
 
@@ -574,18 +596,31 @@ def _pin_completions(
 ) -> Iterator[BoundaryConfig]:
     """The configurations over one assignment, its free edges pinned with
     every cell of their types; none when the assignment breaks an
-    incidence.  Each one is checked here, as ``make_config`` would."""
-    free: List[EdgeKey] = []
-    for edge, (upper, lower) in entry.incidence_items:
-        a = _resolve(oset, infaces, outface, upper)
-        b = _resolve(oset, infaces, outface, lower)
-        if a is not None and b is not None and a != b:
+    incidence.  Each one is checked here, as ``make_config`` would, and
+    carries the cell on each edge."""
+    faces = oset.faces
+    boundary = infaces + (outface,)
+    carried: List[Optional[str]] = []
+    free: List[int] = []
+    for index, (su, fu, sl, fl) in enumerate(entry.plan.values()):
+        face = boundary[su]
+        a = None if face is None else (faces[face][1] if fu < 0 else faces[face][0][fu])
+        face = boundary[sl]
+        b = None if face is None else (faces[face][1] if fl < 0 else faces[face][0][fl])
+        if a is None:
+            if b is None:
+                free.append(index)
+            a = b
+        elif b is not None and a != b:
             return
-        if a is None and b is None:
-            free.append(edge)
-    pools = [oset.cells_of_shape(entry.edge_types[edge]) for edge in free]
+        carried.append(a)
+    edges = tuple(entry.plan)
+    pools = [oset.cells_of_shape(entry.edge_types[edges[i]]) for i in free]
     for combo in itertools.product(*pools):
-        yield BoundaryConfig(entry.shape.code, infaces, outface, tuple(zip(free, combo)))
+        for i, cell in zip(free, combo):
+            carried[i] = cell
+        pins = tuple((edges[i], cell) for i, cell in zip(free, combo))
+        yield BoundaryConfig(entry.shape.code, infaces, outface, pins, tuple(carried))
 
 
 def _edge_type_code(shape: Opetope, edge: EdgeKey) -> str:

@@ -107,6 +107,19 @@ def test_check_rejects_a_negative_bound(tmp_path, capsys):
     assert "input error: --bound" in capsys.readouterr().err
 
 
+def test_check_rejects_a_bound_above_the_sets_shape_bound(tmp_path, capsys):
+    # z2_monoid declares shape_bound 2; niches past it are not enumerated.
+    fix = tmp_path / "z2.json"
+    main(["fixture", "z2_monoid", "--out", str(fix)])
+    capsys.readouterr()
+    out = tmp_path / "v.json"
+    assert main(["check", str(fix), "--n", "1", "--bound", "3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["input error: --bound 3 exceeds the set's shape_bound 2"]
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_check_rejects_a_negative_n(tmp_path, capsys):
     fix = tmp_path / "broken.json"
     main(["fixture", "broken_magma", "--out", str(fix)])

@@ -25,7 +25,15 @@ from opetopes.osets import (
     cell_matches,
     config_with,
     edge_incidences,
+    forced_outface_boundary,
     outface_extensions,
+)
+from opetopes.universality import (
+    CheckContext,
+    _config_key,
+    _config_label,
+    _input_competition_niche,
+    _output_composition_niche,
 )
 
 def _face_ref(oset, infaces, outface, ref):
@@ -269,6 +277,32 @@ def test_unparseable_shape_codes_are_reported_not_crashed():
     assert any("unparseable" in v for v in report.violations)
 
 
+def _reference_edges(oset, cfg):
+    """Reference edge vector: the cell each edge carries, read off the
+    faces through _face_ref, else off the pins."""
+    pins = dict(cfg.pins)
+    carried = []
+    for edge, refs in sorted(edge_incidences(oset.shape(cfg.shape_code)).items()):
+        found = {_face_ref(oset, cfg.infaces, cfg.outface, ref) for ref in refs} - {None}
+        assert len(found) <= 1, (cfg, edge)
+        carried.append(found.pop() if found else pins[edge])
+    return tuple(carried)
+
+
+def _reference_forced(oset, cfg):
+    """Reference forced outface boundary: the cells the reference edge
+    vector puts on the outface's own infaces and outface."""
+    ins, out = {}, None
+    incidences = sorted(edge_incidences(oset.shape(cfg.shape_code)).items())
+    for (edge, refs), cell in zip(incidences, _reference_edges(oset, cfg)):
+        for ref in refs:
+            if ref[0] == "io":
+                ins[ref[1]] = cell
+            elif ref[0] == "oo":
+                out = cell
+    return tuple(ins[p] for p in range(len(ins))), out
+
+
 def _reference_niche(oset, cell):
     """The cell's niche, built from its faces: the edges that only the
     outface reaches are pinned with the outface's faces."""
@@ -283,8 +317,10 @@ def _reference_niche(oset, cell):
 
 def test_enumerated_configs_are_canonical_and_well_kinded():
     # Enumeration builds its configurations without make_config; each must
-    # be the one make_config builds from the same faces and pins.
-    listed = 0
+    # be the one make_config builds from the same faces and pins, and both
+    # must carry the edge vector a reference resolver reads off faces and
+    # pins.  So must every frame, niche and outface extension.
+    listed = extended = 0
     for oset in (build_fixture("z3_monoid"), build_fixture("broken_magma"), z2_weak2()):
         for dim in range(1, oset.max_dim + 1):
             for kind in ("frame", "niche", "punctured_niche"):
@@ -294,16 +330,28 @@ def test_enumerated_configs_are_canonical_and_well_kinded():
                         oset, cfg.shape_code, cfg.infaces, cfg.outface, dict(cfg.pins)
                     )
                     assert rebuilt == cfg
+                    assert rebuilt.edges == cfg.edges == _reference_edges(oset, cfg), cfg
                     listed += 1
+                    if kind == "frame":
+                        continue
+                    for b in outface_extensions(oset, cfg):
+                        ext = config_with(oset, cfg, outface=b)
+                        assert ext.edges == _reference_edges(oset, ext), ext
+                        extended += 1
         for cell in oset.cells:
             if oset.dim_of(cell) >= 1:
-                assert niche_of(oset, cell) == _reference_niche(oset, cell), cell
+                niche = niche_of(oset, cell)
+                assert niche == _reference_niche(oset, cell), cell
+                assert niche.edges == _reference_edges(oset, niche), cell
+                frame = frame_of(oset, cell)
+                assert frame.edges == _reference_edges(oset, frame), cell
     assert listed == 33267
+    assert extended == 33668
 
 
 def test_outface_inface_references_cover_its_positions_once():
-    # forced_outface_boundary reads the outface's infaces off the "io"
-    # references alone.
+    # ShapeEntry.outface_rows finds the edge on each face of the outface
+    # from the "io" and "oo" references alone.
     checked = 0
     for dim, bound in ((2, 6), (3, 6), (4, 5)):
         for shape in enumerate_opetopes(dim, bound):
@@ -339,10 +387,67 @@ def test_outface_extensions_match_trial_extension(make_set):
         for cfg in enumerate_configs(oset, "punctured_niche", dim):
             assert outface_extensions(oset, cfg) == _trial_outface_extensions(oset, cfg), cfg
     for code in {oset.cells[c] for c in oset.cells}:
-        shape = oset.shape(code)
-        assert oset.shape_entry(code).incidence_items == tuple(
-            sorted(edge_incidences(shape).items())
-        )
+        # The plan has one row per edge, in sorted edge order.
+        assert list(oset.shape_entry(code).plan) == sorted(edge_incidences(oset.shape(code)))
+
+
+@pytest.mark.parametrize(
+    "make_set, count",
+    [(lambda: build_fixture("z3_monoid"), 62586), (z2_weak2, 124)],
+    ids=["z3_monoid", "z2_weak2"],
+)
+def test_forced_boundaries_of_recursion_niches_match_faces_and_pins(make_set, count):
+    # The punctured niches the universality recursion pastes around every
+    # 1- and 2-cell: their forced outface boundary is read off the carried
+    # edges, and must be the one faces and pins give.
+    oset = make_set()
+    ctx = CheckContext(oset, 1)
+    niches = []
+    for cell in oset.cells_of_dim(1) + oset.cells_of_dim(2):
+        for mirrored in (False, True):
+            for d_prime in competitors(oset, oset.outface_of(cell), "frame"):
+                niches.append(_output_composition_niche(ctx, cell, d_prime, mirrored))
+            for slot, face in enumerate(oset.infaces_of(cell)):
+                for a_prime in competitors(oset, face, "frame"):
+                    niches.append(_input_competition_niche(ctx, cell, slot, a_prime, mirrored))
+    for pn in niches:
+        assert pn.kind == "punctured_niche"
+        assert forced_outface_boundary(oset, pn) == _reference_forced(oset, pn), pn
+    assert len(niches) == count
+
+
+def test_carried_edges_stay_out_of_equality_hash_and_repr(z2_set):
+    nullary = next(s for s in enumerate_opetopes(2, 2) if s.arity == 0)
+    pins = (((), "o"),)
+    (listed,) = [
+        c for c in enumerate_configs(z2_set, "niche", 2, shape=nullary) if c.pins == pins
+    ]
+    rebuilt = make_config(z2_set, nullary.code, (), None, dict(pins))
+    hand = BoundaryConfig(nullary.code, (), None, pins)
+    assert listed.edges == rebuilt.edges == ("o",)
+    assert hand.edges is None
+    assert listed == rebuilt == hand
+    assert len({hash(listed), hash(rebuilt), hash(hand)}) == 1
+    assert listed.sort_key() == rebuilt.sort_key() == hand.sort_key()
+    assert repr(listed) == repr(rebuilt) == repr(hand) == (
+        "BoundaryConfig(shape_code='[!pt|n|l0]', infaces=(), outface=None, pins=(((), 'o'),))"
+    )
+    assert _config_key(hand) == _config_key(listed) == ("[!pt|n|l0]", (), None, pins)
+    assert _config_label(hand) == _config_label(listed) == "[!pt|n|l0]()->?[root=o]"
+    ray = _input_competition_niche(CheckContext(z2_set, 1), "a1", 0, "o", True)
+    assert _config_key(ray) == ("[(ar:(ar:_))|n0.1|l0]", ("a1", None), None, (((0, 0), "o"),))
+    assert _config_label(ray) == "[(ar:(ar:_))|n0.1|l0](a1,?)->?[00=o]"
+    # The forced boundary is read off the carried edges only; a
+    # configuration built without them is refused, not resolved again.
+    assert forced_outface_boundary(z2_set, listed) == (("o",), "o")
+    with pytest.raises(MalformedConfig, match="carries no edge cells"):
+        forced_outface_boundary(z2_set, hand)
+    with pytest.raises(MalformedConfig, match="carries no edge cells"):
+        outface_extensions(z2_set, hand)
+    arrow = make_config(z2_set, "ar", ("o",), None)
+    assert arrow.edges == ()
+    with pytest.raises(MalformedConfig, match="below dimension 2"):
+        forced_outface_boundary(z2_set, arrow)
 
 
 def _scanned_occupants(oset, cfg):
