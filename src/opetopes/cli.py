@@ -47,8 +47,7 @@ def cmd_enumerate(args) -> int:
         if args.format == "json":
             documents.store(doc, args.out)
         else:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(_render_text(doc))
+            documents.write_text(_render_text(doc), args.out)
         print("wrote %s" % args.out)
     return 0
 

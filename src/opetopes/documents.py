@@ -27,7 +27,15 @@ def dumps(doc: dict) -> str:
 
 
 def store(doc: dict, path: Union[str, Path]) -> None:
-    Path(path).write_text(dumps(doc), encoding="utf-8")
+    write_text(dumps(doc), path)
+
+
+def write_text(text: str, path: Union[str, Path]) -> None:
+    """Write an output file; DocumentError naming the path if it cannot be."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise DocumentError("cannot write %s: %s" % (path, exc.strerror or exc))
 
 
 def load(path: Union[str, Path]) -> dict:

@@ -9,18 +9,22 @@ A monoid with element set M is encoded as:
   assignment of elements to its inface positions, exactly one 2-cell whose
   outface is the product of the assigned elements in diagram order (the
   chain read from its leaf end to its root, folded left);
-* one 3-cell per association witness that actually closes up: for each
-  ordered triple and each way of bracketing it, the two binary 2-cells
-  paste onto the ternary 2-cell when the table composes consistently
-  there.  Witnesses that fail the incidence relations are simply not
-  cells, so a deliberately corrupted table still yields a valid set.
+* one 3-cell per dim-3 niche that closes up, over a list of 3-shapes:
+  each niche's outface is forced by the incidence relations, and the
+  niche is filled exactly when a stored 2-cell has that forced boundary.
+  Niches that do not close up stay empty, so a deliberately corrupted
+  table still yields a valid set.
 
-With ``deep_dim3`` the dim-3 layer is instead made *recursion-complete*:
-every 3-dimensional niche over the stored 2-cells is filled -- both the
-shapes within the declared bound and the two-node ray shapes the
-universality recursion pastes (in both listing orders).  The resulting
-sets satisfy the weak 2-category conditions, so they drive the deeper
-branches of the balancedness recursion.
+One fill loop builds the dim-3 layer; its two variants differ only in the
+shapes they fill and in how a filler is named.  By default the shapes are
+the two bracketings of the diagram-ordered binary shape, and a filler is
+the association witness ``g<a><b><c><L|R>`` of the triple it brackets.
+With ``deep_dim3`` the layer is *recursion-complete*: the shapes are those
+within the declared bound plus the two-node ray shapes the universality
+recursion pastes (in both listing orders), and a filler is named
+``h<shape>_<niche>`` by its positions in the shape and niche listings.
+The resulting sets satisfy the weak 2-category conditions, so they drive
+the deeper branches of the balancedness recursion.
 
 ``broken_magma`` is the Z/3 encoding with exactly one dim-2 filler's
 outface reassigned; its dim-3 layer keeps whichever witnesses survive.
@@ -32,9 +36,10 @@ import itertools
 from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import MalformedConfig, UnknownFixture
-from .osets import OpetopicSet, enumerate_configs, forced_outface_boundary, make_config
-from .shapes import Opetope, enumerate_opetopes
+from .errors import UnknownFixture
+from .osets import BoundaryConfig, OpetopicSet, enumerate_configs, outface_extensions
+from .shapes import Opetope, enumerate_opetopes, from_code
+from .universality import ray_on_input_shape, ray_on_output_shape
 
 Element = str
 Table = Dict[Tuple[Element, Element], Element]
@@ -61,7 +66,6 @@ def monoid_set(
     unit: Element,
     table: Table,
     shape_bound: int,
-    max_dim: int = 3,
     override: Optional[Dict[Tuple[str, Tuple[Element, ...]], Element]] = None,
     deep_dim3: bool = False,
 ) -> OpetopicSet:
@@ -81,7 +85,6 @@ def monoid_set(
         faces["a" + m] = (("o",), "o")
 
     two_shapes = enumerate_opetopes(2, shape_bound)
-    filler: Dict[Tuple[str, Tuple[str, ...]], str] = {}
     for si, shape in enumerate(two_shapes):
         for assignment in itertools.product(elements, repeat=shape.arity):
             product = override.get(
@@ -89,19 +92,25 @@ def monoid_set(
                 chain_product(shape, assignment, table, unit),
             )
             name = "f%d_%s" % (si, "".join(assignment) or "nil")
-            infaces = tuple("a" + m for m in assignment)
             cells[name] = shape.code
-            faces[name] = (infaces, "a" + product)
-            filler[(shape.code, infaces)] = name
+            faces[name] = (tuple("a" + m for m in assignment), "a" + product)
 
-    if max_dim >= 3:
-        base = OpetopicSet(3, shape_bound, cells, faces)
-        if deep_dim3:
-            _fill_dim3_layer(base, filler, cells, faces)
-        else:
-            _add_association_witnesses(base, filler, cells, faces)
+    base = OpetopicSet(3, shape_bound, cells, faces)
+    if deep_dim3:
+        layer = _recursion_shapes(two_shapes, shape_bound)
+    else:
+        layer = _bracketings(_standard_binary(enumerate_opetopes(2, 2)))
+    # The encoding stores one 2-cell per (shape, infaces), so a niche has at
+    # most one outface extension: the filler exists iff the niche closes up.
+    for si, shape3 in enumerate(layer):
+        niches = enumerate_configs(base, "niche", 3, size_bound=shape3.size, shape=shape3)
+        for index, cfg in enumerate(niches):
+            for outface in outface_extensions(base, cfg):
+                name = "h%d_%d" % (si, index) if deep_dim3 else _witness_name(base, si, cfg)
+                cells[name] = shape3.code
+                faces[name] = (cfg.infaces, outface)
 
-    return OpetopicSet(max_dim, shape_bound, cells, faces)
+    return OpetopicSet(3, shape_bound, cells, faces)
 
 
 def _standard_binary(two_shapes: Sequence[Opetope]) -> Opetope:
@@ -112,91 +121,34 @@ def _standard_binary(two_shapes: Sequence[Opetope]) -> Opetope:
     raise AssertionError("binary shapes missing from the enumeration")
 
 
-def _try_fill(base: OpetopicSet, filler, cfg) -> Optional[Tuple[Tuple[str, ...], str]]:
-    """The boundary of the unique filler of a dim-3 niche, if it closes up.
-
-    The outface cell is forced by the incidence relations; it must be the
-    stored 2-cell with the forced infaces, and carry the forced outface.
-    """
-    wanted_infaces, wanted_out = forced_outface_boundary(base, cfg)
-    out_code = base.shape(cfg.shape_code).output.code
-    name = filler.get((out_code, wanted_infaces))
-    if name is None or base.faces[name][1] != wanted_out:
-        return None
-    return tuple(c for c in cfg.infaces), name
+def _bracketings(q2: Opetope) -> Tuple[Opetope, Opetope]:
+    """The two 3-shapes pasting one ``q2`` node onto input slot 0 (L) or
+    slot 1 (R) of another: the inner node is listed first, the leaves in
+    planar order."""
+    return tuple(
+        from_code("[(%s:%s)|n1.0|l0.1.2]" % (q2.code, slots % q2.code))
+        for slots in ("(%s:_,_),_", "_,(%s:_,_)")
+    )
 
 
-def _add_association_witnesses(base, filler, cells, faces) -> None:
-    """One 3-cell per bracketing of each triple that closes up."""
-    from .trees import PasteTree, TreeNode
-
-    q2 = _standard_binary(enumerate_opetopes(2, 2))
-    elements = sorted(n[1:] for n, c in base.cells.items() if c == "ar")
-    for a in elements:
-        for b in elements:
-            for c in elements:
-                for tag, first_slot in (("L", 0), ("R", 1)):
-                    inner_pair = (a, b) if first_slot == 0 else (b, c)
-                    inner = filler.get((q2.code, tuple("a" + m for m in inner_pair)))
-                    if inner is None:
-                        continue
-                    inner_out = base.faces[inner][1][1:]
-                    outer_pair = (inner_out, c) if first_slot == 0 else (a, inner_out)
-                    outer = filler.get((q2.code, tuple("a" + m for m in outer_pair)))
-                    if outer is None:
-                        continue
-                    children: List[Optional[TreeNode]] = [None, None]
-                    children[first_slot] = TreeNode(q2, (None, None))
-                    root = TreeNode(q2, tuple(children))
-                    tree = PasteTree(
-                        1,
-                        root,
-                        None,
-                        ((first_slot,), ()),
-                        tuple(sorted([(first_slot, 0), (first_slot, 1), (1 - first_slot,)])),
-                    )
-                    shape3 = Opetope(3, tree)
-                    try:
-                        cfg = make_config(base, shape3.code, (inner, outer), None)
-                    except MalformedConfig:
-                        continue
-                    found = _try_fill(base, filler, cfg)
-                    if found is None:
-                        continue
-                    infaces3, outface3 = found
-                    name = "g%s%s%s%s" % (a, b, c, tag)
-                    cells[name] = shape3.code
-                    faces[name] = (infaces3, outface3)
+def _witness_name(base: OpetopicSet, slot: int, cfg: BoundaryConfig) -> str:
+    """``g<a><b><c><L|R>``: the inner cell's elements spliced into slot
+    ``slot`` of the outer cell's, read off the niche's infaces."""
+    inner, outer = (base.infaces_of(cell) for cell in cfg.infaces)
+    chain = outer[:slot] + inner + outer[slot + 1:]
+    return "g%s%s" % ("".join(m[1:] for m in chain), "LR"[slot])
 
 
-def _fill_dim3_layer(base, filler, cells, faces) -> None:
-    """Fill every dim-3 niche the n = 2 recursion can ask about.
-
-    Shapes covered: those within the set's bound, plus the two-node ray
-    shapes pasted by the universality recursion over every stored 2-shape,
-    in both listing orders.  Each consistent niche gets exactly one
-    filler, named after its position in the canonical niche order.
-    """
-    from .universality import ray_on_input_shape, ray_on_output_shape
-
-    shapes = set(enumerate_opetopes(3, base.shape_bound))
-    stored = sorted({base.shape(code) for code in base._by_shape if base.shape(code).dim == 2})
-    for q in stored:
+def _recursion_shapes(two_shapes: Sequence[Opetope], bound: int) -> List[Opetope]:
+    """The dim-3 shapes the n = 2 recursion can ask about: those within the
+    bound, plus the two-node ray shapes it pastes over every stored
+    2-shape, in both listing orders."""
+    layer = set(enumerate_opetopes(3, bound))
+    for q in two_shapes:
         for mirrored in (False, True):
-            shapes.add(ray_on_output_shape(q, mirrored)[0])
-            for slot in range(q.arity):
-                shapes.add(ray_on_input_shape(q, slot, mirrored)[0])
-    for si, shape3 in enumerate(sorted(shapes)):
-        for index, cfg in enumerate(
-            enumerate_configs(base, "niche", 3, size_bound=shape3.size, shape=shape3)
-        ):
-            found = _try_fill(base, filler, cfg)
-            if found is None:
-                continue
-            infaces3, outface3 = found
-            name = "h%d_%d" % (si, index)
-            cells[name] = shape3.code
-            faces[name] = (infaces3, outface3)
+            layer.add(ray_on_output_shape(q, mirrored)[0])
+            layer.update(ray_on_input_shape(q, slot, mirrored)[0] for slot in range(q.arity))
+    return sorted(layer)
 
 
 # -- named fixtures --------------------------------------------------------------

@@ -446,17 +446,10 @@ def config_with(
     oset: OpetopicSet,
     cfg: BoundaryConfig,
     *,
-    inface: Optional[Tuple[int, str]] = None,
-    outface: Optional[str] = None,
+    outface: str,
 ) -> BoundaryConfig:
-    """A copy of ``cfg`` with one more face assigned; pins are re-derived."""
-    infaces = list(cfg.infaces)
-    if inface is not None:
-        infaces[inface[0]] = inface[1]
-    return make_config(
-        oset, cfg.shape_code, infaces, outface if outface is not None else cfg.outface,
-        dict(cfg.pins),
-    )
+    """A copy of ``cfg`` with its outface assigned; pins are re-derived."""
+    return make_config(oset, cfg.shape_code, cfg.infaces, outface, dict(cfg.pins))
 
 
 def cell_matches(oset: OpetopicSet, cfg: BoundaryConfig, cell: str) -> bool:

@@ -325,10 +325,11 @@ def check_weak_n_category(
         niches.extend(batch)
 
     for cfg in niches:
+        label = _config_label(cfg)
         occ = occupants(oset, cfg)
         universal = [u for u in occ if is_universal(ctx, u)]
         rec1 = {
-            "niche": _config_label(cfg),
+            "niche": label,
             "occupants": len(occ),
             "universal_occupant": universal[0] if universal else None,
         }
@@ -351,7 +352,7 @@ def check_weak_n_category(
                 }
                 break
         rec2 = {
-            "niche": _config_label(cfg),
+            "niche": label,
             "universal_occupants": len(universal),
             "non_universal_composite": bad,
         }

@@ -206,3 +206,36 @@ def test_module_is_runnable(tmp_path):
     )
     assert proc.returncode == 0
     assert "k=2: 2" in proc.stdout
+
+
+# An unwritable --out is an input error (exit 2), never a traceback or a
+# verdict: exit 1 is reserved for a failed check.
+
+
+def _assert_cannot_write(capsys, path):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("input error: cannot write %s: " % path)
+
+
+def test_fixture_reports_an_unwritable_out(tmp_path, capsys):
+    out = tmp_path / "missing" / "z2.json"
+    assert main(["fixture", "z2_monoid", "--out", str(out)]) == 2
+    _assert_cannot_write(capsys, out)
+
+
+def test_check_reports_an_unwritable_out(tmp_path, capsys):
+    fix = tmp_path / "broken.json"
+    main(["fixture", "broken_magma", "--out", str(fix)])
+    capsys.readouterr()
+    out = tmp_path / "missing" / "verdict.json"
+    assert main(["check", str(fix), "--n", "1", "--bound", "4", "--out", str(out)]) == 2
+    _assert_cannot_write(capsys, out)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_enumerate_reports_an_unwritable_out(tmp_path, capsys, fmt):
+    out = tmp_path / "missing" / "twos"
+    argv = ["enumerate", "--dim", "2", "--bound", "2", "--out", str(out), "--format", fmt]
+    assert main(argv) == 2
+    _assert_cannot_write(capsys, out)
