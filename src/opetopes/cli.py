@@ -40,6 +40,8 @@ def _render_text(doc: dict) -> str:
 def cmd_enumerate(args) -> int:
     if _below(0, ("--dim", args.dim), ("--bound", args.bound)):
         return 2
+    if args.out:
+        documents.check_writable(args.out)
     doc = documents.opetope_list_document(args.dim, args.bound)
     for line in documents.inface_count_summary(doc):
         print(line)
@@ -65,6 +67,8 @@ def cmd_check(args) -> int:
     # A negative n or bound leaves no niche to check, which would PASS vacuously.
     if _below(0, ("--n", args.n), ("--bound", args.bound)):
         return 2
+    if args.out:
+        documents.check_writable(args.out)
     try:
         doc = documents.load(args.set)
         oset = documents.set_from_document(doc)
@@ -123,6 +127,7 @@ def cmd_slice_audit(args) -> int:
 
 
 def cmd_fixture(args) -> int:
+    documents.check_writable(args.out)
     try:
         oset = build_fixture(args.name)
     except UnknownFixture as exc:

@@ -8,7 +8,9 @@ document round-trips exactly.  FORMAT.md describes the layouts bit by bit.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 from collections import Counter
 from pathlib import Path
 from typing import List, Union
@@ -36,6 +38,25 @@ def write_text(text: str, path: Union[str, Path]) -> None:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise DocumentError("cannot write %s: %s" % (path, exc.strerror or exc))
+
+
+def check_writable(path: Union[str, Path]) -> None:
+    """DocumentError naming the path, as ``write_text`` would raise it, if an
+    output file plainly cannot be written there; run before the work that
+    produces the file.  ``write_text`` still reports any later failure."""
+    target = Path(path)
+    parent = target.parent
+    if not parent.exists():
+        code = errno.ENOENT
+    elif not parent.is_dir():
+        code = errno.ENOTDIR
+    elif target.is_dir():
+        code = errno.EISDIR
+    elif not os.access(target if target.exists() else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise DocumentError("cannot write %s: %s" % (path, os.strerror(code)))
 
 
 def load(path: Union[str, Path]) -> dict:

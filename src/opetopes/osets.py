@@ -149,11 +149,10 @@ class OpetopicSet:
         self.faces = {name: (tuple(ins), out) for name, (ins, out) in faces.items()}
         # One entry per shape code, filled on first use.
         self._table: Dict[str, ShapeEntry] = {}
-        self._by_shape: Dict[str, Tuple[str, ...]] = {}
+        by_shape: Dict[str, List[str]] = {}
         for name in sorted(self.cells):
-            code = self.cells[name]
-            self._by_shape.setdefault(code, ())
-            self._by_shape[code] += (name,)
+            by_shape.setdefault(self.cells[name], []).append(name)
+        self._by_shape = {code: tuple(names) for code, names in by_shape.items()}
         # Cells of dimension >= 1 by shape code and infaces, and by shape
         # code and outface.  Cells with unparseable shapes or missing face
         # entries stay out of the indexes; validation reports them instead

@@ -30,7 +30,11 @@ built directly with ``Opetope(dim, tree)`` is still valid and compares
 equal to the canonical one by code.  The intern table holds its shapes
 weakly.  Results derived from a shape (its permutations, composites,
 identity and ray shapes) are kept in the memo of the canonical shape, so
-each is built and validated once and lives as long as that shape.
+each is found once and lives as long as that shape.  ``compose``,
+``permute_inputs`` and ``identity_on`` find their result by code: each
+works out the result's code from its operands and looks it up, and builds
+a tree only for a new code (a new composite is parsed from its code by
+``from_code``, which validates it and rejects a non-canonical spelling).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import weakref
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ArityMismatch, DegreeMismatch, IllTyped, TypeMismatch, ZeroDimensional
-from .trees import PasteTree, TreeNode, empty_tree, single_node_tree, substitute_tree
+from .trees import PasteTree, Path, TreeNode, empty_tree, single_node_tree
 
 
 class Opetope:
@@ -212,7 +216,21 @@ def identity_on(shape: Opetope) -> Opetope:
 
 
 def _identity_on(shape: Opetope) -> Opetope:
-    return Opetope(shape.dim + 1, single_node_tree(shape.dim - 1, shape))
+    """``identity_on`` without the memo: the corolla on ``shape``, found by code."""
+    k = shape.arity
+    code = "[(%s:%s)|n0|l%s]" % (shape.code, ",".join("_" * k), ".".join(map(str, range(k))))
+    found = _INTERNED.get(code)
+    if found is None:
+        found = _built(code, Opetope(shape.dim + 1, single_node_tree(shape.dim - 1, shape)))
+    return found
+
+
+def _built(code: str, shape: Opetope) -> Opetope:
+    """``shape``, which a derived operation predicted to have ``code``;
+    IllTyped if its code is another."""
+    if shape.code != code:
+        raise IllTyped("predicted code %r, built %r" % (code, shape.code))
+    return shape
 
 
 def compose(f: Opetope, gs: Sequence[Opetope]) -> Opetope:
@@ -227,7 +245,8 @@ def compose(f: Opetope, gs: Sequence[Opetope]) -> Opetope:
 
 
 def _composed(f: Opetope, gs: Tuple[Opetope, ...]) -> Opetope:
-    """``compose`` without the memo: check the operands, then build."""
+    """``compose`` without the memo: check the operands, then find the
+    composite by its code, parsing the code only when it is new."""
     if f.dim < 1:
         raise TypeMismatch("the point cannot be composed")
     if len(gs) != f.arity:
@@ -242,14 +261,58 @@ def _composed(f: Opetope, gs: Tuple[Opetope, ...]) -> Opetope:
             )
     if f.dim == 1:
         return ARROW
+    return from_code(_composite_code(f, gs))
 
-    # Substitute each argument's tree for the corresponding node, deepest
-    # first so pending target addresses never move.
+
+def _composite_code(f: Opetope, gs: Tuple[Opetope, ...]) -> str:
+    """The code of ``f (gs)``, read off one walk of ``f``'s tree in which
+    each node is replaced by its operand's tree.
+
+    The walk grafts as ``substitute_tree`` does: slot j of the replaced
+    node hangs from the operand tree's j-th leaf in its leaf order, and an
+    empty operand tree deletes its unary node.  The composite's node order
+    is the operands' node orders in turn, and its leaf order is ``f``'s.
+    """
     tree = f.tree
-    original = f.tree.node_order
-    for i in sorted(range(len(gs)), key=lambda i: len(original[i]), reverse=True):
-        tree, _ = substitute_tree(tree, original[i], gs[i].tree)
-    return Opetope(f.dim, tree)
+    if tree.is_empty:
+        return f.code
+    operand = dict(zip(tree.node_order, gs))
+    parts: List[str] = []
+    numbers: Dict[Tuple[Path, Path], int] = {}  # (f node, operand node) -> preorder number
+    planar: Dict[Path, int] = {}  # f leaf -> planar leaf position
+
+    def edge(node: Optional[TreeNode], at: Path) -> None:
+        # The composite above the edge of f's tree at ``at``, entering ``node``.
+        while node is not None and operand[at].tree.is_empty:
+            node, at = node.children[0], at + (0,)
+        if node is None:
+            planar[at] = len(planar)
+            parts.append("_")
+        else:
+            inner = operand[at].tree
+            slots = {leaf: j for j, leaf in enumerate(inner.leaf_order)}
+            splice(node, at, slots, inner.root, ())
+
+    def splice(node: TreeNode, at: Path, slots: Dict[Path, int], sub: TreeNode, q: Path) -> None:
+        # Node ``q`` of the operand tree that replaces ``node``.
+        numbers[at, q] = len(numbers)
+        parts.append("(%s:" % sub.label.code)
+        for j, child in enumerate(sub.children):
+            if j:
+                parts.append(",")
+            if child is None:
+                k = slots[q + (j,)]
+                edge(node.children[k], at + (k,))
+            else:
+                splice(node, at, slots, child, q + (j,))
+        parts.append(")")
+
+    edge(tree.root, ())
+    if not numbers:
+        return "[!%s|n|l0]" % operand[()].tree.edge_type.code
+    nu = ".".join(str(numbers[p, q]) for p, g in zip(tree.node_order, gs) for q in g.tree.node_order)
+    lam = ".".join(str(planar[leaf]) for leaf in tree.leaf_order)
+    return "[%s|n%s|l%s]" % ("".join(parts), nu, lam)
 
 
 def permute_inputs(f: Opetope, sigma: Sequence[int]) -> Opetope:
@@ -260,15 +323,26 @@ def permute_inputs(f: Opetope, sigma: Sequence[int]) -> Opetope:
 
 
 def _permuted(f: Opetope, sigma: Tuple[int, ...]) -> Opetope:
-    """``permute_inputs`` without the memo: check ``sigma``, then build."""
+    """``permute_inputs`` without the memo: check ``sigma``, then find the
+    result by its code, building its tree only when the code is new."""
     if f.dim < 1:
         raise TypeMismatch("the point cannot be permuted")
     if len(sigma) != f.arity or sorted(sigma) != list(range(f.arity)):
         raise DegreeMismatch("permutation %r does not act on arity %d" % (sigma, f.arity))
     if f.dim == 1 or sigma == tuple(range(f.arity)):
         return f
-    order = tuple(f.tree.node_order[sigma[i]] for i in range(f.arity))
-    return Opetope(f.dim, PasteTree(f.tree.level, f.tree.root, None, order, f.tree.leaf_order))
+    # Only the node-order field changes; it is the last "|n" of the code,
+    # since the leaf-order field after it holds digits and dots only.
+    head, _, tail = f.code.rpartition("|n")
+    nu, _, lam = tail.partition("|l")
+    indices = nu.split(".")
+    code = "%s|n%s|l%s" % (head, ".".join([indices[s] for s in sigma]), lam)
+    found = _INTERNED.get(code)
+    if found is None:
+        tree = f.tree
+        order = tuple(tree.node_order[s] for s in sigma)
+        found = _built(code, Opetope(f.dim, PasteTree(tree.level, tree.root, None, order, tree.leaf_order)))
+    return found
 
 
 def graft(tree: PasteTree) -> Opetope:

@@ -239,3 +239,49 @@ def test_enumerate_reports_an_unwritable_out(tmp_path, capsys, fmt):
     argv = ["enumerate", "--dim", "2", "--bound", "2", "--out", str(out), "--format", fmt]
     assert main(argv) == 2
     _assert_cannot_write(capsys, out)
+
+
+# The --out path is checked before the work, so a long run is never thrown
+# away for want of somewhere to write its result.
+
+
+def _must_not_run(monkeypatch, module, name):
+    def called(*args, **kwargs):
+        raise AssertionError("%s ran although --out cannot be written" % name)
+
+    monkeypatch.setattr(module, name, called)
+
+
+def test_fixture_checks_its_out_before_building(tmp_path, capsys, monkeypatch):
+    from opetopes import cli
+
+    _must_not_run(monkeypatch, cli, "build_fixture")
+    out = tmp_path / "missing" / "z2.json"
+    assert main(["fixture", "z2_monoid", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "input error: cannot write %s: No such file or directory\n" % out
+
+
+def test_check_checks_its_out_before_checking(tmp_path, capsys, monkeypatch):
+    from opetopes import cli
+
+    fix = tmp_path / "broken.json"
+    main(["fixture", "broken_magma", "--out", str(fix)])
+    capsys.readouterr()
+    _must_not_run(monkeypatch, cli, "check_weak_n_category")
+    assert main(["check", str(fix), "--n", "1", "--bound", "4", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "input error: cannot write %s: Is a directory\n" % tmp_path
+    assert captured.out == ""
+
+
+def test_enumerate_checks_its_out_before_enumerating(tmp_path, capsys, monkeypatch):
+    from opetopes import documents
+
+    _must_not_run(monkeypatch, documents, "opetope_list_document")
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    out = plain / "twos.json"
+    assert main(["enumerate", "--dim", "2", "--bound", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "input error: cannot write %s: Not a directory\n" % out
+    assert captured.out == ""

@@ -296,6 +296,30 @@ def test_wrong_shared_composite_breaks_equivariance(fresh_shapes, monkeypatch):
     assert {("d", keys), ("e", keys)} <= named
 
 
+def test_wrong_composite_code_breaks_equivariance(fresh_shapes, monkeypatch):
+    # A composite is found by the code its walk predicts, so a walk that
+    # names another interned shape with the same output must show up in the
+    # audit exactly as a wrongly built composite does.
+    ops = enumerate_opetopes(2, 4)
+    binary = [s for s in ops if s.arity == 2]
+    nullary = next(s for s in ops if s.arity == 0)
+    f, g = binary[0], binary[1]
+    gs = (g, nullary)
+    real = shapes._composite_code
+    right = from_code(real(f, gs))
+    wrong = next(s for s in binary if s != right and s.output == right.output)
+
+    def corrupted(h, args):
+        return wrong.code if (h, args) == (f, gs) else real(h, args)
+
+    monkeypatch.setattr(shapes, "_composite_code", corrupted)
+    report = check_operad_axioms(OperadLevel(1), 4)
+    assert report.instances == LEVEL1_BOUND4
+    keys = (f.code, g.code, nullary.code)
+    named = {(v.axiom, v.operands[:3]) for v in report.violations}
+    assert {("d", keys), ("e", keys)} <= named
+
+
 def test_wrong_identity_composite_breaks_the_left_unit(fresh_shapes, monkeypatch):
     ops = enumerate_opetopes(2, 4)
     binary = [s for s in ops if s.arity == 2]

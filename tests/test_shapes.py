@@ -328,3 +328,128 @@ def test_threads_intern_one_object_per_code(fresh_shapes):
     for index in range(1, 8):
         assert all(a is b for a, b in zip(results[index], first))
     assert all(from_code(s.code) is s for s in first)
+
+
+# Reference builders: each derived shape built as a tree, the way compose,
+# permute_inputs and identity_on built every result before they looked
+# results up by code.
+
+
+def _reference_composite(f, gs):
+    """Substitute each operand's tree for its node, deepest first so
+    pending addresses never move."""
+    from opetopes.shapes import Opetope
+    from opetopes.trees import substitute_tree
+
+    if f.dim == 1:
+        return ARROW
+    tree, original = f.tree, f.tree.node_order
+    for i in sorted(range(len(gs)), key=lambda i: len(original[i]), reverse=True):
+        tree, _ = substitute_tree(tree, original[i], gs[i].tree)
+    return Opetope(f.dim, tree)
+
+
+def _reference_permuted(f, sigma):
+    from opetopes.shapes import Opetope
+    from opetopes.trees import PasteTree
+
+    if f.dim == 1 or sigma == tuple(range(f.arity)):
+        return f
+    tree = f.tree
+    order = tuple(tree.node_order[s] for s in sigma)
+    return Opetope(f.dim, PasteTree(tree.level, tree.root, None, order, tree.leaf_order))
+
+
+def _reference_identity(shape):
+    from opetopes.shapes import Opetope
+    from opetopes.trees import single_node_tree
+
+    return Opetope(shape.dim + 1, single_node_tree(shape.dim - 1, shape))
+
+
+REFERENCE_BUILDERS = {
+    "_composed": _reference_composite,
+    "_permuted": _reference_permuted,
+    "_identity_on": _reference_identity,
+}
+
+
+def test_derived_shapes_found_by_code_match_the_reference_builders(fresh_shapes, monkeypatch):
+    # Every composite, permutation and identity the audits derive, first on
+    # an empty intern table, then with the table kept and the memos emptied,
+    # so every result is looked up by code.  Within their bounds the audits
+    # never compose or permute into a new code, so a last pass goes past
+    # the bound for those.
+    from opetopes import OperadLevel, check_operad_axioms, shapes
+
+    seen = []  # (builder, was the code interned before the call, args, result)
+
+    def record(name, real):
+        def checked(*args):
+            expected = REFERENCE_BUILDERS[name](*args).code
+            known = shapes._INTERNED.get(expected) is not None
+            result = real(*args)
+            assert result.code == expected
+            seen.append((name, known, args, result))
+            return result
+
+        return checked
+
+    def taken():
+        # ``derived`` interns a newly built result after its builder returns.
+        assert all(shapes._INTERNED.get(result.code) is result for *_, result in seen)
+        return [(name, known) for name, known, *_ in seen]
+
+    for name in REFERENCE_BUILDERS:
+        monkeypatch.setattr(shapes, name, record(name, getattr(shapes, name)))
+    levels = [(1, 4), (2, 5), (3, 6)]
+    cold = [check_operad_axioms(OperadLevel(level), bound) for level, bound in levels]
+    cold_calls, cold_taken = list(seen), taken()
+    seen.clear()
+    for shape in list(shapes._INTERNED.values()):
+        monkeypatch.setattr(shape, "_memo", None)
+    warm = [check_operad_axioms(OperadLevel(level), bound) for level, bound in levels]
+    warm_taken = taken()
+    assert cold == warm
+    assert all(report.violations == [] for report in cold)
+    # Past the bound, on an empty table: composites of listed shapes, and
+    # their reversals, are mostly new codes.
+    seen.clear()
+    fresh_shapes()
+    for dim, bound in ((3, 4), (4, 5)):
+        listing = enumerate_opetopes(dim, bound)
+        by_output = {}
+        for g in listing:
+            by_output.setdefault(g.output, []).append(g)
+        for f in listing:
+            pools = [by_output.get(t, []) for t in f.inputs]
+            for gs in itertools.islice(itertools.product(*pools), 20):
+                composite = shapes.compose(f, gs)
+                shapes.permute_inputs(composite, tuple(reversed(range(composite.arity))))
+    past_taken = taken()
+    for name in REFERENCE_BUILDERS:
+        assert {known for n, known in warm_taken if n == name} == {True}
+    assert {known for n, known in cold_taken if n == "_identity_on"} == {False, True}
+    for name in ("_composed", "_permuted"):
+        assert {known for n, known in past_taken if n == name} == {False, True}
+    # A composite's tree is empty when identities delete every node.
+    composites = [result for name, _, _, result in cold_calls if name == "_composed"]
+    assert any(r.dim >= 2 and r.tree.is_empty for r in composites)
+
+
+def test_a_non_canonical_composite_code_is_rejected_on_a_cold_table(fresh_shapes, monkeypatch):
+    from opetopes import IllTyped, compose, shapes
+
+    f = next(s for s in enumerate_opetopes(3, 4) if s.arity == 2)
+    gs = tuple(identity_on(t) for t in f.inputs)
+    real = shapes._composite_code
+    right = real(f, gs)
+    head, _, tail = right.rpartition("|n")
+    padded = head + "|n0" + tail  # a zero-padded first node index
+    fresh_shapes()
+    f, gs = from_code(f.code), tuple(from_code(g.code) for g in gs)
+    monkeypatch.setattr(shapes, "_composite_code", lambda g, args: padded)
+    with pytest.raises(IllTyped):
+        compose(f, gs)
+    monkeypatch.setattr(shapes, "_composite_code", real)
+    assert compose(f, gs).code == right
