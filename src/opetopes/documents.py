@@ -64,6 +64,8 @@ def load(path: Union[str, Path]) -> dict:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise DocumentError("cannot read document: %s" % exc)
+    except RecursionError:
+        raise DocumentError("cannot read document: nested too deeply")
     if not isinstance(doc, dict):
         raise DocumentError("document root must be an object")
     version = doc.get("format_version")

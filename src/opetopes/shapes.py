@@ -22,19 +22,19 @@ Canonical codes are parseable byte strings, and enumeration everywhere is
 sorted by code.  The code grammar and the staged metatree serialization are
 documented in FORMAT.md.
 
-Shapes are interned per code (hash-consing): enumeration, ``compose``,
-``permute_inputs``, ``identity_on``, ``graft``, ``from_code`` and
-``from_metatree`` all return the one canonical object of each code, so two
-interned shapes are equal exactly when they are the same object.  A shape
-built directly with ``Opetope(dim, tree)`` is still valid and compares
-equal to the canonical one by code.  The intern table holds its shapes
-weakly.  Results derived from a shape (its permutations, composites,
-identity and ray shapes) are kept in the memo of the canonical shape, so
-each is found once and lives as long as that shape.  ``compose``,
-``permute_inputs`` and ``identity_on`` find their result by code: each
-works out the result's code from its operands and looks it up, and builds
-a tree only for a new code (a new composite is parsed from its code by
-``from_code``, which validates it and rejects a non-canonical spelling).
+Building a shape interns it (hash-consing): ``Opetope(dim, tree)``
+validates the tree, works out its code and returns the one live shape with
+that code, so two shapes are equal exactly when they are the same object;
+there is no comparison by code.  Copying or unpickling a shape also
+returns the interned one.  The intern table holds its shapes weakly.
+Results derived from a shape (its permutations, composites, identity and
+ray shapes) are kept in that shape's memo, so each is found once and lives
+as long as the shape.  ``compose``, ``permute_inputs`` and ``identity_on``
+find their result by code: each works out the result's code from its
+operands and looks it up, and builds a tree only for a new code (a new
+composite is parsed from its code by ``from_code``, which validates it and
+rejects a non-canonical spelling).  Parsing likewise looks up each nested
+label's code before building it.
 """
 
 from __future__ import annotations
@@ -48,10 +48,28 @@ from .errors import ArityMismatch, DegreeMismatch, IllTyped, TypeMismatch, ZeroD
 from .trees import PasteTree, Path, TreeNode, empty_tree, single_node_tree
 
 
-class Opetope:
-    """An n-dimensional shape; immutable, hashable, interned per code."""
+# One shape per code, held weakly; the lock guards the miss paths of
+# construction and ``derived``, which run once per distinct shape or key.
+_INTERNED: "weakref.WeakValueDictionary[str, Opetope]" = weakref.WeakValueDictionary()
+_LOCK = threading.Lock()
 
-    __slots__ = ("dim", "tree", "_code", "_inputs", "_output", "_size", "_memo", "__weakref__")
+
+class _Interned(type):
+    """Construction returns the live shape with the new shape's code."""
+
+    def __call__(cls, dim: int, tree: Optional[PasteTree]) -> "Opetope":
+        shape = super().__call__(dim, tree)
+        found = _INTERNED.get(shape.code)
+        if found is None:
+            with _LOCK:
+                found = _INTERNED.setdefault(shape.code, shape)
+        return found
+
+
+class Opetope(metaclass=_Interned):
+    """An n-dimensional shape; immutable and interned, so equality is identity."""
+
+    __slots__ = ("dim", "tree", "code", "_inputs", "_output", "_size", "_memo", "__weakref__")
 
     def __init__(self, dim: int, tree: Optional[PasteTree]):
         if dim < 0:
@@ -65,11 +83,11 @@ class Opetope:
             _validate_tree(dim, tree)
         self.dim = dim
         self.tree = tree
-        self._code = None
         self._inputs = None
         self._output = None
         self._size = None
         self._memo = None
+        self.code = _encode(self)
 
     # -- operation view ----------------------------------------------------
 
@@ -117,21 +135,10 @@ class Opetope:
                 self._size = total
         return self._size
 
-    @property
-    def code(self) -> str:
-        if self._code is None:
-            self._code = _encode(self)
-        return self._code
-
     # -- dunder ------------------------------------------------------------
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return isinstance(other, Opetope) and self.dim == other.dim and self.code == other.code
-
-    def __hash__(self):
-        return hash((self.dim, self.code))
+    def __reduce__(self):
+        return from_code, (self.code,)
 
     def __lt__(self, other):
         return (self.dim, self.code) < (other.dim, other.code)
@@ -140,48 +147,26 @@ class Opetope:
         return "Opetope(%r)" % self.code
 
 
-# -- interning ---------------------------------------------------------------
-
-# One canonical shape per code, held weakly; the lock guards the miss paths
-# of ``canonical`` and ``derived``, which run once per distinct shape or key.
-_INTERNED: "weakref.WeakValueDictionary[str, Opetope]" = weakref.WeakValueDictionary()
-_LOCK = threading.Lock()
-
-
-def canonical(shape: Opetope) -> Opetope:
-    """The interned shape with ``shape``'s code; ``shape`` itself on a miss."""
-    code = shape.code
-    found = _INTERNED.get(code)
-    if found is None:
-        with _LOCK:
-            found = _INTERNED.setdefault(code, shape)
-    return found
+# -- derived shapes -----------------------------------------------------------
 
 
 def derived(shape: Opetope, key: tuple, build: Callable[..., Opetope], *args) -> Opetope:
-    """``build(*args)``, interned and kept under ``key`` in the memo of the
-    canonical shape equal to ``shape``.
+    """``build(*args)``, kept under ``key`` in the memo of ``shape``.
 
     The key must determine the result; each distinct key is built once.
     An error raised by ``build`` propagates and nothing is kept.
     """
-    # Only canonical shapes carry a memo.
-    owner = shape if shape._memo is not None else canonical(shape)
-    memo = owner._memo
+    memo = shape._memo
     if memo is not None:
         found = memo.get(key)
         if found is not None:
             return found
-    result = canonical(build(*args))
+    result = build(*args)
     with _LOCK:
-        if owner._memo is None:
-            owner._memo = {}
-        return owner._memo.setdefault(key, result)
+        if shape._memo is None:
+            shape._memo = {}
+        return shape._memo.setdefault(key, result)
 
-
-POINT = Opetope(0, None)
-ARROW = Opetope(1, None)
-_INTERNED.update(pt=POINT, ar=ARROW)
 
 
 def _validate_tree(dim: int, tree: PasteTree) -> None:
@@ -410,7 +395,7 @@ def _enumerate_cached(dim: int, bound: int) -> Tuple[Opetope, ...]:
         shapes = []
         for t in _enumerate_cached(dim - 2, bound):
             if t.size <= bound:
-                shapes.append(canonical(Opetope(dim, empty_tree(dim - 2, t))))
+                shapes.append(Opetope(dim, empty_tree(dim - 2, t)))
         # A label costs its own size plus its node, so only the listing one
         # bound down can supply labels; the filter drops dims 0 and 1 at bound 0.
         labels = [op for op in _enumerate_cached(dim - 1, max(bound - 1, 0)) if op.size + 1 <= bound]
@@ -422,9 +407,7 @@ def _enumerate_cached(dim: int, bound: int) -> Tuple[Opetope, ...]:
                 nodes, leaves = root.index
                 for nu in itertools.permutations(nodes):
                     for lam in itertools.permutations(leaves):
-                        shapes.append(
-                            canonical(Opetope(dim, PasteTree(dim - 2, root, None, nu, lam)))
-                        )
+                        shapes.append(Opetope(dim, PasteTree(dim - 2, root, None, nu, lam)))
         shapes.sort(key=lambda s: s.code)
         result = tuple(shapes)
     _ENUM_CACHE[key] = result
@@ -478,6 +461,11 @@ def _encode_node(node: TreeNode) -> str:
     return "(%s:%s)" % (node.label.code, ",".join(parts))
 
 
+# Built once the encoder exists; building interns them.
+POINT = Opetope(0, None)
+ARROW = Opetope(1, None)
+
+
 def from_code(code: str) -> Opetope:
     """Parse a canonical code back into a shape (inverse of ``.code``).
 
@@ -492,6 +480,8 @@ def from_code(code: str) -> Opetope:
         shape, rest = _parse(code, 0)
     except IndexError:
         raise IllTyped("truncated code %r" % code)
+    except RecursionError:
+        raise IllTyped("code nested too deeply to parse")
     if rest != len(code):
         raise IllTyped("trailing garbage in code %r" % code)
     return shape
@@ -524,6 +514,9 @@ def _parse(s: str, i: int) -> Tuple[Opetope, int]:
     if s[i] != "]":
         raise IllTyped("unterminated code at offset %d in %r" % (i, s))
     i += 1
+    found = _INTERNED.get(s[start:i])
+    if found is not None:
+        return found, i
     if root is None:
         tree = empty_tree(tree_dim - 2, edge)
         nodes, leaves = tree.index
@@ -537,7 +530,7 @@ def _parse(s: str, i: int) -> Tuple[Opetope, int]:
         raise IllTyped("order index out of range in %r" % s)
     if root is not None:
         tree = PasteTree(tree_dim - 2, root, None, nu, lam)
-    shape = canonical(Opetope(tree_dim, tree))
+    shape = Opetope(tree_dim, tree)
     if s[start:i] != shape.code:
         raise IllTyped("%r is not the canonical code %r" % (s[start:i], shape.code))
     return shape, i
@@ -674,7 +667,7 @@ def from_metatree(stages: Sequence[dict]) -> Opetope:
             return ARROW
         dim = stage + 1
         if entry.get("empty"):
-            return canonical(Opetope(dim, empty_tree(dim - 2, from_code(entry["type_code"]))))
+            return Opetope(dim, empty_tree(dim - 2, from_code(entry["type_code"])))
         labels: List[Opetope] = []
 
         def count_nodes(spec) -> int:
@@ -692,12 +685,21 @@ def from_metatree(stages: Sequence[dict]) -> Opetope:
             return TreeNode(label, tuple(children))
 
         root = make(entry["root"])
-        pre, planar = tuple(root.index.nodes), tuple(root.index.leaves)
-        nu = tuple(pre[k] for k in entry["node_order"])
-        lam = tuple(planar[k] for k in entry["leaf_order"])
-        return canonical(Opetope(dim, PasteTree(dim - 2, root, None, nu, lam)))
+        nu = _picked(tuple(root.index.nodes), entry["node_order"], "node_order")
+        lam = _picked(tuple(root.index.leaves), entry["leaf_order"], "leaf_order")
+        return Opetope(dim, PasteTree(dim - 2, root, None, nu, lam))
 
     top = build(len(stages) - 1)
     if any(cursors[d] != len(stages[d]["trees"]) for d in range(len(stages))):
         raise IllTyped("metatree stages contain unused trees")
     return top
+
+
+def _picked(paths: Tuple[Path, ...], indices, name: str) -> Tuple[Path, ...]:
+    """The paths at ``indices``; IllTyped unless each index is an ``int``
+    (not a ``bool``) in ``range(len(paths))``, as in a code's order blocks."""
+    if not isinstance(indices, list) or any(
+        type(k) is not int or not 0 <= k < len(paths) for k in indices
+    ):
+        raise IllTyped("%s must list indices in range(%d), got %r" % (name, len(paths), indices))
+    return tuple(paths[k] for k in indices)

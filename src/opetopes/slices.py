@@ -54,7 +54,7 @@ class ReductionLaw:
     @property
     def as_operation(self) -> Opetope:
         """The law read as an operation of the slice level."""
-        return shapes.canonical(Opetope(self.tree.level + 2, self.tree))
+        return Opetope(self.tree.level + 2, self.tree)
 
 
 def substitute(outer: PasteTree, at_node: Path, inner: PasteTree) -> PasteTree:

@@ -11,7 +11,9 @@ and otherwise combines an existence condition (every outface filling
 extends to a full occupant universal in its niche) with a faithfulness
 condition that climbs one more dimension.  Dimensions only ever climb, so
 the recursion terminates; no configuration above dimension n+1 is ever
-consulted, and verdicts are memoised and deterministic.
+consulted, and verdicts are deterministic.  Universality verdicts are
+memoised per cell.  Balancedness verdicts are not: each punctured niche
+comes from one (cell, competitor, listing order), so none is asked twice.
 
 The two listing orders of each two-node punctured niche are genuinely
 different shapes (inface order is part of a shape), which is why both are
@@ -66,26 +68,23 @@ class Verdict:
 class CheckContext:
     """Shared state for one run of the recursion.
 
-    The memo is transparent: verdicts with and without it agree, which the
-    tests replay.  ``mirror_first`` only reorders the two listing-order
+    The memo maps a cell name to its universality verdict; it is
+    transparent: verdicts with and without it agree, which the tests
+    replay.  ``mirror_first`` only reorders the two listing-order
     variants of each punctured niche; it exists so the regression property
     (swapping the variants changes nothing) can be exercised.
     """
 
     oset: OpetopicSet
     n: int
-    memo: Optional[Dict[tuple, Verdict]] = field(default_factory=dict)
+    memo: Optional[Dict[str, Verdict]] = field(default_factory=dict)
     mirror_first: bool = False
     max_dim_reached: int = 0
 
-    def _remember(self, key: tuple, verdict: Verdict) -> Verdict:
+    def _remember(self, cell: str, verdict: Verdict) -> Verdict:
         if self.memo is not None:
-            self.memo[key] = verdict
+            self.memo[cell] = verdict
         return verdict
-
-
-def _config_key(cfg: BoundaryConfig) -> tuple:
-    return (cfg.shape_code, cfg.infaces, cfg.outface, cfg.pins)
 
 
 def _note_dim(ctx: CheckContext, dim: int) -> None:
@@ -180,18 +179,17 @@ def is_universal(ctx: CheckContext, cell: str) -> Verdict:
     """
     if cell not in ctx.oset.cells:
         raise UnknownCell("no cell named %r" % cell)
-    key = ("universal", cell)
-    if ctx.memo is not None and key in ctx.memo:
-        return ctx.memo[key]
+    if ctx.memo is not None and cell in ctx.memo:
+        return ctx.memo[cell]
     j = ctx.oset.dim_of(cell)
     _note_dim(ctx, j)
     if j == 0:
-        return ctx._remember(key, Verdict(True, (cell,)))
+        return ctx._remember(cell, Verdict(True, (cell,)))
     if j > ctx.n:
         occ = occupants(ctx.oset, niche_of(ctx.oset, cell))
         if occ == (cell,):
-            return ctx._remember(key, Verdict(True, (cell,)))
-        return ctx._remember(key, Verdict(False, occ))
+            return ctx._remember(cell, Verdict(True, (cell,)))
+        return ctx._remember(cell, Verdict(False, occ))
     if j + 1 > ctx.oset.max_dim:
         raise DimensionOverflow(
             "universality at dimension %d needs configurations at %d > max_dim"
@@ -205,22 +203,19 @@ def is_universal(ctx: CheckContext, cell: str) -> Verdict:
             sub = is_balanced(ctx, pn)
             if not sub:
                 witness = ("competitor:%s" % d_prime,) + sub.witnesses
-                return ctx._remember(key, Verdict(False, witness))
-    return ctx._remember(key, Verdict(True, (cell,)))
+                return ctx._remember(cell, Verdict(False, witness))
+    return ctx._remember(cell, Verdict(True, (cell,)))
 
 
 def is_balanced(ctx: CheckContext, cfg: BoundaryConfig) -> Verdict:
     """Is the punctured niche balanced, relative to the context's n?"""
     if cfg.kind != "punctured_niche":
         raise MalformedConfig("balancedness is asked of punctured niches")
-    key = ("balanced", _config_key(cfg))
-    if ctx.memo is not None and key in ctx.memo:
-        return ctx.memo[key]
     shape = ctx.oset.shape(cfg.shape_code)
     m = shape.dim
     _note_dim(ctx, m)
     if m > ctx.n + 1:
-        return ctx._remember(key, Verdict(True))
+        return Verdict(True)
     slot = cfg.missing_inface_index
 
     # Existence: every outface filling extends to a full occupant that is
@@ -229,9 +224,7 @@ def is_balanced(ctx: CheckContext, cfg: BoundaryConfig) -> Verdict:
         extended = config_with(ctx.oset, cfg, outface=b)
         fillers = [u for u in occupants(ctx.oset, extended) if is_universal(ctx, u)]
         if not fillers:
-            return ctx._remember(
-                key, Verdict(False, ("no-universal-filler-over:%s" % b,))
-            )
+            return Verdict(False, ("no-universal-filler-over:%s" % b,))
 
     # Faithfulness: around every universal occupant, competition at the
     # restored inface stays balanced one dimension up.
@@ -250,8 +243,8 @@ def is_balanced(ctx: CheckContext, cfg: BoundaryConfig) -> Verdict:
                             "occupant:%s" % u,
                             "competitor:%s" % a_prime,
                         ) + sub.witnesses
-                        return ctx._remember(key, Verdict(False, witness))
-    return ctx._remember(key, Verdict(True))
+                        return Verdict(False, witness)
+    return Verdict(True)
 
 
 def composites(ctx: CheckContext, niche: BoundaryConfig) -> Tuple[str, ...]:

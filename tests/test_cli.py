@@ -85,6 +85,27 @@ def test_check_rejects_a_non_canonical_shape_code(tmp_path, capsys, cell, spelli
     assert err[1].startswith("  cell %s: unparseable shape %r" % (cell, spelling))
 
 
+def test_check_rejects_a_too_deeply_nested_shape_code(tmp_path, capsys):
+    fix = tmp_path / "z2.json"
+    main(["fixture", "z2_monoid", "--out", str(fix)])
+    doc = json.loads(fix.read_text())
+    doc["cells"]["f3_0"] = "[(" * 2000 + "ar:_" + ")" * 2000
+    fix.write_text(json.dumps(doc))
+    assert main(["check", str(fix), "--n", "1", "--bound", "2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "input error: set fails validation"
+    assert err[1].startswith("  cell f3_0: unparseable shape")
+    assert err[1].endswith("(code nested too deeply to parse)")
+
+
+def test_check_rejects_a_too_deeply_nested_document(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    assert main(["check", str(deep), "--n", "1", "--bound", "2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["input error: cannot read document: nested too deeply"]
+
+
 def test_check_rejects_a_face_whose_own_faces_are_malformed(tmp_path, capsys):
     # The arrow a0 gets no inface; the 2-cells whose edges run through a0
     # cannot follow them, and validation reports both instead of raising.

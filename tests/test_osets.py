@@ -30,7 +30,6 @@ from opetopes.osets import (
 )
 from opetopes.universality import (
     CheckContext,
-    _config_key,
     _config_label,
     _input_competition_niche,
     _output_composition_niche,
@@ -432,10 +431,8 @@ def test_carried_edges_stay_out_of_equality_hash_and_repr(z2_set):
     assert repr(listed) == repr(rebuilt) == repr(hand) == (
         "BoundaryConfig(shape_code='[!pt|n|l0]', infaces=(), outface=None, pins=(((), 'o'),))"
     )
-    assert _config_key(hand) == _config_key(listed) == ("[!pt|n|l0]", (), None, pins)
     assert _config_label(hand) == _config_label(listed) == "[!pt|n|l0]()->?[root=o]"
     ray = _input_competition_niche(CheckContext(z2_set, 1), "a1", 0, "o", True)
-    assert _config_key(ray) == ("[(ar:(ar:_))|n0.1|l0]", ("a1", None), None, (((0, 0), "o"),))
     assert _config_label(ray) == "[(ar:(ar:_))|n0.1|l0](a1,?)->?[00=o]"
     # The forced boundary is read off the carried edges only; a
     # configuration built without them is refused, not resolved again.

@@ -137,6 +137,28 @@ def test_metatree_round_trip():
         assert from_metatree(stages) == shape
 
 
+@pytest.mark.parametrize(
+    "field, order",
+    [
+        ("node_order", [-1, 0]),
+        ("node_order", [True, False]),
+        ("node_order", [5, 0]),
+        ("node_order", ["0", 1]),
+        ("node_order", [0.0, 1]),
+        ("leaf_order", [3]),
+    ],
+)
+def test_metatree_orders_must_be_in_range_ints(field, order):
+    from opetopes import IllTyped
+
+    binary = next(s for s in enumerate_opetopes(2, 2) if s.arity == 2)
+    stages = metatree_stages(binary)
+    assert stages[-1]["trees"][0]["node_order"] == [0, 1]
+    stages[-1]["trees"][0][field] = order
+    with pytest.raises(IllTyped, match="%s must list indices in range" % field):
+        from_metatree(stages)
+
+
 def test_enumeration_deterministic_across_calls():
     a = [s.code for s in enumerate_opetopes(3, 4)]
     b = [s.code for s in enumerate_opetopes(3, 4)]
@@ -226,16 +248,15 @@ def test_permute_and_compose_return_interned_shapes():
 
 
 def test_directly_built_shapes_equal_their_interned_twin():
+    import copy
+    import pickle
+
     from opetopes import Opetope
-    from opetopes.shapes import canonical, permute_inputs
 
     for f in enumerate_opetopes(3, 3):
-        twin = Opetope(f.dim, f.tree)
-        assert twin is not f
-        assert twin == f and f == twin and hash(twin) == hash(f)
-        assert canonical(twin) is f
-        for sigma in itertools.permutations(range(f.arity)):
-            assert permute_inputs(twin, sigma) is permute_inputs(f, sigma)
+        assert Opetope(f.dim, f.tree) is f
+        assert copy.copy(f) is f and copy.deepcopy(f) is f
+        assert pickle.loads(pickle.dumps(f)) is f
 
 
 def test_errors_are_not_memoised():
@@ -396,7 +417,7 @@ def test_derived_shapes_found_by_code_match_the_reference_builders(fresh_shapes,
         return checked
 
     def taken():
-        # ``derived`` interns a newly built result after its builder returns.
+        # Building a result interns it, so every result is the interned shape.
         assert all(shapes._INTERNED.get(result.code) is result for *_, result in seen)
         return [(name, known) for name, known, *_ in seen]
 

@@ -274,22 +274,52 @@ def test_plain_z2_is_not_a_weak_two_category(z2_set):
     assert verdict.failure["condition"] == 1
 
 
-def test_input_competition_branch_runs_at_n_two():
+def test_input_competition_branch_runs_at_n_two(monkeypatch):
     # The balancedness condition that climbs a dimension only fires for
     # m + 1 <= n + 1; at n = 2 it must have examined punctured niches
     # whose pin sits on a depth-two edge (the pasted input slot).
+    from opetopes import universality
     from opetopes.fixtures import z2_weak2
 
+    asked = []
+    genuine = universality.is_balanced
+
+    def recording(ctx, cfg):
+        asked.append(cfg)
+        return genuine(ctx, cfg)
+
+    monkeypatch.setattr(universality, "is_balanced", recording)
     full = z2_weak2()
     ctx = CheckContext(full, 2)
     for cell in full.cells_of_dim(1):
         assert is_universal(ctx, cell).value
-    deep_pins = [
-        key
-        for key in ctx.memo
-        if key[0] == "balanced" and any(len(edge) == 2 for edge, _ in key[1][3])
-    ]
+    deep_pins = [cfg for cfg in asked if any(len(edge) == 2 for edge, _ in cfg.pins)]
     assert deep_pins, "no input-competition niche was ever consulted"
+
+
+def test_faithfulness_failure_decides_a_deep_fixture_without_h2_0():
+    # Without the 3-cell h2_0 the set stays valid, and a0 loses universality
+    # only through the faithfulness condition: around the universal
+    # occupant f1_00, competition at the restored inface is unbalanced.
+    from opetopes.fixtures import z2_weak2
+    from opetopes.osets import validate
+
+    full = z2_weak2()
+    cells = {k: v for k, v in full.cells.items() if k != "h2_0"}
+    faces = {k: v for k, v in full.faces.items() if k != "h2_0"}
+    pruned = OpetopicSet(full.max_dim, full.shape_bound, cells, faces)
+    assert validate(pruned).ok
+    verdict = check_weak_n_category(pruned, 2, 2)
+    assert not verdict.ok
+    assert verdict.failure["condition"] == 2
+    assert verdict.failure["niche"] == "[!pt|n|l0]()->?[root=o]"
+    assert verdict.failure["non_universal_composite"]["trace"] == [
+        "competitor:o",
+        "occupant:f1_00",
+        "competitor:a0",
+        "no-universal-filler-over:f1_00",
+    ]
+    assert not is_universal(CheckContext(pruned, 2), "a0")
 
 
 def test_memo_transparent_at_n_two():
