@@ -238,7 +238,9 @@ def validate(oset: OpetopicSet) -> ValidationReport:
         try:
             entry = oset.shape_entry(code)
         except IllTyped as exc:
-            report.violations.append("cell %s: unparseable shape %r (%s)" % (name, code, exc))
+            report.violations.append(
+                "cell %s: unparseable shape %s (%s)" % (name, shapes.quote(code), exc)
+            )
             continue
         dim = entry.shape.dim
         if dim > oset.max_dim:
@@ -267,7 +269,7 @@ def validate(oset: OpetopicSet) -> ValidationReport:
             elif oset.cells[face] != entry.input_codes[i]:
                 report.violations.append(
                     "cell %s: inface %d is %s-shaped, expected %s"
-                    % (name, i, oset.cells[face], entry.input_codes[i])
+                    % (name, i, shapes.clip(oset.cells[face]), shapes.clip(entry.input_codes[i]))
                 )
                 bad = True
         if out not in oset.cells:
@@ -276,7 +278,7 @@ def validate(oset: OpetopicSet) -> ValidationReport:
         elif oset.cells[out] != entry.output_code:
             report.violations.append(
                 "cell %s: outface is %s-shaped, expected %s"
-                % (name, oset.cells[out], entry.output_code)
+                % (name, shapes.clip(oset.cells[out]), shapes.clip(entry.output_code))
             )
             bad = True
         if bad:
@@ -441,6 +443,29 @@ def niche_of(oset: OpetopicSet, cell: str) -> BoundaryConfig:
     return make_config(oset, shape.code, ins, None, pins)
 
 
+def niche_occupants(oset: OpetopicSet, cell: str) -> Tuple[str, ...]:
+    """The occupants of the cell's niche, sorted, read off the niche index.
+
+    The cells sharing its shape and infaces are kept when they also agree
+    on the edges that ``niche_of`` pins: those whose two references both
+    lie on the outface, which only empty-tree shapes have.  On a validated
+    set this equals ``occupants(oset, niche_of(oset, cell))``, without
+    building or checking the niche.
+    """
+    code = oset.cells[cell]
+    entry = oset.shape_entry(code)
+    if entry.shape.dim < 1:
+        raise MalformedConfig("0-cells occupy no niche")
+    faces = oset.faces
+    ins, out = faces[cell]
+    pool = oset._niche_index.get((code, ins), ())
+    pinned = [fu for su, fu, sl, fl in entry.plan.values() if su == sl == -1]
+    if pinned:
+        want = faces[out][0]
+        pool = [c for c in pool if all(faces[faces[c][1]][0][f] == want[f] for f in pinned)]
+    return tuple(sorted(pool))
+
+
 def config_with(
     oset: OpetopicSet,
     cfg: BoundaryConfig,
@@ -532,7 +557,10 @@ def outface_extensions(oset: OpetopicSet, cfg: BoundaryConfig) -> Tuple[str, ...
 
 
 def competitors(oset: OpetopicSet, cell: str, mode: str) -> Tuple[str, ...]:
-    """Occupants of the cell's frame (or niche), the cell included."""
+    """Occupants of the cell's frame (or niche), the cell included.
+
+    A niche's occupants are read off the index (see ``niche_occupants``).
+    """
     if cell not in oset.cells:
         raise UnknownCell("no cell named %r" % cell)
     if mode not in ("frame", "niche"):
@@ -540,8 +568,9 @@ def competitors(oset: OpetopicSet, cell: str, mode: str) -> Tuple[str, ...]:
     if oset.dim_of(cell) == 0:
         # All 0-cells share the one degenerate boundary.
         return oset.cells_of_dim(0)
-    cfg = frame_of(oset, cell) if mode == "frame" else niche_of(oset, cell)
-    return occupants(oset, cfg)
+    if mode == "niche":
+        return niche_occupants(oset, cell)
+    return occupants(oset, frame_of(oset, cell))
 
 
 # -- configuration enumeration ---------------------------------------------------

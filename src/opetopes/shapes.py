@@ -466,6 +466,26 @@ POINT = Opetope(0, None)
 ARROW = Opetope(1, None)
 
 
+# Error messages quote at most this many characters of a code and then give
+# its length, so one bad code cannot make a message of any size.
+QUOTE_LIMIT = 100
+
+
+def clip(code: str) -> str:
+    """The code as an error message shows it: whole when it has at most
+    QUOTE_LIMIT characters, else its first QUOTE_LIMIT and its length."""
+    if len(code) <= QUOTE_LIMIT:
+        return code
+    return "%s... (%d characters)" % (code[:QUOTE_LIMIT], len(code))
+
+
+def quote(code: str) -> str:
+    """Like ``clip``, with the quoted part in ``repr`` quotes."""
+    if len(code) <= QUOTE_LIMIT:
+        return repr(code)
+    return "%r... (%d characters)" % (code[:QUOTE_LIMIT], len(code))
+
+
 def from_code(code: str) -> Opetope:
     """Parse a canonical code back into a shape (inverse of ``.code``).
 
@@ -479,11 +499,11 @@ def from_code(code: str) -> Opetope:
     try:
         shape, rest = _parse(code, 0)
     except IndexError:
-        raise IllTyped("truncated code %r" % code)
+        raise IllTyped("truncated code %s" % quote(code))
     except RecursionError:
         raise IllTyped("code nested too deeply to parse")
     if rest != len(code):
-        raise IllTyped("trailing garbage in code %r" % code)
+        raise IllTyped("trailing garbage in code %s" % quote(code))
     return shape
 
 
@@ -493,7 +513,7 @@ def _parse(s: str, i: int) -> Tuple[Opetope, int]:
     if s.startswith("ar", i):
         return ARROW, i + 2
     if i >= len(s) or s[i] != "[":
-        raise IllTyped("bad code at offset %d in %r" % (i, s))
+        raise IllTyped("bad code at offset %d in %s" % (i, quote(s)))
     start = i
     i += 1
     if s[i] == "!":
@@ -504,15 +524,15 @@ def _parse(s: str, i: int) -> Tuple[Opetope, int]:
         root, i = _parse_node(s, i)
         tree_dim = root.label.dim + 1
     if s[i] != "|" or s[i + 1] != "n":
-        raise IllTyped("expected node order at offset %d in %r" % (i, s))
+        raise IllTyped("expected node order at offset %d in %s" % (i, quote(s)))
     i += 2
     nu_idx, i = _parse_indices(s, i)
     if s[i] != "|" or s[i + 1] != "l":
-        raise IllTyped("expected leaf order at offset %d in %r" % (i, s))
+        raise IllTyped("expected leaf order at offset %d in %s" % (i, quote(s)))
     i += 2
     lam_idx, i = _parse_indices(s, i)
     if s[i] != "]":
-        raise IllTyped("unterminated code at offset %d in %r" % (i, s))
+        raise IllTyped("unterminated code at offset %d in %s" % (i, quote(s)))
     i += 1
     found = _INTERNED.get(s[start:i])
     if found is not None:
@@ -527,21 +547,21 @@ def _parse(s: str, i: int) -> Tuple[Opetope, int]:
         nu = tuple(pre[k] for k in nu_idx)
         lam = tuple(planar[k] for k in lam_idx)
     except IndexError:
-        raise IllTyped("order index out of range in %r" % s)
+        raise IllTyped("order index out of range in %s" % quote(s))
     if root is not None:
         tree = PasteTree(tree_dim - 2, root, None, nu, lam)
     shape = Opetope(tree_dim, tree)
     if s[start:i] != shape.code:
-        raise IllTyped("%r is not the canonical code %r" % (s[start:i], shape.code))
+        raise IllTyped("%s is not the canonical code %s" % (quote(s[start:i]), quote(shape.code)))
     return shape, i
 
 
 def _parse_node(s: str, i: int) -> Tuple[TreeNode, int]:
     if s[i] != "(":
-        raise IllTyped("expected node at offset %d in %r" % (i, s))
+        raise IllTyped("expected node at offset %d in %s" % (i, quote(s)))
     label, i = _parse(s, i + 1)
     if s[i] != ":":
-        raise IllTyped("expected ':' at offset %d in %r" % (i, s))
+        raise IllTyped("expected ':' at offset %d in %s" % (i, quote(s)))
     i += 1
     children: List[Optional[TreeNode]] = []
     if s[i] != ")":
@@ -557,7 +577,7 @@ def _parse_node(s: str, i: int) -> Tuple[TreeNode, int]:
                 continue
             break
     if s[i] != ")":
-        raise IllTyped("unterminated node at offset %d in %r" % (i, s))
+        raise IllTyped("unterminated node at offset %d in %s" % (i, quote(s)))
     return TreeNode(label, tuple(children)), i + 1
 
 

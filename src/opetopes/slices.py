@@ -51,11 +51,6 @@ class ReductionLaw:
     def __post_init__(self):
         object.__setattr__(self, "composite", graft_composite(self.tree))
 
-    @property
-    def as_operation(self) -> Opetope:
-        """The law read as an operation of the slice level."""
-        return Opetope(self.tree.level + 2, self.tree)
-
 
 def substitute(outer: PasteTree, at_node: Path, inner: PasteTree) -> PasteTree:
     """Replace a node of ``outer`` by a tree composing to the node's label.

@@ -164,10 +164,6 @@ class PasteTree:
         """Node addresses in preorder (root first, slots left to right)."""
         return iter(self.index.nodes)
 
-    def iter_leaf_paths(self) -> Iterator[Path]:
-        """Leaf addresses in lexicographic (depth-first slot) order."""
-        return iter(self.index.leaves)
-
     def iter_edge_paths(self) -> Iterator[Path]:
         """All edge addresses: the root edge, then every slot edge."""
         yield ()

@@ -12,8 +12,19 @@ extends to a full occupant universal in its niche) with a faithfulness
 condition that climbs one more dimension.  Dimensions only ever climb, so
 the recursion terminates; no configuration above dimension n+1 is ever
 consulted, and verdicts are deterministic.  Universality verdicts are
-memoised per cell.  Balancedness verdicts are not: each punctured niche
-comes from one (cell, competitor, listing order), so none is asked twice.
+memoised per cell.
+
+For j <= n only the punctured niches that can fail are built: a
+frame-competitor d' of the cell's outface is skipped unless some occupant
+of the cell's niche has outface d'.  The punctured niche pinned at d'
+forces the outface boundary (the cell's infaces, d'), and a cell with that
+boundary would be an occupant of the cell's niche with outface d'; so a
+skipped niche has no outface extension, and on a validated set no
+occupant either, since an occupant's outface would be such an extension.
+It is balanced in both listing orders, and skipping it leaves every
+verdict and witness as it was.  Above n the occupants are read off the
+set's niche index.  Both rest on a validated set, which
+``check_weak_n_category`` ensures before the recursion starts.
 
 The two listing orders of each two-node punctured niche are genuinely
 different shapes (inface order is part of a shape), which is why both are
@@ -39,7 +50,7 @@ from .osets import (
     config_with,
     enumerate_configs,
     make_config,
-    niche_of,
+    niche_occupants,
     occupants,
     outface_extensions,
     validate,
@@ -175,7 +186,9 @@ def is_universal(ctx: CheckContext, cell: str) -> Verdict:
 
     Cells of dimension 0 occupy no niche and count as universal, so the
     closure condition on composites of universal cells is well-posed at
-    the bottom of the tower.
+    the bottom of the tower.  The set must be validated (see the module
+    docstring): the verdict reads occupants off the niche index and skips
+    the punctured niches that no occupant reaches.
     """
     if cell not in ctx.oset.cells:
         raise UnknownCell("no cell named %r" % cell)
@@ -186,7 +199,7 @@ def is_universal(ctx: CheckContext, cell: str) -> Verdict:
     if j == 0:
         return ctx._remember(cell, Verdict(True, (cell,)))
     if j > ctx.n:
-        occ = occupants(ctx.oset, niche_of(ctx.oset, cell))
+        occ = niche_occupants(ctx.oset, cell)
         if occ == (cell,):
             return ctx._remember(cell, Verdict(True, (cell,)))
         return ctx._remember(cell, Verdict(False, occ))
@@ -196,8 +209,14 @@ def is_universal(ctx: CheckContext, cell: str) -> Verdict:
             % (j, j + 1)
         )
     outface = ctx.oset.outface_of(cell)
+    reached = {ctx.oset.outface_of(u) for u in niche_occupants(ctx.oset, cell)}
     variants = (True, False) if ctx.mirror_first else (False, True)
     for d_prime in competitors(ctx.oset, outface, "frame"):
+        if d_prime not in reached:
+            # No occupant of the cell's niche has outface d_prime, so its
+            # punctured niche has neither an outface extension nor an
+            # occupant: balanced in both listing orders.
+            continue
         for mirrored in variants:
             pn = _output_composition_niche(ctx, cell, d_prime, mirrored)
             sub = is_balanced(ctx, pn)

@@ -26,6 +26,7 @@ from opetopes.osets import (
     config_with,
     edge_incidences,
     forced_outface_boundary,
+    niche_occupants,
     outface_extensions,
 )
 from opetopes.universality import (
@@ -199,6 +200,29 @@ def test_competitors_examples(parallel_set, z2_set):
         competitors(z2_set, "missing", "frame")
 
 
+def test_niche_occupants_read_off_the_index_match_the_built_niche(z2_set, broken_set):
+    # Two nullary 2-cells over different base points share shape and
+    # (empty) infaces; only the pinned edge tells their niches apart.
+    nullary = next(s for s in enumerate_opetopes(2, 2) if s.arity == 0)
+    arrow = enumerate_opetopes(1, 1)[0]
+    two_points = OpetopicSet(
+        2,
+        2,
+        {"s": "pt", "t": "pt", "i": arrow.code, "j": arrow.code, "u": nullary.code, "v": nullary.code},
+        {"i": (("s",), "s"), "j": (("t",), "t"), "u": ((), "i"), "v": ((), "j")},
+    )
+    assert validate(two_points).ok
+    assert niche_occupants(two_points, "u") == ("u",)
+    for oset in (two_points, z2_set, broken_set, z2_weak2()):
+        for cell in oset.cells:
+            if oset.dim_of(cell) >= 1:
+                expected = occupants(oset, niche_of(oset, cell))
+                assert niche_occupants(oset, cell) == expected, cell
+                assert competitors(oset, cell, "niche") == expected, cell
+    with pytest.raises(MalformedConfig):
+        niche_occupants(z2_set, "o")
+
+
 def test_zero_cells_share_the_degenerate_frame(parallel_set):
     assert competitors(parallel_set, "s", "frame") == ("s", "t")
 
@@ -274,6 +298,20 @@ def test_unparseable_shape_codes_are_reported_not_crashed():
     report = validate(oset)
     assert not report.ok
     assert any("unparseable" in v for v in report.violations)
+
+
+def test_validation_quotes_a_long_code_only_in_part():
+    from opetopes.shapes import QUOTE_LIMIT
+
+    deep = "[(" * 2000 + "ar:_" + ")" * 2000
+    cells = {"o": "pt", "deep": deep, "short": "[truncated", "a": "ar"}
+    report = validate(OpetopicSet(1, 2, cells, {"a": (("deep",), "o")}))
+    assert report.violations == [
+        "cell a: inface 0 is %s... (6004 characters)-shaped, expected pt" % deep[:QUOTE_LIMIT],
+        "cell deep: unparseable shape %r... (6004 characters) (code nested too deeply to parse)"
+        % deep[:QUOTE_LIMIT],
+        "cell short: unparseable shape '[truncated' (expected node at offset 1 in '[truncated')",
+    ]
 
 
 def _reference_edges(oset, cfg):

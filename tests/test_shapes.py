@@ -197,6 +197,25 @@ def test_non_canonical_spellings_are_rejected(spelling):
         from_code(spelling)
 
 
+def test_parse_errors_quote_a_long_code_only_in_part():
+    from opetopes import IllTyped
+    from opetopes.shapes import QUOTE_LIMIT
+
+    def message(code):
+        with pytest.raises(IllTyped) as caught:
+            from_code(code)
+        return str(caught.value)
+
+    assert message("[x") == "expected node at offset 1 in '[x'"
+    at_limit = "[" + "x" * (QUOTE_LIMIT - 1)
+    assert message(at_limit) == "expected node at offset 1 in %r" % at_limit
+    long = "[" + "x" * 5000
+    assert message(long) == "expected node at offset 1 in %r... (5001 characters)" % long[:QUOTE_LIMIT]
+    assert message("pt" + "x" * 5000) == (
+        "trailing garbage in code %r... (5002 characters)" % ("pt" + "x" * (QUOTE_LIMIT - 2))
+    )
+
+
 def test_negative_node_bound_is_rejected():
     from opetopes import IllTyped
 

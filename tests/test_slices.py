@@ -8,6 +8,7 @@ from opetopes import (
     ARROW,
     CompositeMismatch,
     NoSuchNode,
+    Opetope,
     OperadLevel,
     ReductionLaw,
     UnsupportedOperad,
@@ -159,9 +160,11 @@ def test_reduction_law_recomputes_its_composite():
     binary = next(s for s in enumerate_opetopes(2, 2) if s.arity == 2)
     law = ReductionLaw(single_node_tree(1, binary))
     assert law.composite is binary
-    assert law.as_operation.dim == 3
-    assert law.as_operation.arity == 1
-    assert law.as_operation is OperadLevel(2).identity(binary)
+    # The law read as an operation of the slice level.
+    as_operation = Opetope(law.tree.level + 2, law.tree)
+    assert as_operation.dim == 3
+    assert as_operation.arity == 1
+    assert as_operation is OperadLevel(2).identity(binary)
 
 
 def test_symmetric_action_is_free_up_to_k_five():

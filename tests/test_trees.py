@@ -6,6 +6,11 @@ from opetopes import ARROW, IllTyped, NoSuchNode
 from opetopes.trees import PasteTree, TreeNode, empty_tree, single_node_tree, substitute_tree
 
 
+def leaf_paths(tree):
+    """Leaf addresses in lexicographic (depth-first slot) order."""
+    return list(tree.index.leaves)
+
+
 def chain(k):
     """A k-node chain of arrows with node order from the leaf end down."""
     node = None
@@ -19,7 +24,7 @@ def chain(k):
 def test_empty_tree_shape():
     t = empty_tree(0, ARROW)
     assert t.is_empty and t.node_count == 0 and t.leaf_count == 1
-    assert list(t.iter_leaf_paths()) == [()]
+    assert leaf_paths(t) == [()]
 
 
 def test_orders_must_be_permutations():
@@ -46,14 +51,14 @@ def test_substitute_chain_into_chain():
     assert remap(()) == ()
     # the substituted block lands above the untouched root
     assert result.node_order[0] == (0, 0) or result.node_order[0] == (0,)
-    assert set(result.iter_leaf_paths()) == {(0, 0, 0)}
+    assert set(leaf_paths(result)) == {(0, 0, 0)}
 
 
 def test_substitute_empty_deletes_unary_node():
     outer = chain(2)
     result, _ = substitute_tree(outer, (0,), empty_tree(0, ARROW))
     assert result.node_count == 1
-    assert list(result.iter_leaf_paths()) == [(0,)]
+    assert leaf_paths(result) == [(0,)]
 
 
 def test_substitute_empty_at_root_collapses_to_empty():

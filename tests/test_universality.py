@@ -1,13 +1,18 @@
 """The universality/balancedness recursion and the weak n-category check."""
 
+import itertools
+
 import pytest
 
 from opetopes import (
     CheckContext,
+    DimensionOverflow,
     InsufficientDimension,
     InvalidSet,
     MalformedConfig,
     OpetopicSet,
+    UnknownCell,
+    Verdict,
     check_weak_n_category,
     composites,
     enumerate_opetopes,
@@ -17,8 +22,13 @@ from opetopes import (
     niche_of,
     occupants,
 )
-from opetopes.fixtures import _standard_binary
-from opetopes.osets import enumerate_configs
+from opetopes.fixtures import _standard_binary, monoid_set, z2_weak2
+from opetopes.osets import competitors, config_with, enumerate_configs, outface_extensions
+from opetopes.universality import (
+    _input_competition_niche,
+    _note_dim,
+    _output_composition_niche,
+)
 
 
 def diagram_binary():
@@ -176,7 +186,7 @@ def test_broken_magma_fails_with_a_witness(broken_set):
 
 
 def test_insufficient_dimension_is_rejected(point_set):
-    with pytest.raises(InsufficientDimension):
+    with pytest.raises(InsufficientDimension, match=r"^max_dim 1 < n\+1 = 2$"):
         check_weak_n_category(point_set, 1, 2)
 
 
@@ -350,7 +360,9 @@ def test_dimension_overflow_when_the_set_is_too_shallow(z2_set):
     faces = {k: v for k, v in z2_set.faces.items() if k in cells}
     shallow = OpetopicSet(2, 2, cells, faces)
     ctx = CheckContext(shallow, 2)
-    with pytest.raises(DimensionOverflow):
+    with pytest.raises(
+        DimensionOverflow, match="^universality at dimension 2 needs configurations at 3 > max_dim$"
+    ):
         is_universal(ctx, shallow.cells_of_dim(2)[0])
 
 
@@ -372,3 +384,147 @@ def test_multielement_monoids_are_not_weak_zero_categories(z2_set):
     verdict = check_weak_n_category(z2_set, 0, 2)
     assert not verdict.ok
     assert verdict.failure["condition"] == 1
+
+
+# -- the pruned recursion against the unpruned reference ------------------------
+
+
+def reference_is_universal(ctx, cell):
+    """Universality as the recursion read before it skipped anything: every
+    frame-competitor's punctured niche is built and tested, and above n
+    the niche is built through ``niche_of``."""
+    if cell not in ctx.oset.cells:
+        raise UnknownCell("no cell named %r" % cell)
+    if ctx.memo is not None and cell in ctx.memo:
+        return ctx.memo[cell]
+    j = ctx.oset.dim_of(cell)
+    _note_dim(ctx, j)
+    if j == 0:
+        return ctx._remember(cell, Verdict(True, (cell,)))
+    if j > ctx.n:
+        occ = occupants(ctx.oset, niche_of(ctx.oset, cell))
+        if occ == (cell,):
+            return ctx._remember(cell, Verdict(True, (cell,)))
+        return ctx._remember(cell, Verdict(False, occ))
+    if j + 1 > ctx.oset.max_dim:
+        raise DimensionOverflow(
+            "universality at dimension %d needs configurations at %d > max_dim"
+            % (j, j + 1)
+        )
+    outface = ctx.oset.outface_of(cell)
+    variants = (True, False) if ctx.mirror_first else (False, True)
+    for d_prime in competitors(ctx.oset, outface, "frame"):
+        for mirrored in variants:
+            pn = _output_composition_niche(ctx, cell, d_prime, mirrored)
+            sub = reference_is_balanced(ctx, pn)
+            if not sub:
+                witness = ("competitor:%s" % d_prime,) + sub.witnesses
+                return ctx._remember(cell, Verdict(False, witness))
+    return ctx._remember(cell, Verdict(True, (cell,)))
+
+
+def reference_is_balanced(ctx, cfg):
+    """Balancedness over ``reference_is_universal``."""
+    if cfg.kind != "punctured_niche":
+        raise MalformedConfig("balancedness is asked of punctured niches")
+    shape = ctx.oset.shape(cfg.shape_code)
+    m = shape.dim
+    _note_dim(ctx, m)
+    if m > ctx.n + 1:
+        return Verdict(True)
+    slot = cfg.missing_inface_index
+    for b in outface_extensions(ctx.oset, cfg):
+        extended = config_with(ctx.oset, cfg, outface=b)
+        fillers = [u for u in occupants(ctx.oset, extended) if reference_is_universal(ctx, u)]
+        if not fillers:
+            return Verdict(False, ("no-universal-filler-over:%s" % b,))
+    if m + 1 <= ctx.n + 1:
+        variants = (True, False) if ctx.mirror_first else (False, True)
+        for u in occupants(ctx.oset, cfg):
+            if not reference_is_universal(ctx, u):
+                continue
+            restored = ctx.oset.infaces_of(u)[slot]
+            for a_prime in competitors(ctx.oset, restored, "frame"):
+                for mirrored in variants:
+                    pn = _input_competition_niche(ctx, u, slot, a_prime, mirrored)
+                    sub = reference_is_balanced(ctx, pn)
+                    if not sub:
+                        witness = (
+                            "occupant:%s" % u,
+                            "competitor:%s" % a_prime,
+                        ) + sub.witnesses
+                        return Verdict(False, witness)
+    return Verdict(True)
+
+
+def assert_verdicts_match_the_reference(oset, n):
+    """Every cell's verdict, value and witnesses, and the highest dimension
+    reached agree with the reference, in both listing orders."""
+    for mirror_first in (False, True):
+        pruned = CheckContext(oset, n, mirror_first=mirror_first)
+        reference = CheckContext(oset, n, mirror_first=mirror_first)
+        for cell in sorted(oset.cells):
+            expected = reference_is_universal(reference, cell)
+            assert is_universal(pruned, cell) == expected, (n, mirror_first, cell)
+        assert pruned.max_dim_reached == reference.max_dim_reached
+
+
+def unital_tables(order):
+    """Every table on ``order`` elements with unit "0": the products of two
+    non-units range over all elements."""
+    elements = tuple(str(i) for i in range(order))
+    free = [(a, b) for a in elements[1:] for b in elements[1:]]
+    for products in itertools.product(elements, repeat=len(free)):
+        table = {}
+        for x in elements:
+            table[("0", x)] = table[(x, "0")] = x
+        table.update(zip(free, products))
+        yield elements, table
+
+
+def is_associative(elements, table):
+    return all(
+        table[(table[(x, y)], z)] == table[(x, table[(y, z)])]
+        for x, y, z in itertools.product(elements, repeat=3)
+    )
+
+
+def without_h2_0():
+    full = z2_weak2()
+    cells = {k: v for k, v in full.cells.items() if k != "h2_0"}
+    faces = {k: v for k, v in full.faces.items() if k != "h2_0"}
+    return OpetopicSet(full.max_dim, full.shape_bound, cells, faces)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_skipping_unreached_competitors_changes_no_verdict(z2_set, z3_set, broken_set, n):
+    for oset in (z2_set, z3_set, broken_set, z2_weak2(), without_h2_0()):
+        assert_verdicts_match_the_reference(oset, n)
+
+
+def test_skipping_unreached_competitors_changes_no_verdict_on_order_three_magmas():
+    tables = list(unital_tables(3))
+    assert len(tables) == 81
+    for elements, table in tables:
+        oset = monoid_set(elements, "0", table, shape_bound=3, deep_dim3=True)
+        assert_verdicts_match_the_reference(oset, 2)
+
+
+def test_universal_one_cells_are_the_invertible_elements():
+    # At n = 1 an arrow is universal when every arrow out of its source
+    # factors uniquely through it, which in a monoid means a two-sided
+    # inverse.  Ten of these eleven monoids are not groups.
+    monoids = [(e, t) for e, t in unital_tables(3) if is_associative(e, t)]
+    assert len(monoids) == 11
+    groups = 0
+    for elements, table in monoids:
+        oset = monoid_set(elements, "0", table, shape_bound=4)
+        ctx = CheckContext(oset, 1)
+        invertible = {
+            m: any(table[(m, k)] == "0" == table[(k, m)] for k in elements)
+            for m in elements
+        }
+        groups += all(invertible.values())
+        for m in elements:
+            assert bool(is_universal(ctx, "a" + m)) is invertible[m], (table, m)
+    assert groups == 1
