@@ -310,10 +310,13 @@ def _audit_operation(operad, by_output, size_bound: int, f):
     each argument tuple ``gs`` the equivariance laws (d) and (e) and
     associativity (a) over every inner tuple ``hs``.
 
-    ``f`` permuted by each permutation is built once and shared by (c) and
-    (d); ``f (gs)`` is built once and shared by (d), (e) and (a).  Every
-    instance still computes both of its sides.  Returns the instance count
-    per law, in first-run order, and the violations found.
+    ``f`` permuted by each permutation is built once, by one
+    ``operad.permute`` call, and shared by (c) and (d): law (c) reads its
+    left side ``f . (sigma tau)`` from that table and computes its right
+    side ``(f . sigma) . tau``.  ``f (gs)`` is built once and shared by
+    (d), (e) and (a), and every instance of those computes both of its
+    sides.  Returns the instance count per law, in first-run order, and the
+    violations found.
     """
     key = operad.key
     out: List[AxiomViolation] = []
@@ -333,7 +336,7 @@ def _audit_operation(operad, by_output, size_bound: int, f):
         f_sigma = permuted[sigma]
         for tau in perms:
             # compose_perms(sigma, tau), unchecked: both are permutations
-            lhs = operad.permute(f, tuple(map(sigma.__getitem__, tau)))
+            lhs = permuted[tuple(map(sigma.__getitem__, tau))]
             rhs = operad.permute(f_sigma, tau)
             if lhs != rhs:
                 out.append(

@@ -23,34 +23,41 @@ sorted by code.  The code grammar and the staged metatree serialization are
 documented in FORMAT.md.
 
 Building a shape interns it (hash-consing): ``Opetope(dim, tree)``
-validates the tree, works out its code and returns the one live shape with
+validates the tree, works out its code and returns the one shape with
 that code, so two shapes are equal exactly when they are the same object;
 there is no comparison by code.  Copying or unpickling a shape also
-returns the interned one.  The intern table holds its shapes weakly.
+returns the interned one.  The intern table is a plain dict and keeps its
+shapes for the life of the process: the enumeration cache holds every
+listed shape and each shape's memo its derived ones anyway, so a weak
+table would free almost nothing and cost a weak reference per new shape.
 Results derived from a shape (its permutations, composites, identity and
-ray shapes) are kept in that shape's memo, so each is found once and lives
-as long as the shape.  ``compose``, ``permute_inputs`` and ``identity_on``
-find their result by code: each works out the result's code from its
-operands and looks it up, and builds a tree only for a new code (a new
-composite is parsed from its code by ``from_code``, which validates it and
-rejects a non-canonical spelling).  Parsing likewise looks up each nested
-label's code before building it.
+ray shapes) are kept in that shape's memo, so each is found once.
+``compose``, ``permute_inputs`` and ``identity_on`` find their result by
+code: each works out the result's code from its operands and looks it
+up, and builds a tree only for a new code (a new composite is parsed from
+its code by ``from_code``, which validates it and rejects a non-canonical
+spelling).  ``graft`` reads the composite at each node with children off
+the same code walk as ``compose``, without its operand checks, which the
+validated tree already guarantees.  Parsing looks up each nested label by
+the code up to its matching bracket, and parses the structure of a new
+label only.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 import threading
-import weakref
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ArityMismatch, DegreeMismatch, IllTyped, TypeMismatch, ZeroDimensional
 from .trees import PasteTree, Path, TreeNode, empty_tree, single_node_tree
 
 
-# One shape per code, held weakly; the lock guards the miss paths of
-# construction and ``derived``, which run once per distinct shape or key.
-_INTERNED: "weakref.WeakValueDictionary[str, Opetope]" = weakref.WeakValueDictionary()
+# One shape per code, held for the life of the process; the lock guards the
+# miss paths of construction and ``derived``, which run once per distinct
+# shape or key.
+_INTERNED: Dict[str, "Opetope"] = {}
 _LOCK = threading.Lock()
 
 
@@ -69,7 +76,7 @@ class _Interned(type):
 class Opetope(metaclass=_Interned):
     """An n-dimensional shape; immutable and interned, so equality is identity."""
 
-    __slots__ = ("dim", "tree", "code", "_inputs", "_output", "_size", "_memo", "__weakref__")
+    __slots__ = ("dim", "tree", "code", "_inputs", "_output", "_size", "_memo")
 
     def __init__(self, dim: int, tree: Optional[PasteTree]):
         if dim < 0:
@@ -249,14 +256,16 @@ def _composed(f: Opetope, gs: Tuple[Opetope, ...]) -> Opetope:
     return from_code(_composite_code(f, gs))
 
 
-def _composite_code(f: Opetope, gs: Tuple[Opetope, ...]) -> str:
+def _composite_code(f: Opetope, gs: Tuple[Optional[Opetope], ...]) -> str:
     """The code of ``f (gs)``, read off one walk of ``f``'s tree in which
     each node is replaced by its operand's tree.
 
     The walk grafts as ``substitute_tree`` does: slot j of the replaced
     node hangs from the operand tree's j-th leaf in its leaf order, and an
-    empty operand tree deletes its unary node.  The composite's node order
-    is the operands' node orders in turn, and its leaf order is ``f``'s.
+    empty operand tree deletes its unary node.  An operand ``None`` keeps
+    its node, as the identity on the node's label would.  The composite's
+    node order is the operands' node orders in turn, and its leaf order is
+    ``f``'s.
     """
     tree = f.tree
     if tree.is_empty:
@@ -265,39 +274,62 @@ def _composite_code(f: Opetope, gs: Tuple[Opetope, ...]) -> str:
     parts: List[str] = []
     numbers: Dict[Tuple[Path, Path], int] = {}  # (f node, operand node) -> preorder number
     planar: Dict[Path, int] = {}  # f leaf -> planar leaf position
-
-    def edge(node: Optional[TreeNode], at: Path) -> None:
-        # The composite above the edge of f's tree at ``at``, entering ``node``.
-        while node is not None and operand[at].tree.is_empty:
-            node, at = node.children[0], at + (0,)
-        if node is None:
-            planar[at] = len(planar)
-            parts.append("_")
-        else:
-            inner = operand[at].tree
-            slots = {leaf: j for j, leaf in enumerate(inner.leaf_order)}
-            splice(node, at, slots, inner.root, ())
-
-    def splice(node: TreeNode, at: Path, slots: Dict[Path, int], sub: TreeNode, q: Path) -> None:
-        # Node ``q`` of the operand tree that replaces ``node``.
-        numbers[at, q] = len(numbers)
-        parts.append("(%s:" % sub.label.code)
-        for j, child in enumerate(sub.children):
-            if j:
-                parts.append(",")
-            if child is None:
-                k = slots[q + (j,)]
-                edge(node.children[k], at + (k,))
-            else:
-                splice(node, at, slots, child, q + (j,))
-        parts.append(")")
-
-    edge(tree.root, ())
+    _composite_edge(tree.root, (), operand, parts, numbers, planar)
     if not numbers:
         return "[!%s|n|l0]" % operand[()].tree.edge_type.code
-    nu = ".".join(str(numbers[p, q]) for p, g in zip(tree.node_order, gs) for q in g.tree.node_order)
+    nu = ".".join(
+        str(numbers[p, q])
+        for p, g in zip(tree.node_order, gs)
+        for q in (_KEPT if g is None else g.tree.node_order)
+    )
     lam = ".".join(str(planar[leaf]) for leaf in tree.leaf_order)
     return "[%s|n%s|l%s]" % ("".join(parts), nu, lam)
+
+
+# The node order of a kept node, read as the one-node tree it stays.
+_KEPT: Tuple[Path, ...] = ((),)
+
+
+def _composite_edge(node: Optional[TreeNode], at: Path, operand, parts, numbers, planar) -> None:
+    """Write the composite above the edge of f's tree at ``at``, which
+    enters ``node``."""
+    while node is not None:
+        g = operand[at]
+        if g is None or not g.tree.is_empty:
+            break
+        node, at = node.children[0], at + (0,)
+    if node is None:
+        planar[at] = len(planar)
+        parts.append("_")
+    elif g is None:
+        numbers[at, ()] = len(numbers)
+        parts.append("(%s:" % node.label.code)
+        for j, child in enumerate(node.children):
+            if j:
+                parts.append(",")
+            _composite_edge(child, at + (j,), operand, parts, numbers, planar)
+        parts.append(")")
+    else:
+        inner = g.tree
+        slots = {leaf: j for j, leaf in enumerate(inner.leaf_order)}
+        _composite_splice(node, at, slots, inner.root, (), operand, parts, numbers, planar)
+
+
+def _composite_splice(node: TreeNode, at: Path, slots: Dict[Path, int], sub: TreeNode, q: Path,
+                      operand, parts, numbers, planar) -> None:
+    """Write node ``q`` of the operand tree that replaces ``node``; the
+    operand's leaf ``l`` takes slot ``slots[l]`` of ``node``."""
+    numbers[at, q] = len(numbers)
+    parts.append("(%s:" % sub.label.code)
+    for j, child in enumerate(sub.children):
+        if j:
+            parts.append(",")
+        if child is None:
+            k = slots[q + (j,)]
+            _composite_edge(node.children[k], at + (k,), operand, parts, numbers, planar)
+        else:
+            _composite_splice(node, at, slots, child, q + (j,), operand, parts, numbers, planar)
+    parts.append(")")
 
 
 def permute_inputs(f: Opetope, sigma: Sequence[int]) -> Opetope:
@@ -341,20 +373,22 @@ def graft(tree: PasteTree) -> Opetope:
         return identity_on(tree.edge_type)
     if tree.level == 0:
         return ARROW
-
-    def fold(node: TreeNode) -> Opetope:
-        args = []
-        for j, child in enumerate(node.children):
-            if child is None:
-                args.append(identity_on(node.label.inputs[j]))
-            else:
-                args.append(fold(child))
-        return compose(node.label, args)
-
-    planar = fold(tree.root)
+    planar = _grafted(tree.root)
     leaves = tree.index.leaves
     sigma = tuple(leaves[leaf] for leaf in tree.leaf_order)
     return permute_inputs(planar, sigma)
+
+
+def _grafted(node: TreeNode) -> Opetope:
+    """The planar composite of the subtree at ``node``: its label composed
+    with each child's composite, found by the code of one walk of the
+    label's tree.  A dangling slot keeps its node, so a node with no
+    children composes to its label.  The validated tree already matches
+    each child's output to its slot, so no operand is checked again."""
+    if not any(node.children):
+        return node.label
+    gs = tuple([None if child is None else _grafted(child) for child in node.children])
+    return from_code(_composite_code(node.label, gs))
 
 
 def faces(shape: Opetope) -> Tuple[Tuple[Opetope, ...], Opetope]:
@@ -497,7 +531,7 @@ def from_code(code: str) -> Opetope:
     if found is not None:
         return found
     try:
-        shape, rest = _parse(code, 0)
+        shape, rest = _parse(code, 0, _closing_brackets(code))
     except IndexError:
         raise IllTyped("truncated code %s" % quote(code))
     except RecursionError:
@@ -507,21 +541,45 @@ def from_code(code: str) -> Opetope:
     return shape
 
 
-def _parse(s: str, i: int) -> Tuple[Opetope, int]:
+_BRACKET = re.compile(r"[\[\]]")
+
+
+def _closing_brackets(code: str) -> Dict[int, int]:
+    """The offset of the matching ``]`` of every ``[`` that has one."""
+    close: Dict[int, int] = {}
+    opened: List[int] = []
+    for m in _BRACKET.finditer(code):
+        if m.group() == "[":
+            opened.append(m.start())
+        elif opened:
+            close[opened.pop()] = m.start()
+    return close
+
+
+def _parse(s: str, i: int, close: Dict[int, int]) -> Tuple[Opetope, int]:
+    """The shape whose code starts at offset ``i`` and the offset after it.
+
+    A code that is already interned is found by the substring up to its
+    matching bracket; only a new one is parsed, label by label."""
     if s.startswith("pt", i):
         return POINT, i + 2
     if s.startswith("ar", i):
         return ARROW, i + 2
+    end = close.get(i)
+    if end is not None:
+        found = _INTERNED.get(s[i : end + 1])
+        if found is not None:
+            return found, end + 1
     if i >= len(s) or s[i] != "[":
         raise IllTyped("bad code at offset %d in %s" % (i, quote(s)))
     start = i
     i += 1
     if s[i] == "!":
-        edge, i = _parse(s, i + 1)
+        edge, i = _parse(s, i + 1, close)
         tree_dim = edge.dim + 2
         root = None
     else:
-        root, i = _parse_node(s, i)
+        root, i = _parse_node(s, i, close)
         tree_dim = root.label.dim + 1
     if s[i] != "|" or s[i + 1] != "n":
         raise IllTyped("expected node order at offset %d in %s" % (i, quote(s)))
@@ -534,9 +592,6 @@ def _parse(s: str, i: int) -> Tuple[Opetope, int]:
     if s[i] != "]":
         raise IllTyped("unterminated code at offset %d in %s" % (i, quote(s)))
     i += 1
-    found = _INTERNED.get(s[start:i])
-    if found is not None:
-        return found, i
     if root is None:
         tree = empty_tree(tree_dim - 2, edge)
         nodes, leaves = tree.index
@@ -556,10 +611,10 @@ def _parse(s: str, i: int) -> Tuple[Opetope, int]:
     return shape, i
 
 
-def _parse_node(s: str, i: int) -> Tuple[TreeNode, int]:
+def _parse_node(s: str, i: int, close: Dict[int, int]) -> Tuple[TreeNode, int]:
     if s[i] != "(":
         raise IllTyped("expected node at offset %d in %s" % (i, quote(s)))
-    label, i = _parse(s, i + 1)
+    label, i = _parse(s, i + 1, close)
     if s[i] != ":":
         raise IllTyped("expected ':' at offset %d in %s" % (i, quote(s)))
     i += 1
@@ -570,7 +625,7 @@ def _parse_node(s: str, i: int) -> Tuple[TreeNode, int]:
                 children.append(None)
                 i += 1
             else:
-                child, i = _parse_node(s, i)
+                child, i = _parse_node(s, i, close)
                 children.append(child)
             if s[i] == ",":
                 i += 1
@@ -612,28 +667,30 @@ def metatree_stages(shape: Opetope) -> List[dict]:
     if shape.dim == 0:
         return []
     stages: List[List[dict]] = [[] for _ in range(shape.dim)]
-
-    def emit(op: Opetope, stage: int) -> None:
-        if op.dim == 1:
-            stages[stage].append({"arrow": True})
-            return
-        tree = op.tree
-        if tree.is_empty:
-            stages[stage].append({"empty": True, "type_code": tree.edge_type.code})
-            return
-        nodes, leaves = tree.index
-        stages[stage].append(
-            {
-                "root": _node_json(tree.root),
-                "node_order": [nodes[p] for p in tree.node_order],
-                "leaf_order": [leaves[p] for p in tree.leaf_order],
-            }
-        )
-        for p in nodes:
-            emit(tree.node_at(p).label, stage - 1)
-
-    emit(shape, shape.dim - 1)
+    _emit_stages(shape, shape.dim - 1, stages)
     return [{"dim": d + 1, "trees": stages[d]} for d in range(shape.dim)]
+
+
+def _emit_stages(op: Opetope, stage: int, stages: List[List[dict]]) -> None:
+    """Append ``op``'s top tree to ``stages[stage]`` and its labels' trees,
+    in preorder, to the stages below."""
+    if op.dim == 1:
+        stages[stage].append({"arrow": True})
+        return
+    tree = op.tree
+    if tree.is_empty:
+        stages[stage].append({"empty": True, "type_code": tree.edge_type.code})
+        return
+    nodes, leaves = tree.index
+    stages[stage].append(
+        {
+            "root": _node_json(tree.root),
+            "node_order": [nodes[p] for p in tree.node_order],
+            "leaf_order": [leaves[p] for p in tree.leaf_order],
+        }
+    )
+    for p in nodes:
+        _emit_stages(tree.node_at(p).label, stage - 1, stages)
 
 
 def _node_json(node: TreeNode) -> dict:
@@ -679,40 +736,40 @@ def from_metatree(stages: Sequence[dict]) -> Opetope:
     if not stages:
         return POINT
     cursors = [0] * len(stages)
-
-    def build(stage: int) -> Opetope:
-        entry = stages[stage]["trees"][cursors[stage]]
-        cursors[stage] += 1
-        if entry.get("arrow"):
-            return ARROW
-        dim = stage + 1
-        if entry.get("empty"):
-            return Opetope(dim, empty_tree(dim - 2, from_code(entry["type_code"])))
-        labels: List[Opetope] = []
-
-        def count_nodes(spec) -> int:
-            return 1 + sum(count_nodes(c) for c in spec["slots"] if c is not None)
-
-        for _ in range(count_nodes(entry["root"])):
-            labels.append(build(stage - 1))
-        it = iter(labels)
-
-        def make(spec) -> TreeNode:
-            label = next(it)
-            children = []
-            for c in spec["slots"]:
-                children.append(None if c is None else make(c))
-            return TreeNode(label, tuple(children))
-
-        root = make(entry["root"])
-        nu = _picked(tuple(root.index.nodes), entry["node_order"], "node_order")
-        lam = _picked(tuple(root.index.leaves), entry["leaf_order"], "leaf_order")
-        return Opetope(dim, PasteTree(dim - 2, root, None, nu, lam))
-
-    top = build(len(stages) - 1)
+    top = _built_stage(stages, cursors, len(stages) - 1)
     if any(cursors[d] != len(stages[d]["trees"]) for d in range(len(stages))):
         raise IllTyped("metatree stages contain unused trees")
     return top
+
+
+def _built_stage(stages: Sequence[dict], cursors: List[int], stage: int) -> Opetope:
+    """The shape of the next unread tree of ``stage``; its labels are the
+    next unread shapes one stage down."""
+    entry = stages[stage]["trees"][cursors[stage]]
+    cursors[stage] += 1
+    if entry.get("arrow"):
+        return ARROW
+    dim = stage + 1
+    if entry.get("empty"):
+        return Opetope(dim, empty_tree(dim - 2, from_code(entry["type_code"])))
+    labels = [_built_stage(stages, cursors, stage - 1) for _ in range(_spec_nodes(entry["root"]))]
+    root = _spec_node(entry["root"], iter(labels))
+    nu = _picked(tuple(root.index.nodes), entry["node_order"], "node_order")
+    lam = _picked(tuple(root.index.leaves), entry["leaf_order"], "leaf_order")
+    return Opetope(dim, PasteTree(dim - 2, root, None, nu, lam))
+
+
+def _spec_nodes(spec: dict) -> int:
+    return 1 + sum(_spec_nodes(c) for c in spec["slots"] if c is not None)
+
+
+def _spec_node(spec: dict, labels: Iterator[Opetope]) -> TreeNode:
+    """The node of a metatree slot spec, labelled in preorder from ``labels``."""
+    label = next(labels)
+    children = []
+    for c in spec["slots"]:
+        children.append(None if c is None else _spec_node(c, labels))
+    return TreeNode(label, tuple(children))
 
 
 def _picked(paths: Tuple[Path, ...], indices, name: str) -> Tuple[Path, ...]:

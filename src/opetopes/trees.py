@@ -88,17 +88,23 @@ class TreeNode:
 def _index_tree(root: TreeNode) -> TreeIndex:
     nodes: Dict[Path, int] = {}
     leaves: Dict[Path, int] = {}
-
-    def walk(node, path):
-        nodes[path] = len(nodes)
-        for j, child in enumerate(node.children):
-            if child is None:
-                leaves[path + (j,)] = len(leaves)
-            else:
-                walk(child, path + (j,))
-
-    walk(root, ())
+    _index_walk(root, (), nodes, leaves)
     return TreeIndex(nodes, leaves)
+
+
+# Recursive walks here and in ``shapes`` are module-level functions that take
+# their state as arguments.  A nested function that calls itself holds a
+# closure cell that refers back to the function, so every call would leave a
+# reference cycle that only the cyclic garbage collector can free.
+
+
+def _index_walk(node: TreeNode, path: Path, nodes: Dict[Path, int], leaves: Dict[Path, int]) -> None:
+    nodes[path] = len(nodes)
+    for j, child in enumerate(node.children):
+        if child is None:
+            leaves[path + (j,)] = len(leaves)
+        else:
+            _index_walk(child, path + (j,), nodes, leaves)
 
 
 @dataclass(frozen=True)
@@ -193,21 +199,17 @@ def single_node_tree(
 # -- substitution ---------------------------------------------------------
 
 
-def _rebuild_with(tree: PasteTree, path: Path, replacement) -> Optional[TreeNode]:
-    """Return the root with the node at ``path`` swapped for ``replacement``.
+def _rebuild_with(node: TreeNode, path: Path, replacement, depth: int = 0) -> Optional[TreeNode]:
+    """Return the tree rooted at ``node`` with the node at ``path`` swapped
+    for ``replacement`` (``depth`` entries of ``path`` already walked).
 
     ``replacement`` is a TreeNode or None; None empties that position.
     """
-
-    def walk(node, depth):
-        if depth == len(path):
-            return replacement
-        j = path[depth]
-        child = walk(node.children[j], depth + 1)
-        children = node.children[:j] + (child,) + node.children[j + 1 :]
-        return TreeNode(node.label, children)
-
-    return walk(tree.root, 0)
+    if depth == len(path):
+        return replacement
+    j = path[depth]
+    child = _rebuild_with(node.children[j], path, replacement, depth + 1)
+    return TreeNode(node.label, node.children[:j] + (child,) + node.children[j + 1 :])
 
 
 def substitute_tree(
@@ -244,7 +246,7 @@ def substitute_tree(
                 return path + q[len(path) + 1 :]
             return q
 
-        new_root = _rebuild_with(tree, path, child)
+        new_root = _rebuild_with(tree.root, path, child)
         if new_root is None:
             new_tree = empty_tree(tree.level, inner.edge_type)
         else:
@@ -267,22 +269,10 @@ def substitute_tree(
             return path + slot_target[j] + q[len(path) + 1 :]
         return q
 
-    def fill(node: TreeNode, at: Path) -> TreeNode:
-        children = []
-        for j, child in enumerate(node.children):
-            slot = at + (j,)
-            if child is not None:
-                children.append(fill(child, slot))
-            elif slot in inner_leaf_index:
-                children.append(victim.children[inner_leaf_index[slot]])
-            else:
-                children.append(None)
-        return TreeNode(node.label, tuple(children))
-
     inner_leaf_index = {leaf: j for j, leaf in enumerate(inner.leaf_order)}
-    grafted = fill(inner.root, ())
+    grafted = _filled(inner.root, (), inner_leaf_index, victim.children)
 
-    new_root = _rebuild_with(tree, path, grafted)
+    new_root = _rebuild_with(tree.root, path, grafted)
     pos = tree.node_order.index(path)
     spliced = (
         tuple(remap(q) for q in tree.node_order[:pos])
@@ -292,3 +282,17 @@ def substitute_tree(
     leaf_order = tuple(remap(q) for q in tree.leaf_order)
     new_tree = PasteTree(tree.level, new_root, None, spliced, leaf_order)
     return new_tree, remap
+
+
+def _filled(node: TreeNode, at: Path, leaf_index: Dict[Path, int], hung: tuple) -> TreeNode:
+    """The inner tree below ``node`` with ``hung[j]`` on its j-th leaf."""
+    children = []
+    for j, child in enumerate(node.children):
+        slot = at + (j,)
+        if child is not None:
+            children.append(_filled(child, slot, leaf_index, hung))
+        elif slot in leaf_index:
+            children.append(hung[leaf_index[slot]])
+        else:
+            children.append(None)
+    return TreeNode(node.label, tuple(children))

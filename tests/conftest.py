@@ -1,5 +1,3 @@
-import weakref
-
 import pytest
 
 from opetopes import build_fixture
@@ -38,7 +36,7 @@ def fresh_shapes(monkeypatch):
     from opetopes import ARROW, POINT, shapes
 
     def reset():
-        monkeypatch.setattr(shapes, "_INTERNED", weakref.WeakValueDictionary(pt=POINT, ar=ARROW))
+        monkeypatch.setattr(shapes, "_INTERNED", {"pt": POINT, "ar": ARROW})
         monkeypatch.setattr(shapes, "_ENUM_CACHE", {})
         monkeypatch.setattr(POINT, "_memo", None)
         monkeypatch.setattr(ARROW, "_memo", None)

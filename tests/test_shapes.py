@@ -414,6 +414,20 @@ REFERENCE_BUILDERS = {
 }
 
 
+class _Births(dict):
+    """An intern table that numbers its codes in the order they are added;
+    the table never drops a code, so a number says what was interned when."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.born = {code: n for n, code in enumerate(table)}
+
+    def setdefault(self, code, shape):
+        if code not in self:
+            self.born[code] = len(self.born)
+        return super().setdefault(code, shape)
+
+
 def test_derived_shapes_found_by_code_match_the_reference_builders(fresh_shapes, monkeypatch):
     # Every composite, permutation and identity the audits derive, first on
     # an empty intern table, then with the table kept and the memos emptied,
@@ -426,11 +440,12 @@ def test_derived_shapes_found_by_code_match_the_reference_builders(fresh_shapes,
 
     def record(name, real):
         def checked(*args):
-            expected = REFERENCE_BUILDERS[name](*args).code
-            known = shapes._INTERNED.get(expected) is not None
+            # The table keeps every shape, the reference's too, so what was
+            # interned is read off the clock taken before either builder runs.
+            clock = len(shapes._INTERNED.born)
             result = real(*args)
-            assert result.code == expected
-            seen.append((name, known, args, result))
+            assert REFERENCE_BUILDERS[name](*args) is result
+            seen.append((name, shapes._INTERNED.born[result.code] < clock, args, result))
             return result
 
         return checked
@@ -440,6 +455,7 @@ def test_derived_shapes_found_by_code_match_the_reference_builders(fresh_shapes,
         assert all(shapes._INTERNED.get(result.code) is result for *_, result in seen)
         return [(name, known) for name, known, *_ in seen]
 
+    monkeypatch.setattr(shapes, "_INTERNED", _Births(shapes._INTERNED))
     for name in REFERENCE_BUILDERS:
         monkeypatch.setattr(shapes, name, record(name, getattr(shapes, name)))
     levels = [(1, 4), (2, 5), (3, 6)]
@@ -456,6 +472,7 @@ def test_derived_shapes_found_by_code_match_the_reference_builders(fresh_shapes,
     # their reversals, are mostly new codes.
     seen.clear()
     fresh_shapes()
+    monkeypatch.setattr(shapes, "_INTERNED", _Births(shapes._INTERNED))
     for dim, bound in ((3, 4), (4, 5)):
         listing = enumerate_opetopes(dim, bound)
         by_output = {}
@@ -493,3 +510,114 @@ def test_a_non_canonical_composite_code_is_rejected_on_a_cold_table(fresh_shapes
         compose(f, gs)
     monkeypatch.setattr(shapes, "_composite_code", real)
     assert compose(f, gs).code == right
+
+
+# The reference for graft: the compose fold it ran before it read each
+# composite off one code walk, with the identity on its type in every
+# dangling slot.
+
+
+def _reference_graft(tree):
+    from opetopes.shapes import permute_inputs
+
+    if tree.is_empty:
+        return identity_on(tree.edge_type)
+    if tree.level == 0:
+        return ARROW
+    leaves = tree.index.leaves
+    return permute_inputs(_reference_fold(tree.root), tuple(leaves[leaf] for leaf in tree.leaf_order))
+
+
+def _reference_fold(node):
+    from opetopes.shapes import compose
+
+    args = [
+        identity_on(node.label.inputs[j]) if child is None else _reference_fold(child)
+        for j, child in enumerate(node.children)
+    ]
+    return compose(node.label, args)
+
+
+def test_graft_walk_matches_the_compose_fold(fresh_shapes, monkeypatch):
+    # Every output of each listing, first on an empty table, grafted as
+    # soon as its shape is parsed and before the reference folds it, then
+    # warm, with the outputs forgotten and the table kept.
+    from opetopes import shapes
+
+    listings = [
+        [s.code for s in enumerate_opetopes(dim, bound)] for dim, bound in ((2, 6), (3, 5), (4, 6), (5, 5))
+    ]
+    walks = []  # (was the composite interned before, operands)
+    real = shapes._composite_code
+
+    def recorded(f, gs):
+        code = real(f, gs)
+        walks.append((code in shapes._INTERNED, gs))
+        return code
+
+    monkeypatch.setattr(shapes, "_composite_code", recorded)
+    for codes in listings:
+        fresh_shapes()
+        parsed = []
+        for code in codes:
+            shape = from_code(code)
+            assert shape.output is _reference_graft(shape.tree)
+            parsed.append(shape)
+        for shape in parsed:
+            shape._output = None
+        assert all(shape.output is _reference_graft(shape.tree) for shape in parsed)
+    assert {hit for hit, _ in walks} == {False, True}
+    # An empty operand tree deletes its unary node.
+    assert any(g is not None and g.dim >= 2 and g.tree.is_empty for _, gs in walks for g in gs)
+
+
+def test_the_shape_layer_leaves_no_cyclic_garbage(fresh_shapes):
+    # Parsing, enumeration, the audit and grafting free everything they
+    # drop by reference counting: no recursive walk leaves a cycle behind.
+    import gc
+
+    from opetopes import OperadLevel, check_operad_axioms
+
+    listing = enumerate_opetopes(3, 5)
+    codes = [s.code for s in listing]
+    stages = [metatree_stages(s) for s in listing]
+    fresh_shapes()
+    gc.collect()
+    gc.disable()
+    try:
+        parsed = [from_code(code) for code in codes]
+        assert enumerate_opetopes(3, 5) == tuple(parsed)
+        check_operad_axioms(OperadLevel(1), 4)
+        check_operad_axioms(OperadLevel(3), 5)
+        assert all(s.output.dim == 2 for s in parsed)
+        assert [from_metatree(st) for st in stages] == parsed
+        assert [metatree_stages(s) for s in parsed] == stages
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_parsing_finds_nested_labels_by_code(fresh_shapes, monkeypatch):
+    # The 83 shape codes of Z/4 with the recursion-complete dim-3 layer,
+    # parsed cold: each nested label is looked up before its structure is
+    # parsed, so every node built is a node of one of the 83 trees.
+    from opetopes import shapes
+    from opetopes.fixtures import monoid_set
+
+    elements = ["0", "1", "2", "3"]
+    table = {(a, b): str((int(a) + int(b)) % 4) for a in elements for b in elements}
+    oset = monoid_set(elements, "0", table, shape_bound=3, deep_dim3=True)
+    codes = sorted(set(oset.cells.values()))
+    assert len(codes) == 83
+    fresh_shapes()
+    calls = []
+    real = shapes._parse_node
+
+    def counted(s, i, close):
+        calls.append(i)
+        return real(s, i, close)
+
+    monkeypatch.setattr(shapes, "_parse_node", counted)
+    parsed = [from_code(code) for code in codes]
+    assert [s.code for s in parsed] == codes
+    assert len(calls) == 157 == sum(s.tree.node_count for s in parsed if s.dim >= 2)

@@ -1,4 +1,5 @@
-"""Mutation score of ``src/opetopes/universality.py``.
+"""Mutation score of one module of ``src/opetopes`` (by default
+``universality.py``).
 
 Run from the repository root (standard library only; not part of the
 test suite):
@@ -6,6 +7,9 @@ test suite):
     python tools/mutate.py                 # every mutant, then the score
     python tools/mutate.py --list          # list the mutants, run nothing
     python tools/mutate.py --workdir DIR   # build the mutant copies in DIR
+    python tools/mutate.py --module shapes.py --function graft
+                                           # only the mutants of one module's
+                                           # named functions (repeatable)
 
 A mutant changes one site of the module by one operator:
 
@@ -41,18 +45,21 @@ from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
-TARGET = Path("src/opetopes/universality.py")
+PACKAGE = Path("src/opetopes")
+DEFAULT_MODULE = "universality.py"
 SUITE = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
 TIMEOUT_S = 900
 
-# (function, operator, original source) of the mutants that cannot change a
-# verdict, a witness or a message, with the reason.
-EQUIVALENT: Dict[Tuple[str, str, str], str] = {
-    ("_note_dim", "flip", "dim > ctx.max_dim_reached"):
-        "at dim == max_dim_reached the assignment stores the value already held",
-    ("is_universal", "continue-to-pass", "continue"):
-        "the skipped punctured niches are balanced in both listing orders, "
-        "so testing them only does more work",
+# By module, the (function, operator, original source) of the mutants that
+# cannot change a verdict, a witness or a message, with the reason.
+EQUIVALENT: Dict[str, Dict[Tuple[str, str, str], str]] = {
+    "universality.py": {
+        ("_note_dim", "flip", "dim > ctx.max_dim_reached"):
+            "at dim == max_dim_reached the assignment stores the value already held",
+        ("is_universal", "continue-to-pass", "continue"):
+            "the skipped punctured niches are balanced in both listing orders, "
+            "so testing them only does more work",
+    },
 }
 
 FLIPS = {
@@ -189,18 +196,33 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workdir", help="directory for the mutant copies (default: a new temporary one)")
     parser.add_argument("--list", action="store_true", help="list the mutants and exit")
+    parser.add_argument("--module", default=DEFAULT_MODULE,
+                        help="the module of src/opetopes to mutate (default: %(default)s)")
+    parser.add_argument("--function", action="append", default=[],
+                        help="mutate only this function's sites (repeatable; default: every function)")
     args = parser.parse_args(argv)
 
-    source = (ROOT / TARGET).read_text(encoding="utf-8")
+    target = PACKAGE / args.module
+    if not (ROOT / target).is_file():
+        print("no module %s" % target, file=sys.stderr)
+        return 2
+    source = (ROOT / target).read_text(encoding="utf-8")
+    equivalent = EQUIVALENT.get(args.module, {})
     mutants = sites(ast.parse(source))
     known = {(s.function, s.operator, s.original) for s in mutants}
-    stale = sorted(set(EQUIVALENT) - known)
+    stale = sorted(set(equivalent) - known)
     if stale:
         print("EQUIVALENT names no mutant: %s" % stale, file=sys.stderr)
         return 2
+    if args.function:
+        unknown = sorted(set(args.function) - {s.function for s in mutants})
+        if unknown:
+            print("no mutant in function %s of %s" % (", ".join(unknown), target), file=sys.stderr)
+            return 2
+        mutants = [s for s in mutants if s.function in args.function]
     if args.list:
         for s in mutants:
-            flag = "  (equivalent)" if (s.function, s.operator, s.original) in EQUIVALENT else ""
+            flag = "  (equivalent)" if (s.function, s.operator, s.original) in equivalent else ""
             print(describe(s) + flag)
         return 0
 
@@ -209,7 +231,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if copy.exists():
         shutil.rmtree(copy)
     shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    module = copy / TARGET
+    module = copy / target
     if not imported_from(copy).startswith(str(copy)):
         print("the suite would not import the copy in %s" % copy, file=sys.stderr)
         return 2
@@ -222,7 +244,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     survivors = []
     try:
         for number, s in enumerate(mutants, 1):
-            if (s.function, s.operator, s.original) in EQUIVALENT:
+            if (s.function, s.operator, s.original) in equivalent:
                 counts["equivalent"] += 1
                 print("%2d equivalent  %s" % (number, describe(s)), flush=True)
                 continue
