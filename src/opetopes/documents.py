@@ -133,9 +133,18 @@ def set_from_document(doc: dict) -> OpetopicSet:
             if not isinstance(v["infaces"], list):
                 raise DocumentError("faces of %r: infaces must be a list" % k)
             faces[str(k)] = (tuple(str(f) for f in v["infaces"]), str(v["outface"]))
-        return OpetopicSet(int(doc["max_dim"]), int(doc["shape_bound"]), cells, faces)
+        bounds = doc["max_dim"], doc["shape_bound"]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DocumentError("malformed opetopic_set document: %s" % exc)
+    for key, value in zip(("max_dim", "shape_bound"), bounds):
+        # A JSON integer only (FORMAT.md 4.2): a bool is an int subclass, and
+        # a float or a string would have to be truncated or converted.
+        if type(value) is not int:
+            raise DocumentError(
+                "malformed opetopic_set document: %s must be an integer, got %s"
+                % (key, shapes.clip(json.dumps(value)))
+            )
+    return OpetopicSet(*bounds, cells, faces)
 
 
 # -- verdicts --------------------------------------------------------------------

@@ -18,8 +18,7 @@ each violation instead of raising.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     ArityMismatch,
@@ -29,6 +28,7 @@ from .errors import (
     UnsupportedOperad,
 )
 from . import shapes
+from .records import Record
 from .shapes import Opetope
 
 
@@ -91,8 +91,7 @@ def direct_sum_permutation(sigmas: Sequence[Sequence[int]]) -> Perm:
 # -- the tower -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OperadLevel:
+class OperadLevel(NamedTuple):
     """The tower operad at a given level.
 
     Types are the level-dimensional shapes and operations the shapes one
@@ -167,8 +166,7 @@ def initial_operad() -> OperadLevel:
 # -- finite table operads -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TableOperad:
+class TableOperad(NamedTuple):
     """A finite operad presented by explicit tables.
 
     Supported for algebra fixtures and for auditing axiom violations in
@@ -228,22 +226,25 @@ class TableOperad:
 # -- the axiom audit -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(NamedTuple):
+    """One failed law instance; violations sort as tuples, field by field."""
+
     axiom: str
     operands: Tuple[str, ...]
     lhs: str
     rhs: str
 
-    def sort_key(self):
-        return (self.axiom, self.operands, self.lhs, self.rhs)
 
+class AxiomReport(Record):
+    """The instance count per law and every violation, sorted."""
 
-@dataclass
-class AxiomReport:
-    size_bound: int
-    instances: Dict[str, int] = field(default_factory=dict)
-    violations: List[AxiomViolation] = field(default_factory=list)
+    __slots__ = ("size_bound", "instances", "violations")
+    _fields = __slots__
+
+    def __init__(self, size_bound: int):
+        self.size_bound = size_bound
+        self.instances = {}
+        self.violations = []
 
     @property
     def ok(self) -> bool:
@@ -257,26 +258,30 @@ def _audited(operad):
     return operad
 
 
-def _by_output(operad, ops) -> Dict[object, List]:
-    """The operations grouped by output type, in operation order."""
-    by_output: Dict[object, List] = {}
-    for g in ops:
-        by_output.setdefault(operad.output(g), []).append(g)
+def _sized(operad, size_bound: int) -> List[Tuple[object, int]]:
+    """Every operation within the bound with its size, each size read once."""
+    return [(f, operad.size(f)) for f in operad.operations(size_bound)]
+
+
+def _by_output(operad, sized) -> Dict[object, List[Tuple[object, int]]]:
+    """The (operation, size) pairs grouped by output type, in operation order."""
+    by_output: Dict[object, List[Tuple[object, int]]] = {}
+    for pair in sized:
+        by_output.setdefault(operad.output(pair[0]), []).append(pair)
     return by_output
 
 
-def _arg_tuples(operad, by_output, input_types, budget) -> Iterator[Tuple[tuple, int]]:
+def _arg_tuples(by_output, input_types, budget) -> Iterator[Tuple[tuple, int]]:
     """All tuples of operations matching the given input types, with total
     size within budget."""
     if not input_types:
         yield (), 0
         return
     head, rest = input_types[0], input_types[1:]
-    for g in by_output.get(head, ()):
-        used = operad.size(g)
+    for g, used in by_output.get(head, ()):
         if used > budget:
             continue
-        for tail, tail_used in _arg_tuples(operad, by_output, rest, budget - used):
+        for tail, tail_used in _arg_tuples(by_output, rest, budget - used):
             yield (g,) + tail, used + tail_used
 
 
@@ -292,20 +297,21 @@ def check_operad_axioms(operad, size_bound: int) -> AxiomReport:
     if size_bound < 1:
         raise ValueError("size_bound must be >= 1")
     operad = _audited(operad)
-    ops = operad.operations(size_bound)
-    by_output = _by_output(operad, ops)
+    sized = _sized(operad, size_bound)
+    by_output = _by_output(operad, sized)
     report = AxiomReport(size_bound=size_bound)
-    for f in ops:
-        counts, violations = _audit_operation(operad, by_output, size_bound, f)
+    for f, f_size in sized:
+        counts, violations = _audit_operation(operad, by_output, size_bound - f_size, f)
         for axiom, count in counts.items():
             report.instances[axiom] = report.instances.get(axiom, 0) + count
         report.violations.extend(violations)
-    report.violations.sort(key=AxiomViolation.sort_key)
+    report.violations.sort()
     return report
 
 
-def _audit_operation(operad, by_output, size_bound: int, f):
-    """Every law instance whose outermost operation is ``f``: the unit law
+def _audit_operation(operad, by_output, budget: int, f):
+    """Every law instance whose outermost operation is ``f``, its arguments
+    within the size ``budget`` that ``f`` leaves of the bound: the unit law
     (b), the permutation law (c) over all pairs of permutations, and for
     each argument tuple ``gs`` the equivariance laws (d) and (e) and
     associativity (a) over every inner tuple ``hs``.
@@ -343,8 +349,7 @@ def _audit_operation(operad, by_output, size_bound: int, f):
                     AxiomViolation("c", (key(f), repr(sigma), repr(tau)), key(lhs), key(rhs))
                 )
 
-    budget = size_bound - operad.size(f)
-    for gs, gs_size in _arg_tuples(operad, by_output, operad.inputs(f), budget):
+    for gs, gs_size in _arg_tuples(by_output, operad.inputs(f), budget):
         fg = operad.compose(f, gs)
         gs_keys = (key(f),) + tuple(map(key, gs))
         arities = [operad.arity(g) for g in gs]
@@ -365,7 +370,7 @@ def _audit_operation(operad, by_output, size_bound: int, f):
                 out.append(AxiomViolation("e", gs_keys + (repr(sigmas),), key(lhs), key(rhs)))
 
         inner_types = tuple(t for g in gs for t in operad.inputs(g))
-        for hs, _ in _arg_tuples(operad, by_output, inner_types, budget - gs_size):
+        for hs, _ in _arg_tuples(by_output, inner_types, budget - gs_size):
             counts["a"] = counts.get("a", 0) + 1
             blocks = []
             start = 0
@@ -383,8 +388,7 @@ def _audit_operation(operad, by_output, size_bound: int, f):
 # -- algebras ---------------------------------------------------------------------
 
 
-@dataclass
-class Algebra:
+class Algebra(NamedTuple):
     """An algebra: a finite carrier per type and a function per operation.
 
     ``carrier`` maps types to tuples of elements; ``action`` maps an
@@ -417,8 +421,8 @@ def check_algebra_axioms(alg: Algebra, size_bound: int) -> AxiomReport:
     """Replay the algebra laws over all bounded operations and all argument
     tuples from the finite carriers."""
     operad = _audited(alg.operad)
-    ops = operad.operations(size_bound)
-    by_output = _by_output(operad, ops)
+    sized = _sized(operad, size_bound)
+    by_output = _by_output(operad, sized)
     key = operad.key
 
     report = AxiomReport(size_bound=size_bound)
@@ -427,7 +431,7 @@ def check_algebra_axioms(alg: Algebra, size_bound: int) -> AxiomReport:
         pools = [alg.carrier[t] for t in operad.inputs(f)]
         return itertools.product(*pools)
 
-    for f in ops:
+    for f, f_size in sized:
         report.instances["alg-b"] = report.instances.get("alg-b", 0) + 1
         # unit law via the identities on f's input types
         for t in operad.inputs(f):
@@ -450,7 +454,7 @@ def check_algebra_axioms(alg: Algebra, size_bound: int) -> AxiomReport:
                     report.violations.append(
                         AxiomViolation("alg-c", (key(f), repr(sigma), repr(args)), "", "")
                     )
-        for gs, _ in _arg_tuples(operad, by_output, operad.inputs(f), size_bound - operad.size(f)):
+        for gs, _ in _arg_tuples(by_output, operad.inputs(f), size_bound - f_size):
             report.instances["alg-a"] = report.instances.get("alg-a", 0) + 1
             composite = operad.compose(f, gs)
             for args in args_for(composite):
@@ -471,5 +475,5 @@ def check_algebra_axioms(alg: Algebra, size_bound: int) -> AxiomReport:
                             repr(rhs),
                         )
                     )
-    report.violations.sort(key=AxiomViolation.sort_key)
+    report.violations.sort()
     return report

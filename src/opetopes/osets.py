@@ -27,11 +27,11 @@ edge twice.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DimOutOfRange, IllTyped, MalformedConfig, UnknownCell
 from . import shapes
+from .records import Record, Value
 from .shapes import Opetope
 from .trees import Path
 
@@ -210,12 +210,15 @@ class OpetopicSet:
 # -- validation ---------------------------------------------------------------
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(Record):
     """Every violation found, sorted, and how many incidences were checked."""
 
-    violations: List[str] = field(default_factory=list)
-    relations_checked: int = 0
+    __slots__ = ("violations", "relations_checked")
+    _fields = __slots__
+
+    def __init__(self):
+        self.violations = []
+        self.relations_checked = 0
 
     @property
     def ok(self) -> bool:
@@ -309,8 +312,7 @@ def validate(oset: OpetopicSet) -> ValidationReport:
 # -- boundary configurations ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundaryConfig:
+class BoundaryConfig(Value):
     """A partially assigned boundary of one shape.
 
     ``infaces`` has one entry per inface position (None = missing) and
@@ -323,11 +325,22 @@ class BoundaryConfig:
     fields, so equality, hashing, ``sort_key`` and repr leave it out.
     """
 
-    shape_code: str
-    infaces: Tuple[Optional[str], ...]
-    outface: Optional[str]
-    pins: Tuple[Tuple[EdgeKey, str], ...]
-    edges: Optional[Tuple[str, ...]] = field(default=None, compare=False, repr=False)
+    __slots__ = ("shape_code", "infaces", "outface", "pins", "edges")
+    _fields = ("shape_code", "infaces", "outface", "pins")
+
+    def __init__(
+        self,
+        shape_code: str,
+        infaces: Tuple[Optional[str], ...],
+        outface: Optional[str],
+        pins: Tuple[Tuple[EdgeKey, str], ...],
+        edges: Optional[Tuple[str, ...]] = None,
+    ):
+        self.shape_code = shape_code
+        self.infaces = infaces
+        self.outface = outface
+        self.pins = pins
+        self.edges = edges
 
     @property
     def kind(self) -> str:

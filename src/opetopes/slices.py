@@ -11,11 +11,11 @@ relations, and identifying its reduction laws is out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from .errors import CompositeMismatch, UnsupportedOperad
 from . import shapes
 from .shapes import Opetope
 from .operads import OperadLevel
+from .records import Value
 from .trees import PasteTree, Path, substitute_tree
 
 
@@ -36,8 +36,7 @@ def graft_composite(tree: PasteTree) -> Opetope:
     return shapes.graft(tree)
 
 
-@dataclass(frozen=True)
-class ReductionLaw:
+class ReductionLaw(Value):
     """A reduction law: a pasting tree together with its composite.
 
     The composite is recomputed on construction, so the pair is consistent
@@ -45,11 +44,12 @@ class ReductionLaw:
     operations of the slice at level ``d + 1``.
     """
 
-    tree: PasteTree
-    composite: Opetope = field(init=False)
+    __slots__ = ("tree", "composite")
+    _fields = __slots__
 
-    def __post_init__(self):
-        object.__setattr__(self, "composite", graft_composite(self.tree))
+    def __init__(self, tree: PasteTree):
+        self.tree = tree
+        self.composite = graft_composite(tree)
 
 
 def substitute(outer: PasteTree, at_node: Path, inner: PasteTree) -> PasteTree:

@@ -26,14 +26,19 @@ both addressed ``()``.
 This module is purely structural.  Labels are opaque objects exposing an
 integer ``arity`` attribute; type discipline between labels and edges is
 enforced one layer up, in :mod:`opetopes.shapes`.
+
+Nodes and trees are slotted classes (see :mod:`opetopes.records`) that
+compare and hash structurally.  Like shapes they are immutable by
+convention: nothing assigns to a built node or tree, except the index a
+node keeps once it is first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, NamedTuple, Optional, Tuple
 
 from .errors import IllTyped, NoSuchNode
+from .records import Value
 
 Path = Tuple[int, ...]
 
@@ -51,24 +56,25 @@ class TreeIndex(NamedTuple):
 _EMPTY_INDEX = TreeIndex({}, {(): 0})
 
 
-@dataclass(frozen=True, slots=True)
-class TreeNode:
+class TreeNode(Value):
     """One node of a pasting tree: a label plus one child per slot.
 
     ``children`` has exactly ``label.arity`` entries; ``None`` marks a
-    dangling slot (a leaf edge).
+    dangling slot (a leaf edge).  Nodes compare and hash structurally.
     """
 
-    label: object
-    children: Tuple[Optional["TreeNode"], ...]
-    _index: Optional[TreeIndex] = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("label", "children", "_index")
+    _fields = ("label", "children")
 
-    def __post_init__(self):
-        if len(self.children) != self.label.arity:
+    def __init__(self, label: object, children: Tuple[Optional["TreeNode"], ...]):
+        if len(children) != label.arity:
             raise IllTyped(
                 "node labelled %r needs %d child slots, got %d"
-                % (self.label, self.label.arity, len(self.children))
+                % (label, label.arity, len(children))
             )
+        self.label = label
+        self.children = children
+        self._index = None
 
     @property
     def index(self) -> TreeIndex:
@@ -80,8 +86,7 @@ class TreeNode:
         """
         found = self._index
         if found is None:
-            found = _index_tree(self)
-            object.__setattr__(self, "_index", found)
+            found = self._index = _index_tree(self)
         return found
 
 
@@ -107,22 +112,36 @@ def _index_walk(node: TreeNode, path: Path, nodes: Dict[Path, int], leaves: Dict
             _index_walk(child, path + (j,), nodes, leaves)
 
 
-@dataclass(frozen=True)
-class PasteTree:
+class PasteTree(Value):
     """A pasting tree with its two input orderings.
 
     ``level`` is the tower level of the edges (labels live one level up).
     An empty tree has ``root is None`` and carries the type of its single
     edge in ``edge_type``; a nonempty tree has ``edge_type is None``.
+    Trees compare and hash structurally.
     """
 
-    level: int
-    root: Optional[TreeNode]
-    edge_type: object
-    node_order: Tuple[Path, ...]
-    leaf_order: Tuple[Path, ...]
+    __slots__ = ("level", "root", "edge_type", "node_order", "leaf_order")
+    _fields = __slots__
+
+    def __init__(
+        self,
+        level: int,
+        root: Optional[TreeNode],
+        edge_type: object,
+        node_order: Tuple[Path, ...],
+        leaf_order: Tuple[Path, ...],
+    ):
+        self.level = level
+        self.root = root
+        self.edge_type = edge_type
+        self.node_order = node_order
+        self.leaf_order = leaf_order
+        self.__post_init__()
 
     def __post_init__(self):
+        """Check the orders against the tree.  ``__init__`` calls this once
+        per tree; perfbench's tracer wraps it to count the trees built."""
         if self.root is None:
             if self.edge_type is None:
                 raise IllTyped("empty tree needs an edge type")

@@ -33,8 +33,7 @@ always checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import (
     DimensionOverflow,
@@ -55,17 +54,18 @@ from .osets import (
     outface_extensions,
     validate,
 )
+from .records import Record
 from .shapes import Opetope, derived, identity_on
 from .trees import PasteTree, TreeNode
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """A boolean answer with a deterministic witness trail.
 
     For successful uniqueness checks above dimension n the witness names
     the unique occupant; for failures it names the first offending
-    configuration or cell in canonical order.
+    configuration or cell in canonical order.  Its truth is ``value``
+    (as a tuple it would always be true).
     """
 
     value: bool
@@ -75,22 +75,38 @@ class Verdict:
         return self.value
 
 
-@dataclass
-class CheckContext:
+# Stands for a memo not passed to CheckContext, which then makes a new one;
+# it is compared by identity and never used as a memo itself.
+_FRESH_MEMO: Dict[str, Verdict] = {}
+
+
+class CheckContext(Record):
     """Shared state for one run of the recursion.
 
     The memo maps a cell name to its universality verdict; it is
     transparent: verdicts with and without it agree, which the tests
-    replay.  ``mirror_first`` only reorders the two listing-order
-    variants of each punctured niche; it exists so the regression property
-    (swapping the variants changes nothing) can be exercised.
+    replay.  Each context starts with a memo of its own unless one is
+    passed; ``memo=None`` turns memoisation off.  ``mirror_first`` only
+    reorders the two listing-order variants of each punctured niche; it
+    exists so the regression property (swapping the variants changes
+    nothing) can be exercised.
     """
 
-    oset: OpetopicSet
-    n: int
-    memo: Optional[Dict[str, Verdict]] = field(default_factory=dict)
-    mirror_first: bool = False
-    max_dim_reached: int = 0
+    __slots__ = ("oset", "n", "memo", "mirror_first", "max_dim_reached")
+    _fields = __slots__
+
+    def __init__(
+        self,
+        oset: OpetopicSet,
+        n: int,
+        memo: Optional[Dict[str, Verdict]] = _FRESH_MEMO,
+        mirror_first: bool = False,
+    ):
+        self.oset = oset
+        self.n = n
+        self.memo = {} if memo is _FRESH_MEMO else memo
+        self.mirror_first = mirror_first
+        self.max_dim_reached = 0
 
     def _remember(self, cell: str, verdict: Verdict) -> Verdict:
         if self.memo is not None:
@@ -279,24 +295,30 @@ def composites(ctx: CheckContext, niche: BoundaryConfig) -> Tuple[str, ...]:
     return tuple(sorted(out))
 
 
-@dataclass
-class CheckVerdict:
+class CheckVerdict(Record):
     """The result of the weak n-category check, with per-niche records."""
 
-    ok: bool
-    n: int
-    shape_bound: int
-    condition1: List[dict] = field(default_factory=list)
-    condition2: List[dict] = field(default_factory=list)
-    failure: Optional[dict] = None
-    niche_counts: Dict[int, int] = field(default_factory=dict)
-    max_dim_reached: int = 0
+    __slots__ = (
+        "ok", "n", "shape_bound", "condition1", "condition2", "failure",
+        "niche_counts", "max_dim_reached",
+    )
+    _fields = __slots__ + ("rule",)
 
-    rule: str = (
+    rule = (
         "condition 2 is checked as: for every niche within the bound whose "
         "infaces are all universal cells, every universal occupant of that "
         "niche has a universal outface"
     )
+
+    def __init__(self, ok: bool, n: int, shape_bound: int):
+        self.ok = ok
+        self.n = n
+        self.shape_bound = shape_bound
+        self.condition1 = []
+        self.condition2 = []
+        self.failure = None
+        self.niche_counts = {}
+        self.max_dim_reached = 0
 
 
 def _config_label(cfg: BoundaryConfig) -> str:

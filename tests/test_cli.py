@@ -1,6 +1,8 @@
 """Command-line behaviour: exit codes, summaries, and byte determinism."""
 
 import json
+import os
+import re
 
 import pytest
 
@@ -121,6 +123,34 @@ def test_check_rejects_a_face_whose_own_faces_are_malformed(tmp_path, capsys):
     assert any("runs through a face with malformed faces" in line for line in err)
 
 
+@pytest.mark.parametrize("field", ["max_dim", "shape_bound"])
+@pytest.mark.parametrize(
+    "raw, shown",
+    [
+        ("1e400", "Infinity"),
+        ("Infinity", "Infinity"),
+        ("2.9", "2.9"),
+        ("2.0", "2.0"),
+        ("true", "true"),
+        ('"3"', '"3"'),
+        ("null", "null"),
+    ],
+)
+def test_check_reads_only_integer_bounds_from_a_set(tmp_path, capsys, field, raw, shown):
+    fix = tmp_path / "z2.json"
+    main(["fixture", "z2_monoid", "--out", str(fix)])
+    text, replaced = re.subn(r'"%s": \d+' % field, '"%s": %s' % (field, raw), fix.read_text())
+    assert replaced == 1
+    fix.write_text(text)
+    capsys.readouterr()
+    assert main(["check", str(fix), "--n", "1", "--bound", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "input error: malformed opetopic_set document: %s must be an integer, got %s" % (field, shown)
+    ]
+    assert captured.out == ""
+
+
 def test_check_rejects_a_negative_bound(tmp_path, capsys):
     fix = tmp_path / "broken.json"
     main(["fixture", "broken_magma", "--out", str(fix)])
@@ -227,6 +257,26 @@ def test_module_is_runnable(tmp_path):
     )
     assert proc.returncode == 0
     assert "k=2: 2" in proc.stdout
+
+
+def test_cold_import_adds_neither_dataclasses_nor_inspect():
+    # Every command starts a fresh interpreter, and these two modules (with
+    # what they import) once took most of the package's import time.
+    import subprocess
+    import sys
+
+    import opetopes
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(opetopes.__file__)))
+    probe = (
+        "import sys; bare = set(sys.modules); sys.path.insert(0, %r); "
+        "import opetopes, opetopes.cli; print(*sorted(set(sys.modules) - bare))" % src
+    )
+    proc = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "opetopes.cli" in added
+    assert not added & {"dataclasses", "inspect"}
 
 
 # An unwritable --out is an input error (exit 2), never a traceback or a

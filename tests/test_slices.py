@@ -160,6 +160,8 @@ def test_reduction_law_recomputes_its_composite():
     binary = next(s for s in enumerate_opetopes(2, 2) if s.arity == 2)
     law = ReductionLaw(single_node_tree(1, binary))
     assert law.composite is binary
+    assert law == ReductionLaw(single_node_tree(1, binary))
+    assert hash(law) == hash(ReductionLaw(single_node_tree(1, binary)))
     # The law read as an operation of the slice level.
     as_operation = Opetope(law.tree.level + 2, law.tree)
     assert as_operation.dim == 3

@@ -84,3 +84,15 @@ def test_substitute_leaf_count_mismatch_rejected():
     inner = single_node_tree(1, binary)
     with pytest.raises(IllTyped):
         substitute_tree(outer, (), inner)
+
+
+def test_nodes_and_trees_compare_and_hash_structurally():
+    a, b = chain(3), chain(3)
+    assert a.root is not b.root
+    assert a.root == b.root and hash(a.root) == hash(b.root)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, chain(2)}) == 2
+    # The node order is part of a tree; the root it hangs on is the same.
+    reordered = PasteTree(0, a.root, None, tuple(reversed(a.node_order)), a.leaf_order)
+    assert reordered.root == a.root and reordered != a
+    assert TreeNode(ARROW, (None,)) != (ARROW, (None,))

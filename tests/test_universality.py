@@ -21,6 +21,7 @@ from opetopes import (
     make_config,
     niche_of,
     occupants,
+    validate,
 )
 from opetopes.fixtures import _standard_binary, monoid_set, z2_weak2
 from opetopes.osets import competitors, config_with, enumerate_configs, outface_extensions
@@ -71,6 +72,9 @@ def test_two_occupants_above_n_are_both_non_universal():
     ctx = CheckContext(oset, 1)
     assert not is_universal(ctx, "c1")
     assert not is_universal(ctx, "c2")
+    # Falsy through its value: as a plain tuple a verdict with witnesses
+    # would be true.
+    assert is_universal(ctx, "c1").witnesses == ("c1", "c2")
 
 
 def test_golden_universal_one_cells(z2_set, z3_set, broken_set):
@@ -247,6 +251,26 @@ def test_verdicts_identical_across_runs(z2_set, broken_set):
             two.condition2,
             two.failure,
         )
+
+
+def test_each_context_has_a_memo_of_its_own(z2_set):
+    first, second = CheckContext(z2_set, 1), CheckContext(z2_set, 1)
+    assert first.memo == {} and first.memo is not second.memo
+    verdict = is_universal(first, "a0")
+    assert first.memo["a0"] == verdict and second.memo == {}
+    off = CheckContext(z2_set, 1, memo=None)
+    assert is_universal(off, "a0") == verdict
+    assert off.memo is None
+
+
+def test_verdicts_reports_and_contexts_compare_by_value(z2_set, broken_set):
+    assert validate(z2_set) == validate(z2_set)
+    assert validate(z2_set) != validate(broken_set)
+    assert check_weak_n_category(broken_set, 1, 4) == check_weak_n_category(broken_set, 1, 4)
+    assert check_weak_n_category(broken_set, 1, 4) != check_weak_n_category(broken_set, 1, 3)
+    assert CheckContext(z2_set, 1) == CheckContext(z2_set, 1)
+    assert CheckContext(z2_set, 1) != CheckContext(z2_set, 1, mirror_first=True)
+    assert CheckContext(z2_set, 1) != (z2_set, 1, {}, False, 0)
 
 
 def test_recursion_never_climbs_past_n_plus_two(z2_set, z3_set, broken_set):
