@@ -126,25 +126,45 @@ def set_to_document(oset: OpetopicSet) -> dict:
 def set_from_document(doc: dict) -> OpetopicSet:
     if doc.get("kind") != "opetopic_set":
         raise DocumentError("expected an opetopic_set document")
+    # Names and codes are JSON strings and the bounds JSON integers
+    # (FORMAT.md 4.2); nothing is converted.  A bool is an int subclass,
+    # and str() would read null as the cell "None".
     try:
-        cells = {str(k): str(v) for k, v in doc["cells"].items()}
+        cells = {}
+        for name, code in doc["cells"].items():
+            if type(name) is not str:
+                raise _malformed("a cell name", name)
+            if type(code) is not str:
+                raise _malformed("the code of cell %s" % shapes.quote(name), code)
+            cells[name] = code
         faces = {}
-        for k, v in doc["faces"].items():
-            if not isinstance(v["infaces"], list):
-                raise DocumentError("faces of %r: infaces must be a list" % k)
-            faces[str(k)] = (tuple(str(f) for f in v["infaces"]), str(v["outface"]))
+        for name, v in doc["faces"].items():
+            if type(name) is not str:
+                raise _malformed("a cell name", name)
+            infaces = v["infaces"]
+            if type(infaces) is not list:
+                raise _malformed("the infaces of cell %s" % shapes.quote(name), infaces, "a list")
+            for face in infaces:
+                if type(face) is not str:
+                    raise _malformed("an inface of cell %s" % shapes.quote(name), face)
+            outface = v["outface"]
+            if type(outface) is not str:
+                raise _malformed("the outface of cell %s" % shapes.quote(name), outface)
+            faces[name] = (tuple(infaces), outface)
         bounds = doc["max_dim"], doc["shape_bound"]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DocumentError("malformed opetopic_set document: %s" % exc)
     for key, value in zip(("max_dim", "shape_bound"), bounds):
-        # A JSON integer only (FORMAT.md 4.2): a bool is an int subclass, and
-        # a float or a string would have to be truncated or converted.
         if type(value) is not int:
-            raise DocumentError(
-                "malformed opetopic_set document: %s must be an integer, got %s"
-                % (key, shapes.clip(json.dumps(value)))
-            )
+            raise _malformed(key, value, "an integer")
     return OpetopicSet(*bounds, cells, faces)
+
+
+def _malformed(what: str, value, kind: str = "a string") -> DocumentError:
+    return DocumentError(
+        "malformed opetopic_set document: %s must be %s, got %s"
+        % (what, kind, shapes.clip(json.dumps(value, default=repr)))
+    )
 
 
 # -- verdicts --------------------------------------------------------------------

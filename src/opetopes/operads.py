@@ -12,7 +12,11 @@ implement one protocol -- ``operations``, ``arity``, ``inputs``,
 ``check_operad_axioms`` exhaustively replays the five operad laws
 (associativity, units, and the three equivariance laws) over every
 instance whose operands' total size stays within the bound, and reports
-each violation instead of raising.
+each violation instead of raising.  It reads the symmetric-group action
+off tables: per arity, the permutations and their product table, and
+per operation a row of its permuted forms, shared by the whole audit.
+So ``permute`` is asked once per operation of arity 2 or more and
+permutation, and a law instance looks its permuted sides up by index.
 """
 
 from __future__ import annotations
@@ -285,6 +289,64 @@ def _arg_tuples(by_output, input_types, budget) -> Iterator[Tuple[tuple, int]]:
             yield (g,) + tail, used + tail_used
 
 
+class _Action:
+    """The permutation action of one operad, read off tables for one audit.
+
+    ``perms(k)`` lists the permutations of ``k`` in ``itertools.permutations``
+    order, and ``product(k)[i][j]`` is the index in that list of
+    ``compose_perms(perms[i], perms[j])``; both are built on first use.  The
+    row of an operation ``g`` of arity ``k`` lists ``operad.permute(g,
+    sigma)`` for every sigma of ``perms(k)``, in that order.  A row fills
+    in order as far as a law reads it, so for arity 2 and up
+    ``operad.permute`` runs once per operation and permutation, in the
+    order in which a law-by-law replay would first call it, and an operad
+    without some permutation fails at the same first call.  Rows are kept
+    per arity, so a ``permute`` that changes the arity fails as that
+    replay does.
+    """
+
+    __slots__ = ("operad", "_perms", "_products", "_rows")
+
+    def __init__(self, operad):
+        self.operad = operad
+        self._perms: Dict[int, Tuple[Perm, ...]] = {}
+        self._products: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
+        self._rows: Dict[int, Dict[object, list]] = {}
+
+    def perms(self, k: int) -> Tuple[Perm, ...]:
+        found = self._perms.get(k)
+        if found is None:
+            found = self._perms[k] = tuple(itertools.permutations(range(k)))
+        return found
+
+    def product(self, k: int) -> Tuple[Tuple[int, ...], ...]:
+        found = self._products.get(k)
+        if found is None:
+            perms = self.perms(k)
+            index = {sigma: i for i, sigma in enumerate(perms)}
+            # compose_perms(sigma, tau), unchecked: both are permutations of k
+            found = self._products[k] = tuple(
+                tuple([index[tuple(map(sigma.__getitem__, tau))] for tau in perms]) for sigma in perms
+            )
+        return found
+
+    def row(self, g, k: int, length: Optional[int] = None) -> list:
+        """The row of ``g``, an operation of arity ``k``, filled through
+        its first ``length`` entries (by default, all of them)."""
+        perms = self.perms(k)
+        if k < 2:
+            # A row of one, the identity's, is not kept: most operations
+            # have arity 0 or 1, and their rows cost more memory than the
+            # calls they save.
+            return [self.operad.permute(g, perms[0])]
+        row = self._rows.setdefault(k, {}).setdefault(g, [])
+        end = len(perms) if length is None else length
+        if len(row) < end:
+            permute = self.operad.permute
+            row.extend([permute(g, sigma) for sigma in perms[len(row) : end]])
+        return row
+
+
 def check_operad_axioms(operad, size_bound: int) -> AxiomReport:
     """Exhaustively verify the operad laws on the bounded instance space.
 
@@ -292,16 +354,18 @@ def check_operad_axioms(operad, size_bound: int) -> AxiomReport:
     an instance participates when the total size of all its operands stays
     within the bound.  Permutations always range over the full symmetric
     group of the relevant arity.  The instances of each operation run
-    together, and violations are sorted by canonical key.
+    together, and violations are sorted by canonical key.  One ``_Action``
+    serves the whole audit, so each operation's row is built once.
     """
     if size_bound < 1:
         raise ValueError("size_bound must be >= 1")
     operad = _audited(operad)
     sized = _sized(operad, size_bound)
     by_output = _by_output(operad, sized)
+    action = _Action(operad)
     report = AxiomReport(size_bound=size_bound)
     for f, f_size in sized:
-        counts, violations = _audit_operation(operad, by_output, size_bound - f_size, f)
+        counts, violations = _audit_operation(action, by_output, size_bound - f_size, f)
         for axiom, count in counts.items():
             report.instances[axiom] = report.instances.get(axiom, 0) + count
         report.violations.extend(violations)
@@ -309,21 +373,22 @@ def check_operad_axioms(operad, size_bound: int) -> AxiomReport:
     return report
 
 
-def _audit_operation(operad, by_output, budget: int, f):
+def _audit_operation(action: _Action, by_output, budget: int, f):
     """Every law instance whose outermost operation is ``f``, its arguments
     within the size ``budget`` that ``f`` leaves of the bound: the unit law
     (b), the permutation law (c) over all pairs of permutations, and for
     each argument tuple ``gs`` the equivariance laws (d) and (e) and
     associativity (a) over every inner tuple ``hs``.
 
-    ``f`` permuted by each permutation is built once, by one
-    ``operad.permute`` call, and shared by (c) and (d): law (c) reads its
-    left side ``f . (sigma tau)`` from that table and computes its right
-    side ``(f . sigma) . tau``.  ``f (gs)`` is built once and shared by
-    (d), (e) and (a), and every instance of those computes both of its
-    sides.  Returns the instance count per law, in first-run order, and the
-    violations found.
+    The permuted operations are read off ``action``'s rows: law (c) reads
+    its left side ``f . (sigma tau)`` as ``row(f)[product[i][j]]`` and its
+    right side ``(f . sigma) . tau`` as ``row(f . sigma)[j]``, law (d)
+    reads ``f . sigma`` from ``row(f)`` and law (e) reads each ``g . s``
+    from ``row(g)``.  ``f (gs)`` is built once and shared by (d), (e) and
+    (a), and the right sides of (d) and (e) permute it.  Returns the
+    instance count per law, in first-run order, and the violations found.
     """
+    operad = action.operad
     key = operad.key
     out: List[AxiomViolation] = []
     counts: Dict[str, int] = {"b": 1}
@@ -335,19 +400,17 @@ def _audit_operation(operad, by_output, budget: int, f):
     if right != f:
         out.append(AxiomViolation("b", (key(f), "right-unit"), key(right), key(f)))
 
-    perms = tuple(itertools.permutations(range(operad.arity(f))))
-    permuted = {sigma: operad.permute(f, sigma) for sigma in perms}
+    k = operad.arity(f)
+    perms = action.perms(k)
+    row_f = action.row(f, k)
     counts["c"] = len(perms) ** 2
-    for sigma in perms:
-        f_sigma = permuted[sigma]
-        for tau in perms:
-            # compose_perms(sigma, tau), unchecked: both are permutations
-            lhs = permuted[tuple(map(sigma.__getitem__, tau))]
-            rhs = operad.permute(f_sigma, tau)
-            if lhs != rhs:
-                out.append(
-                    AxiomViolation("c", (key(f), repr(sigma), repr(tau)), key(lhs), key(rhs))
-                )
+    for sigma, f_sigma, products in zip(perms, row_f, action.product(k)):
+        lhs = [row_f[p] for p in products]
+        rhs = action.row(f_sigma, k)
+        if lhs != rhs:
+            for tau, l, r in zip(perms, lhs, rhs):
+                if l != r:
+                    out.append(AxiomViolation("c", (key(f), repr(sigma), repr(tau)), key(l), key(r)))
 
     for gs, gs_size in _arg_tuples(by_output, operad.inputs(f), budget):
         fg = operad.compose(f, gs)
@@ -355,16 +418,19 @@ def _audit_operation(operad, by_output, budget: int, f):
         arities = [operad.arity(g) for g in gs]
 
         counts["d"] = counts.get("d", 0) + 1
-        for sigma in perms:
-            lhs = operad.compose(permuted[sigma], [gs[i] for i in sigma])
+        for sigma, f_sigma in zip(perms, row_f):
+            lhs = operad.compose(f_sigma, [gs[i] for i in sigma])
             rhs = operad.permute(fg, block_permutation(sigma, arities))
             if lhs != rhs:
                 out.append(AxiomViolation("d", gs_keys + (repr(sigma),), key(lhs), key(rhs)))
 
         counts["e"] = counts.get("e", 0) + 1
-        pools = [tuple(itertools.permutations(range(k))) for k in arities]
-        for sigmas in itertools.product(*pools):
-            lhs = operad.compose(f, [operad.permute(g, s) for g, s in zip(gs, sigmas)])
+        pools = [tuple(enumerate(action.perms(j))) for j in arities]
+        for picks in itertools.product(*pools):
+            sigmas = tuple([s for _, s in picks])
+            lhs = operad.compose(
+                f, [action.row(g, j, i + 1)[i] for g, j, (i, _) in zip(gs, arities, picks)]
+            )
             rhs = operad.permute(fg, direct_sum_permutation(sigmas))
             if lhs != rhs:
                 out.append(AxiomViolation("e", gs_keys + (repr(sigmas),), key(lhs), key(rhs)))
@@ -374,9 +440,9 @@ def _audit_operation(operad, by_output, budget: int, f):
             counts["a"] = counts.get("a", 0) + 1
             blocks = []
             start = 0
-            for k in arities:
-                blocks.append(hs[start : start + k])
-                start += k
+            for j in arities:
+                blocks.append(hs[start : start + j])
+                start += j
             lhs = operad.compose(f, [operad.compose(g, b) for g, b in zip(gs, blocks)])
             rhs = operad.compose(fg, hs)
             if lhs != rhs:
@@ -419,7 +485,8 @@ def eval_algebra(alg: Algebra, f, args: Sequence) -> object:
 
 def check_algebra_axioms(alg: Algebra, size_bound: int) -> AxiomReport:
     """Replay the algebra laws over all bounded operations and all argument
-    tuples from the finite carriers."""
+    tuples from the finite carriers; law alg-c reads each ``f . sigma``
+    off ``f``'s row."""
     operad = _audited(alg.operad)
     sized = _sized(operad, size_bound)
     by_output = _by_output(operad, sized)
@@ -431,6 +498,7 @@ def check_algebra_axioms(alg: Algebra, size_bound: int) -> AxiomReport:
         pools = [alg.carrier[t] for t in operad.inputs(f)]
         return itertools.product(*pools)
 
+    action = _Action(operad)
     for f, f_size in sized:
         report.instances["alg-b"] = report.instances.get("alg-b", 0) + 1
         # unit law via the identities on f's input types
@@ -442,14 +510,14 @@ def check_algebra_axioms(alg: Algebra, size_bound: int) -> AxiomReport:
                         AxiomViolation("alg-b", (key(unit), repr(a)), repr(a), "identity")
                     )
         k = operad.arity(f)
-        for sigma in itertools.permutations(range(k)):
+        for i, sigma in enumerate(action.perms(k)):
             report.instances["alg-c"] = report.instances.get("alg-c", 0) + 1
-            fs = operad.permute(f, sigma)
+            fs = action.row(f, k, i + 1)[i]
+            inverse = [0] * k
+            for j in range(k):
+                inverse[sigma[j]] = j
             for args in args_for(fs):
-                inverse = [0] * k
-                for i in range(k):
-                    inverse[sigma[i]] = i
-                rearranged = tuple(args[inverse[j]] for j in range(k))
+                rearranged = tuple([args[j] for j in inverse])
                 if eval_algebra(alg, fs, args) != eval_algebra(alg, f, rearranged):
                     report.violations.append(
                         AxiomViolation("alg-c", (key(f), repr(sigma), repr(args)), "", "")
@@ -457,15 +525,16 @@ def check_algebra_axioms(alg: Algebra, size_bound: int) -> AxiomReport:
         for gs, _ in _arg_tuples(by_output, operad.inputs(f), size_bound - f_size):
             report.instances["alg-a"] = report.instances.get("alg-a", 0) + 1
             composite = operad.compose(f, gs)
+            blocks = []
+            start = 0
+            for g in gs:
+                end = start + operad.arity(g)
+                blocks.append((g, start, end))
+                start = end
             for args in args_for(composite):
-                start = 0
-                mids = []
-                for g in gs:
-                    block = args[start : start + operad.arity(g)]
-                    start += operad.arity(g)
-                    mids.append(eval_algebra(alg, g, block))
+                mids = tuple([eval_algebra(alg, g, args[start:end]) for g, start, end in blocks])
                 lhs = eval_algebra(alg, composite, args)
-                rhs = eval_algebra(alg, f, tuple(mids))
+                rhs = eval_algebra(alg, f, mids)
                 if lhs != rhs:
                     report.violations.append(
                         AxiomViolation(

@@ -25,11 +25,15 @@ documented in FORMAT.md.
 Building a shape interns it (hash-consing): ``Opetope(dim, tree)``
 validates the tree, works out its code and returns the one shape with
 that code, so two shapes are equal exactly when they are the same object;
-there is no comparison by code.  Copying or unpickling a shape also
-returns the interned one.  The intern table is a plain dict and keeps its
-shapes for the life of the process: the enumeration cache holds every
-listed shape and each shape's memo its derived ones anyway, so a weak
-table would free almost nothing and cost a weak reference per new shape.
+there is no comparison by code.  The walk that types the tree's slots
+runs once per root node: the root keeps a validated flag as it keeps its
+index, so the order variants of one tree, which share its root, check
+only their level, their root label and (as pasting trees) their orders.
+Copying or unpickling a shape also returns the interned one.  The intern
+table is a plain dict and keeps its shapes for the life of the process:
+the enumeration cache holds every listed shape and each shape's memo its
+derived ones anyway, so a weak table would free almost nothing and cost a
+weak reference per new shape.
 Results derived from a shape (its permutations, composites, identity and
 ray shapes) are kept in that shape's memo, so each is found once.
 ``compose``, ``permute_inputs`` and ``identity_on`` find their result by
@@ -177,12 +181,23 @@ def derived(shape: Opetope, key: tuple, build: Callable[..., Opetope], *args) ->
 
 
 def _validate_tree(dim: int, tree: PasteTree) -> None:
+    """IllTyped unless ``tree`` can be the tree of a ``dim``-dimensional
+    shape.  The walk over the slots runs once per root: it marks the root
+    validated, and a later tree on that root checks only its level and
+    its root label, since every label has the root label's dimension and
+    the slots do not depend on the orders."""
     if tree.level != dim - 2:
         raise IllTyped("a %d-dimensional shape needs a level-%d tree" % (dim, dim - 2))
     if tree.is_empty:
         t = tree.edge_type
         if not isinstance(t, Opetope) or t.dim != dim - 2:
             raise IllTyped("empty-tree edge type must be a %d-dimensional shape" % (dim - 2))
+        return
+    root = tree.root
+    if root._valid:
+        label = root.label
+        if not isinstance(label, Opetope) or label.dim != dim - 1:
+            raise IllTyped("node labels must be %d-dimensional shapes" % (dim - 1))
         return
     for path in tree.node_order:
         node = tree.node_at(path)
@@ -195,6 +210,7 @@ def _validate_tree(dim: int, tree: PasteTree) -> None:
                     "slot %d of node %r expects %s, child composes to %s"
                     % (j, path, label.inputs[j].code, child.label.output.code)
                 )
+    root._valid = True
 
 
 # -- identities, composition, permutation -----------------------------------

@@ -30,7 +30,8 @@ enforced one layer up, in :mod:`opetopes.shapes`.
 Nodes and trees are slotted classes (see :mod:`opetopes.records`) that
 compare and hash structurally.  Like shapes they are immutable by
 convention: nothing assigns to a built node or tree, except the index a
-node keeps once it is first read.
+node keeps once it is first read and the flag a root keeps once its tree
+is validated (see :func:`opetopes.shapes._validate_tree`).
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class TreeNode(Value):
     dangling slot (a leaf edge).  Nodes compare and hash structurally.
     """
 
-    __slots__ = ("label", "children", "_index")
+    __slots__ = ("label", "children", "_index", "_valid")
     _fields = ("label", "children")
 
     def __init__(self, label: object, children: Tuple[Optional["TreeNode"], ...]):
@@ -75,6 +76,10 @@ class TreeNode(Value):
         self.label = label
         self.children = children
         self._index = None
+        # True once a shape's tree rooted here has passed the typing walk
+        # of ``shapes``; the other trees on this root (the order variants
+        # of one shape) then skip the walk, as they share the index.
+        self._valid = False
 
     @property
     def index(self) -> TreeIndex:

@@ -151,6 +151,51 @@ def test_check_reads_only_integer_bounds_from_a_set(tmp_path, capsys, field, raw
     assert captured.out == ""
 
 
+def _null_outface(doc):
+    doc["faces"]["a0"]["outface"] = None
+
+
+def _integer_faces(doc):
+    # With the object renamed "0", str() would turn both faces into it.
+    for face in doc["faces"].values():
+        face["infaces"] = ["0" if f == "o" else f for f in face["infaces"]]
+        face["outface"] = "0" if face["outface"] == "o" else face["outface"]
+    doc["cells"]["0"] = doc["cells"].pop("o")
+    doc["faces"]["a0"] = {"infaces": [0], "outface": 0}
+
+
+def _list_code(doc):
+    doc["cells"]["a0"] = ["ar"]
+
+
+def _string_infaces(doc):
+    doc["faces"]["a0"]["infaces"] = "o"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_null_outface, "the outface of cell 'a0' must be a string, got null"),
+        (_integer_faces, "an inface of cell 'a0' must be a string, got 0"),
+        (_list_code, 'the code of cell \'a0\' must be a string, got ["ar"]'),
+        (_string_infaces, 'the infaces of cell \'a0\' must be a list, got "o"'),
+    ],
+)
+def test_check_reads_names_and_codes_only_as_strings(tmp_path, capsys, edit, message):
+    # Nothing is converted with str(): a null outface is not the cell
+    # "None", an integer face not the cell "0", a list not the code "['ar']".
+    fix = tmp_path / "z2.json"
+    main(["fixture", "z2_monoid", "--out", str(fix)])
+    doc = json.loads(fix.read_text())
+    edit(doc)
+    fix.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["check", str(fix), "--n", "1", "--bound", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["input error: malformed opetopic_set document: " + message]
+    assert captured.out == ""
+
+
 def test_check_rejects_a_negative_bound(tmp_path, capsys):
     fix = tmp_path / "broken.json"
     main(["fixture", "broken_magma", "--out", str(fix)])

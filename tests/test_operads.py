@@ -1,7 +1,9 @@
 """Operad surface: the initial operad, composition, permutation actions,
 block permutations, and the axiom audit."""
 
+import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,8 +24,10 @@ from opetopes import (
     initial_operad,
     permute_inputs,
 )
-from opetopes import shapes
-from opetopes.operads import AxiomViolation
+from opetopes import Algebra, check_algebra_axioms, eval_algebra, operads, shapes
+from opetopes.errors import OpetopeError, UnsupportedOperad
+from opetopes.fixtures import chain_product
+from opetopes.operads import AxiomReport, AxiomViolation
 from opetopes.trees import PasteTree, TreeNode
 from opetopes import ARROW, POINT
 
@@ -339,3 +343,342 @@ def test_type_round_trip_on_five_hundred_shapes():
     for shape in pool[:500]:
         assert from_code(OperadLevel(shape.dim - 1).key(shape)) is shape
     assert OperadLevel(0).types() == (POINT,)
+
+
+# -- the action read off tables, against a per-instance replay ------------------
+
+
+def _replayed_audit(operad, size_bound):
+    """The audit replayed instance by instance, the reference for
+    ``check_operad_axioms``: every law instance asks ``operad.permute`` for
+    the permuted operations it uses, except that law (c) reads its left
+    side from the operation's own permutations."""
+    sized = operads._sized(operad, size_bound)
+    by_output = operads._by_output(operad, sized)
+    report = AxiomReport(size_bound=size_bound)
+    for f, f_size in sized:
+        counts, violations = _replayed_operation(operad, by_output, size_bound - f_size, f)
+        for axiom, count in counts.items():
+            report.instances[axiom] = report.instances.get(axiom, 0) + count
+        report.violations.extend(violations)
+    report.violations.sort()
+    return report
+
+
+def _replayed_operation(operad, by_output, budget, f):
+    key = operad.key
+    out = []
+    counts = {"b": 1}
+
+    left = operad.compose(operad.identity(operad.output(f)), [f])
+    right = operad.compose(f, [operad.identity(t) for t in operad.inputs(f)])
+    if left != f:
+        out.append(AxiomViolation("b", (key(f), "left-unit"), key(left), key(f)))
+    if right != f:
+        out.append(AxiomViolation("b", (key(f), "right-unit"), key(right), key(f)))
+
+    perms = tuple(itertools.permutations(range(operad.arity(f))))
+    permuted = {sigma: operad.permute(f, sigma) for sigma in perms}
+    counts["c"] = len(perms) ** 2
+    for sigma in perms:
+        f_sigma = permuted[sigma]
+        for tau in perms:
+            lhs = permuted[compose_perms(sigma, tau)]
+            rhs = operad.permute(f_sigma, tau)
+            if lhs != rhs:
+                out.append(AxiomViolation("c", (key(f), repr(sigma), repr(tau)), key(lhs), key(rhs)))
+
+    for gs, gs_size in operads._arg_tuples(by_output, operad.inputs(f), budget):
+        fg = operad.compose(f, gs)
+        gs_keys = (key(f),) + tuple(map(key, gs))
+        arities = [operad.arity(g) for g in gs]
+
+        counts["d"] = counts.get("d", 0) + 1
+        for sigma in perms:
+            lhs = operad.compose(permuted[sigma], [gs[i] for i in sigma])
+            rhs = operad.permute(fg, block_permutation(sigma, arities))
+            if lhs != rhs:
+                out.append(AxiomViolation("d", gs_keys + (repr(sigma),), key(lhs), key(rhs)))
+
+        counts["e"] = counts.get("e", 0) + 1
+        pools = [tuple(itertools.permutations(range(k))) for k in arities]
+        for sigmas in itertools.product(*pools):
+            lhs = operad.compose(f, [operad.permute(g, s) for g, s in zip(gs, sigmas)])
+            rhs = operad.permute(fg, direct_sum_permutation(sigmas))
+            if lhs != rhs:
+                out.append(AxiomViolation("e", gs_keys + (repr(sigmas),), key(lhs), key(rhs)))
+
+        inner_types = tuple(t for g in gs for t in operad.inputs(g))
+        for hs, _ in operads._arg_tuples(by_output, inner_types, budget - gs_size):
+            counts["a"] = counts.get("a", 0) + 1
+            blocks = []
+            start = 0
+            for k in arities:
+                blocks.append(hs[start : start + k])
+                start += k
+            lhs = operad.compose(f, [operad.compose(g, b) for g, b in zip(gs, blocks)])
+            rhs = operad.compose(fg, hs)
+            if lhs != rhs:
+                keys = gs_keys + tuple(map(key, hs))
+                out.append(AxiomViolation("a", keys, key(lhs), key(rhs)))
+    return counts, out
+
+
+def _outcome(audit, operad, size_bound):
+    """The report as compared (instance counts in first-run order, the
+    violations in order), or the class and message of the error raised."""
+    try:
+        report = audit(operad, size_bound)
+    except OpetopeError as exc:
+        return type(exc), str(exc)
+    return list(report.instances.items()), report.violations
+
+
+def _same_as_the_replay(operad, size_bound):
+    outcome = _outcome(check_operad_axioms, operad, size_bound)
+    assert outcome == _outcome(_replayed_audit, operad, size_bound)
+    return outcome
+
+
+@pytest.mark.parametrize("level, bound", [(0, 3), (1, 3), (1, 4), (2, 4), (2, 5), (3, 5)])
+def test_tables_match_the_per_instance_replay_on_the_tower(level, bound):
+    instances, violations = _same_as_the_replay(OperadLevel(level), bound)
+    assert violations == [] and dict(instances)["c"] > 0
+
+
+def _swap_table(perms, table=()):
+    """Two types x and y; the units ex and ey; m, a binary operation from
+    x, x to y, and n, meant to be m with its inputs swapped."""
+    entries = {
+        ("ex", ("ex",)): "ex",
+        ("ey", ("ey",)): "ey",
+        ("ey", ("m",)): "m",
+        ("ey", ("n",)): "n",
+        ("m", ("ex", "ex")): "m",
+        ("n", ("ex", "ex")): "n",
+    }
+    entries.update(table)
+    return TableOperad(
+        type_names=("x", "y"),
+        ops={"ex": (("x",), "x"), "ey": (("y",), "y"), "m": (("x", "x"), "y"), "n": (("x", "x"), "y")},
+        identities={"x": "ex", "y": "ey"},
+        table=entries,
+        perms=perms,
+    )
+
+
+SWAP = (1, 0)
+
+
+def test_a_lawful_swap_table_audits_clean():
+    instances, violations = _same_as_the_replay(_swap_table({("m", SWAP): "n", ("n", SWAP): "m"}), 1)
+    assert violations == []
+    assert instances == [("b", 4), ("c", 10), ("d", 6), ("e", 6), ("a", 8)]
+
+
+def test_a_permutation_table_that_breaks_law_c_once():
+    # n . (1 0) = n makes n's action trivial: m . ((1 0)(1 0)) = m, but
+    # (m . (1 0)) . (1 0) = n . (1 0) = n.  Every other instance of every
+    # law holds, so the audit reports that one pair of permutations only.
+    _, violations = _same_as_the_replay(_swap_table({("m", SWAP): "n", ("n", SWAP): "n"}), 1)
+    assert violations == [AxiomViolation("c", ("m", repr(SWAP), repr(SWAP)), "m", "n")]
+
+
+def test_a_permutation_table_that_breaks_law_e():
+    # w carries y to z and composes m and n to q and r.  Both q and r are
+    # fixed by the swap, a lawful action on each, but w (m . (1 0)) = r
+    # while w (m) . (1 0) = q: law (e) fails and no other law does.
+    operad = _swap_table(
+        {("m", SWAP): "n", ("n", SWAP): "m", ("q", SWAP): "q", ("r", SWAP): "r"},
+        {
+            ("ez", ("ez",)): "ez",
+            ("ez", ("w",)): "w",
+            ("ez", ("q",)): "q",
+            ("ez", ("r",)): "r",
+            ("w", ("ey",)): "w",
+            ("w", ("m",)): "q",
+            ("w", ("n",)): "r",
+            ("q", ("ex", "ex")): "q",
+            ("r", ("ex", "ex")): "r",
+        },
+    )
+    operad.ops.update({"ez": (("z",), "z"), "w": (("y",), "z"), "q": (("x", "x"), "z"), "r": (("x", "x"), "z")})
+    operad.identities["z"] = "ez"
+    _, violations = _same_as_the_replay(operad, 1)
+    assert violations == [
+        AxiomViolation("e", ("w", "m", repr((SWAP,))), "r", "q"),
+        AxiomViolation("e", ("w", "n", repr((SWAP,))), "q", "r"),
+    ]
+
+
+def test_a_missing_permutation_entry_raises_as_the_replay_does():
+    operad = _swap_table({("m", SWAP): "n"})
+    assert _same_as_the_replay(operad, 1) == (UnsupportedOperad, "no permutation table entry for 'n'(1, 0)")
+    with pytest.raises(UnsupportedOperad, match=r"no permutation table entry for 'n'\(1, 0\)"):
+        check_operad_axioms(operad, 1)
+
+
+def _random_table(seed):
+    """A table operad drawn at random.  Its types are x, y and w.  Into x
+    go the unit ex, u and the nullary z; into y the unit ey, v and y_k of
+    arity k from x, for k = 0, 1, 2; into w the unit ew and two operations
+    for each list of inputs with at most three x once each y counts as two,
+    named by the list (w_xy0 takes x, y).  So composites and permutations
+    stay in the table.  The unit entries are right; every other composite
+    or permutation is either operation of its signature.  Half the tables
+    lack some permutation entries, and a few entries change the arity.
+    The operations into w sort before the y_k they take, so law (e) can
+    read a row that no earlier instance has built.
+    """
+    rng = random.Random(seed)
+    ops = {
+        "ex": (("x",), "x"),
+        "u": (("x",), "x"),
+        "z": ((), "x"),
+        "ey": (("y",), "y"),
+        "v": (("y",), "y"),
+        "y_0": ((), "y"),
+        "y_1": (("x",), "y"),
+        "y_2": (("x", "x"), "y"),
+        "ew": (("w",), "w"),
+    }
+    for k in range(4):
+        for ins in itertools.product("xy", repeat=k):
+            if ins.count("x") + 2 * ins.count("y") <= 3:
+                for i in range(2):
+                    ops["w_%s%d" % ("".join(ins), i)] = (ins, "w")
+    identities = {"x": "ex", "y": "ey", "w": "ew"}
+    names = sorted(ops)
+    by_signature = {}
+    for name in names:
+        by_signature.setdefault(ops[name], []).append(name)
+    table = {}
+    for f in names:
+        ins, out = ops[f]
+        for gs in itertools.product(*[[g for g in names if ops[g][1] == t] for t in ins]):
+            if f == identities[out]:
+                table[(f, gs)] = gs[0]
+            elif all(g == identities[t] for g, t in zip(gs, ins)):
+                table[(f, gs)] = f
+            else:
+                signature = (sum((ops[g][0] for g in gs), ()), out)
+                table[(f, gs)] = rng.choice(by_signature[signature])
+    missing = rng.random() < 0.5
+    perms = {}
+    for f in names:
+        ins, out = ops[f]
+        for sigma in itertools.permutations(range(len(ins))):
+            if missing and rng.random() < 0.05:
+                continue
+            pool = by_signature[(tuple(ins[i] for i in sigma), out)] if rng.random() < 0.995 else names
+            perms[(f, sigma)] = rng.choice(pool)
+    return TableOperad(("w", "x", "y"), ops, identities, table, perms)
+
+
+def test_tables_match_the_per_instance_replay_on_random_table_operads():
+    # Seed 57 lacks entries where a row built whole for law (e) would
+    # raise before the replay's first failing call does.
+    outcomes = [_same_as_the_replay(_random_table(seed), 1) for seed in list(range(40)) + [57]]
+    raised = {kind for kind, _ in outcomes if isinstance(kind, type)}
+    assert raised == {UnsupportedOperad, TypeMismatch, DegreeMismatch}
+    assert sum(1 for kind, violations in outcomes if not isinstance(kind, type) and violations) >= 20
+
+
+def _replayed_algebra_audit(alg, size_bound):
+    """The algebra laws replayed instance by instance, the reference for
+    ``check_algebra_axioms``: one ``operad.permute`` call per permutation,
+    the inverse worked out per argument tuple and each arity read per
+    block."""
+    operad = alg.operad
+    sized = operads._sized(operad, size_bound)
+    by_output = operads._by_output(operad, sized)
+    key = operad.key
+    report = AxiomReport(size_bound=size_bound)
+
+    def args_for(f):
+        return itertools.product(*[alg.carrier[t] for t in operad.inputs(f)])
+
+    for f, f_size in sized:
+        report.instances["alg-b"] = report.instances.get("alg-b", 0) + 1
+        for t in operad.inputs(f):
+            unit = operad.identity(t)
+            for (a,) in itertools.product(alg.carrier[t]):
+                if eval_algebra(alg, unit, (a,)) != a:
+                    report.violations.append(AxiomViolation("alg-b", (key(unit), repr(a)), repr(a), "identity"))
+        k = operad.arity(f)
+        for sigma in itertools.permutations(range(k)):
+            report.instances["alg-c"] = report.instances.get("alg-c", 0) + 1
+            fs = operad.permute(f, sigma)
+            for args in args_for(fs):
+                inverse = [0] * k
+                for i in range(k):
+                    inverse[sigma[i]] = i
+                rearranged = tuple(args[inverse[j]] for j in range(k))
+                if eval_algebra(alg, fs, args) != eval_algebra(alg, f, rearranged):
+                    report.violations.append(AxiomViolation("alg-c", (key(f), repr(sigma), repr(args)), "", ""))
+        for gs, _ in operads._arg_tuples(by_output, operad.inputs(f), size_bound - f_size):
+            report.instances["alg-a"] = report.instances.get("alg-a", 0) + 1
+            composite = operad.compose(f, gs)
+            for args in args_for(composite):
+                start = 0
+                mids = []
+                for g in gs:
+                    block = args[start : start + operad.arity(g)]
+                    start += operad.arity(g)
+                    mids.append(eval_algebra(alg, g, block))
+                lhs = eval_algebra(alg, composite, args)
+                rhs = eval_algebra(alg, f, tuple(mids))
+                if lhs != rhs:
+                    report.violations.append(
+                        AxiomViolation("alg-a", (key(f),) + tuple(map(key, gs)) + (repr(args),), repr(lhs), repr(rhs))
+                    )
+    report.violations.sort()
+    return report
+
+
+def _left_zero_algebra(in_shape_order):
+    """The monoid {e, a, b} with x y = x for x, y in {a, b} and unit e, which
+    is not commutative, on level 1.  An operation folds its arguments in
+    its chain's diagram order, or, when ``in_shape_order`` is false, in
+    the order given, which ignores how the operation permutes them."""
+    table = {(x, y): (y if x == "e" else x) for x in "eab" for y in "eab"}
+
+    def action(op):
+        if in_shape_order:
+            return lambda *args: chain_product(op, args, table, "e")
+        return lambda *args: functools.reduce(lambda x, y: table[(x, y)], args, "e")
+
+    return Algebra(OperadLevel(1), {ARROW: ("e", "a", "b")}, action)
+
+
+@pytest.mark.parametrize("in_shape_order", [True, False])
+def test_algebra_laws_match_the_per_instance_replay(in_shape_order):
+    alg = _left_zero_algebra(in_shape_order)
+    report = check_algebra_axioms(alg, 3)
+    assert report == _replayed_algebra_audit(alg, 3)
+    assert list(report.instances.items()) == list(_replayed_algebra_audit(alg, 3).instances.items())
+    assert report.instances == {"alg-b": 10, "alg-c": 42, "alg-a": 17}
+    assert {v.axiom for v in report.violations} == (set() if in_shape_order else {"alg-c"})
+
+
+def test_algebra_laws_on_a_table_operad_match_the_per_instance_replay():
+    # The swap table's m and n act as "first" and "second" on {0, 1}.
+    def action(op):
+        return {"ex": lambda a: a, "ey": lambda a: a, "m": lambda a, b: a, "n": lambda a, b: b}[op]
+
+    lawful = _swap_table({("m", SWAP): "n", ("n", SWAP): "m"})
+    alg = Algebra(lawful, {"x": (0, 1), "y": (0, 1)}, action)
+    report = check_algebra_axioms(alg, 1)
+    assert report == _replayed_algebra_audit(alg, 1) and report.ok
+    broken = Algebra(_swap_table({("m", SWAP): "m", ("n", SWAP): "n"}), alg.carrier, action)
+    report = check_algebra_axioms(broken, 1)
+    assert report == _replayed_algebra_audit(broken, 1)
+    assert [v.operands for v in report.violations] == [
+        ("m", repr(SWAP), repr((0, 1))), ("m", repr(SWAP), repr((1, 0))),
+        ("n", repr(SWAP), repr((0, 1))), ("n", repr(SWAP), repr((1, 0))),
+    ]
+    missing = Algebra(_swap_table({("m", SWAP): "n"}), alg.carrier, action)
+    assert _outcome(check_algebra_axioms, missing, 1) == _outcome(_replayed_algebra_audit, missing, 1)
+    assert _outcome(check_algebra_axioms, missing, 1) == (
+        UnsupportedOperad, "no permutation table entry for 'n'(1, 0)"
+    )

@@ -517,3 +517,95 @@ def test_occupants_match_a_scan_of_the_shape(make_set):
         assert found == _scanned_occupants(oset, cfg), cfg
         occupied += bool(found)
     assert occupied > 0
+
+
+def _triangle():
+    """Three points p, q, r, arrows f: p -> q, g: q -> r and h: p -> r, and
+    one binary 2-cell c from f and g to h."""
+    shape = diagram_binary()
+    arrow = enumerate_opetopes(1, 1)[0]
+    cells = {"p": "pt", "q": "pt", "r": "pt", "f": arrow.code, "g": arrow.code, "h": arrow.code, "c": shape.code}
+    faces = {"f": (("p",), "q"), "g": (("q",), "r"), "h": (("p",), "r"), "c": (("f", "g"), "h")}
+    return shape, OpetopicSet(2, 2, cells, faces)
+
+
+def test_cell_matches_rejects_a_cell_of_another_shape(z2_set):
+    binary = diagram_binary()
+    cell = z2_set.cells_of_shape(binary.code)[0]
+    cfg = niche_of(z2_set, cell)
+    other = next(c for c in z2_set.cells_of_dim(2) if z2_set.cells[c] != binary.code)
+    assert cell_matches(z2_set, cfg, cell)
+    assert not cell_matches(z2_set, cfg, other)
+
+
+def test_cell_matches_reads_each_pin_through_the_cells_faces():
+    # The free end of a missing inface is pinned; only the pin that names
+    # the point c's own faces put there matches c.
+    shape, oset = _triangle()
+    assert validate(oset).ok
+    matched = [
+        (cfg.infaces, cfg.pins)
+        for cfg in enumerate_configs(oset, "punctured_niche", 2, shape=shape)
+        if cell_matches(oset, cfg, "c")
+    ]
+    assert matched == [((None, "g"), (((0, 0), "p"),)), (("f", None), (((), "r"),))]
+
+
+def test_niche_and_frame_competitors_differ_when_the_outfaces_do():
+    # f: p -> q and g: p -> r share a niche (the source p) but no frame.
+    arrow = enumerate_opetopes(1, 1)[0]
+    oset = OpetopicSet(
+        1, 2, {"p": "pt", "q": "pt", "r": "pt", "f": arrow.code, "g": arrow.code},
+        {"f": (("p",), "q"), "g": (("p",), "r")},
+    )
+    assert validate(oset).ok
+    assert competitors(oset, "f", "niche") == ("f", "g")
+    assert competitors(oset, "f", "frame") == ("f",)
+
+
+def test_config_enumeration_skips_a_given_shape_off_its_dimension_or_bound(z2_set):
+    binary = diagram_binary()
+    assert binary.size == 2
+    assert enumerate_configs(z2_set, "niche", 2, shape=binary)
+    assert enumerate_configs(z2_set, "niche", 2, size_bound=1, shape=binary) == ()
+    assert enumerate_configs(z2_set, "niche", 1, shape=binary) == ()
+
+
+def test_an_inconsistent_pin_is_named_with_every_cell_on_its_edge(z2_set):
+    binary = diagram_binary()
+    with pytest.raises(MalformedConfig) as raised:
+        make_config(z2_set, binary.code, ("a0", "a0"), None, {(): "a0"})
+    assert str(raised.value) == "edge () of %s resolves inconsistently: ['a0', 'o']" % binary.code
+
+
+def _with_faces(oset, cell, faces):
+    changed = dict(oset.faces)
+    changed[cell] = faces
+    return OpetopicSet(oset.max_dim, oset.shape_bound, dict(oset.cells), changed)
+
+
+@pytest.mark.parametrize(
+    "faces, violation",
+    [
+        ((("a0",), "a0"), "cell f1_00: 1 infaces assigned, shape has 2"),
+        ((("a0", "ghost"), "a0"), "cell f1_00: unknown inface 'ghost'"),
+        ((("a0", "a0"), "o"), "cell f1_00: outface is pt-shaped, expected ar"),
+    ],
+)
+def test_a_cell_with_bad_faces_is_reported_and_skipped(z2_set, faces, violation):
+    # Its incidences are neither checked nor reported: they would run
+    # through faces that are not there or have the wrong shape.
+    report = validate(_with_faces(z2_set, "f1_00", faces))
+    assert report.violations == [violation]
+    skipped = len(z2_set.shape_entry(z2_set.cells["f1_00"]).plan)
+    assert report.relations_checked == validate(z2_set).relations_checked - skipped
+
+
+def test_an_incidence_through_malformed_faces_is_reported_not_checked(z2_set):
+    # a0 loses its inface, so every incidence read through a0's faces is
+    # reported instead of checked: each is counted exactly once.
+    report = validate(_with_faces(z2_set, "a0", ((), "o")))
+    assert report.violations[0] == "cell a0: 0 infaces assigned, shape has 1"
+    through = [v for v in report.violations[1:] if v.endswith("runs through a face with malformed faces")]
+    assert len(through) == len(report.violations) - 1 >= 10
+    assert report.relations_checked + len(through) == validate(z2_set).relations_checked

@@ -621,3 +621,54 @@ def test_parsing_finds_nested_labels_by_code(fresh_shapes, monkeypatch):
     parsed = [from_code(code) for code in codes]
     assert [s.code for s in parsed] == codes
     assert len(calls) == 157 == sum(s.tree.node_count for s in parsed if s.dim >= 2)
+
+
+def test_a_root_is_validated_once_and_only_itself():
+    # Building a shape marks its tree's root validated, so the permuted
+    # variants on that root skip the walk over the slots.  A later tree on
+    # the root still has its level and its root label checked, and the
+    # mark belongs to the node object, not to its structure.
+    from opetopes import IllTyped, Opetope
+    from opetopes.trees import PasteTree, TreeNode
+
+    threes = enumerate_opetopes(3, 3)
+    unary = next(s for s in threes if s.arity == 1 and s.inputs[0].arity == 2)
+    fits = next(s for s in threes if s.output == unary.inputs[0])
+    misfits = next(s for s in threes if s.output.dim == 2 and s.output != unary.inputs[0])
+
+    def root(child_label):
+        return TreeNode(unary, (TreeNode(child_label, (None,) * child_label.arity),))
+
+    def tree(level, node):
+        nodes, leaves = node.index
+        return PasteTree(level, node, None, tuple(nodes), tuple(leaves))
+
+    good = root(fits)
+    assert not good._valid
+    shape = Opetope(4, tree(2, good))
+    assert good._valid
+    for dim, level, message in [
+        (5, 2, "a 5-dimensional shape needs a level-3 tree"),
+        (4, 3, "a 4-dimensional shape needs a level-2 tree"),
+        (5, 3, "node labels must be 4-dimensional shapes"),
+    ]:
+        with pytest.raises(IllTyped) as raised:
+            Opetope(dim, tree(level, good))
+        assert str(raised.value) == message
+    with pytest.raises(IllTyped) as raised:
+        Opetope(5, tree(3, root(fits)))
+    assert str(raised.value) == "node labels must be 4-dimensional shapes"
+    twin = root(fits)
+    assert twin == good and twin is not good and not twin._valid
+    assert Opetope(4, tree(2, twin)) is shape and twin._valid
+
+    messages = []
+    for bad in (root(misfits), root(misfits)):
+        for _ in range(2):
+            with pytest.raises(IllTyped) as raised:
+                Opetope(4, tree(2, bad))
+            messages.append(str(raised.value))
+        assert not bad._valid
+    assert messages == [
+        "slot 0 of node () expects %s, child composes to %s" % (unary.inputs[0].code, misfits.output.code)
+    ] * 4

@@ -60,6 +60,10 @@ EQUIVALENT: Dict[str, Dict[Tuple[str, str, str], str]] = {
             "the skipped punctured niches are balanced in both listing orders, "
             "so testing them only does more work",
     },
+    "operads.py": {
+        ("row", "flip", "len(row) < end"):
+            "at len(row) == end the slice of permutations to add is empty",
+    },
 }
 
 FLIPS = {
