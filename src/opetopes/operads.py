@@ -12,11 +12,16 @@ implement one protocol -- ``operations``, ``arity``, ``inputs``,
 ``check_operad_axioms`` exhaustively replays the five operad laws
 (associativity, units, and the three equivariance laws) over every
 instance whose operands' total size stays within the bound, and reports
-each violation instead of raising.  It reads the symmetric-group action
-off tables: per arity, the permutations and their product table, and
-per operation a row of its permuted forms, shared by the whole audit.
-So ``permute`` is asked once per operation of arity 2 or more and
-permutation, and a law instance looks its permuted sides up by index.
+each violation of a law instead of raising.  An ill-typed table (say, a
+permutation entry naming an operation of another arity, or a composite
+whose inputs do not match where it is plugged) is ill-formed input, and
+the audit raises on it (``DegreeMismatch``, ``TypeMismatch``), as
+``errors`` states for every ill-formed input.  The audit reads the
+symmetric-group action off tables: per arity, the permutations and their
+product table, and per operation a row of its permuted forms, shared by
+the whole audit.  So ``permute`` is asked once per operation of arity 2
+or more and permutation, and a law instance looks its permuted sides up
+by index.
 """
 
 from __future__ import annotations

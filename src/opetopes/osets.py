@@ -569,21 +569,18 @@ def outface_extensions(oset: OpetopicSet, cfg: BoundaryConfig) -> Tuple[str, ...
     return tuple(sorted(c for c in pool if oset.outface_of(c) == out))
 
 
-def competitors(oset: OpetopicSet, cell: str, mode: str) -> Tuple[str, ...]:
-    """Occupants of the cell's frame (or niche), the cell included.
+def competitors(oset: OpetopicSet, cell: str) -> Tuple[str, ...]:
+    """Occupants of the cell's frame, the cell included, sorted.
 
-    A niche's occupants are read off the index (see ``niche_occupants``).
+    They are the occupants of the cell's niche (see ``niche_occupants``)
+    that share its outface: ``occupants(oset, frame_of(oset, cell))``,
+    without building or checking the frame.
     """
-    if cell not in oset.cells:
-        raise UnknownCell("no cell named %r" % cell)
-    if mode not in ("frame", "niche"):
-        raise ValueError("mode must be 'frame' or 'niche'")
     if oset.dim_of(cell) == 0:
         # All 0-cells share the one degenerate boundary.
         return oset.cells_of_dim(0)
-    if mode == "niche":
-        return niche_occupants(oset, cell)
-    return occupants(oset, frame_of(oset, cell))
+    out = oset.outface_of(cell)
+    return tuple(u for u in niche_occupants(oset, cell) if oset.outface_of(u) == out)
 
 
 # -- configuration enumeration ---------------------------------------------------

@@ -422,12 +422,17 @@ def enumerate_opetopes(dim: int, node_bound: int) -> Tuple[Opetope, ...]:
 
     ``size`` totals the node counts of every metatree stage, so the listing
     is finite in every dimension.  Dimensions 0 and 1 ignore the bound.
+    The listing recurses about dim/2 deep; IllTyped past the interpreter's
+    recursion limit.
     """
     if dim < 0:
         raise IllTyped("dimension must be a natural number")
     if node_bound < 0:
         raise IllTyped("node bound must be a natural number")
-    return _enumerate_cached(dim, node_bound)
+    try:
+        return _enumerate_cached(dim, node_bound)
+    except RecursionError:
+        raise IllTyped("dimension %d is too deep to enumerate" % dim)
 
 
 _ENUM_CACHE: Dict[Tuple[int, int], Tuple[Opetope, ...]] = {}

@@ -207,17 +207,11 @@ def empty_tree(level: int, edge_type: object) -> PasteTree:
     return PasteTree(level, None, edge_type, (), ((),))
 
 
-def single_node_tree(
-    level: int,
-    label: object,
-    node_order: Tuple[Path, ...] = ((),),
-    leaf_order: Optional[Tuple[Path, ...]] = None,
-) -> PasteTree:
+def single_node_tree(level: int, label: object) -> PasteTree:
     """A one-node tree with all slots dangling (the corolla on ``label``)."""
     node = TreeNode(label, (None,) * label.arity)
-    if leaf_order is None:
-        leaf_order = tuple((j,) for j in range(label.arity))
-    return PasteTree(level, node, None, node_order, leaf_order)
+    leaf_order = tuple((j,) for j in range(label.arity))
+    return PasteTree(level, node, None, ((),), leaf_order)
 
 
 # -- substitution ---------------------------------------------------------

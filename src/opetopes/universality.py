@@ -14,17 +14,18 @@ the recursion terminates; no configuration above dimension n+1 is ever
 consulted, and verdicts are deterministic.  Universality verdicts are
 memoised per cell.
 
-For j <= n only the punctured niches that can fail are built: a
-frame-competitor d' of the cell's outface is skipped unless some occupant
-of the cell's niche has outface d'.  The punctured niche pinned at d'
-forces the outface boundary (the cell's infaces, d'), and a cell with that
-boundary would be an occupant of the cell's niche with outface d'; so a
-skipped niche has no outface extension, and on a validated set no
-occupant either, since an occupant's outface would be such an extension.
-It is balanced in both listing orders, and skipping it leaves every
-verdict and witness as it was.  Above n the occupants are read off the
-set's niche index.  Both rest on a validated set, which
-``check_weak_n_category`` ensures before the recursion starts.
+For j <= n the punctured niches are built at the outfaces d' of the
+occupants of the cell's niche, read off the set's niche index.  On a
+validated set each such d' is a frame-competitor of the cell's outface,
+and the competitors left out need no niche: the punctured niche pinned at
+d' forces the outface boundary (the cell's infaces, d'), and a cell with
+that boundary would be an occupant of the cell's niche with outface d';
+so a left-out niche has no outface extension, and no occupant either,
+since an occupant's outface would be such an extension.  It is balanced
+in both listing orders, and leaving it out changes no verdict or witness.
+Above n the occupants are read off the niche index too.  Both rest on a
+validated set, which ``check_weak_n_category`` ensures before the
+recursion starts.
 
 The two listing orders of each two-node punctured niche are genuinely
 different shapes (inface order is part of a shape), which is why both are
@@ -33,14 +34,13 @@ always checked.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import (
     DimensionOverflow,
     InsufficientDimension,
     InvalidSet,
     MalformedConfig,
-    UnknownCell,
 )
 from .osets import (
     BoundaryConfig,
@@ -75,21 +75,16 @@ class Verdict(NamedTuple):
         return self.value
 
 
-# Stands for a memo not passed to CheckContext, which then makes a new one;
-# it is compared by identity and never used as a memo itself.
-_FRESH_MEMO: Dict[str, Verdict] = {}
-
-
 class CheckContext(Record):
     """Shared state for one run of the recursion.
 
     The memo maps a cell name to its universality verdict; it is
     transparent: verdicts with and without it agree, which the tests
-    replay.  Each context starts with a memo of its own unless one is
-    passed; ``memo=None`` turns memoisation off.  ``mirror_first`` only
-    reorders the two listing-order variants of each punctured niche; it
-    exists so the regression property (swapping the variants changes
-    nothing) can be exercised.
+    replay.  Each context starts with a memo of its own; ``memo=False``
+    turns memoisation off.  ``mirror_first`` only reorders the two
+    listing-order variants of each punctured niche; it exists so the
+    regression property (swapping the variants changes nothing) can be
+    exercised.
     """
 
     __slots__ = ("oset", "n", "memo", "mirror_first", "max_dim_reached")
@@ -99,12 +94,12 @@ class CheckContext(Record):
         self,
         oset: OpetopicSet,
         n: int,
-        memo: Optional[Dict[str, Verdict]] = _FRESH_MEMO,
+        memo: bool = True,
         mirror_first: bool = False,
     ):
         self.oset = oset
         self.n = n
-        self.memo = {} if memo is _FRESH_MEMO else memo
+        self.memo = {} if memo else None
         self.mirror_first = mirror_first
         self.max_dim_reached = 0
 
@@ -203,19 +198,17 @@ def is_universal(ctx: CheckContext, cell: str) -> Verdict:
     Cells of dimension 0 occupy no niche and count as universal, so the
     closure condition on composites of universal cells is well-posed at
     the bottom of the tower.  The set must be validated (see the module
-    docstring): the verdict reads occupants off the niche index and skips
-    the punctured niches that no occupant reaches.
+    docstring): the verdict reads occupants off the niche index, and
+    builds punctured niches only at the outfaces they reach.
     """
-    if cell not in ctx.oset.cells:
-        raise UnknownCell("no cell named %r" % cell)
     if ctx.memo is not None and cell in ctx.memo:
         return ctx.memo[cell]
     j = ctx.oset.dim_of(cell)
     _note_dim(ctx, j)
     if j == 0:
         return ctx._remember(cell, Verdict(True, (cell,)))
+    occ = niche_occupants(ctx.oset, cell)
     if j > ctx.n:
-        occ = niche_occupants(ctx.oset, cell)
         if occ == (cell,):
             return ctx._remember(cell, Verdict(True, (cell,)))
         return ctx._remember(cell, Verdict(False, occ))
@@ -224,15 +217,8 @@ def is_universal(ctx: CheckContext, cell: str) -> Verdict:
             "universality at dimension %d needs configurations at %d > max_dim"
             % (j, j + 1)
         )
-    outface = ctx.oset.outface_of(cell)
-    reached = {ctx.oset.outface_of(u) for u in niche_occupants(ctx.oset, cell)}
     variants = (True, False) if ctx.mirror_first else (False, True)
-    for d_prime in competitors(ctx.oset, outface, "frame"):
-        if d_prime not in reached:
-            # No occupant of the cell's niche has outface d_prime, so its
-            # punctured niche has neither an outface extension nor an
-            # occupant: balanced in both listing orders.
-            continue
+    for d_prime in sorted({ctx.oset.outface_of(u) for u in occ}):
         for mirrored in variants:
             pn = _output_composition_niche(ctx, cell, d_prime, mirrored)
             sub = is_balanced(ctx, pn)
@@ -269,7 +255,7 @@ def is_balanced(ctx: CheckContext, cfg: BoundaryConfig) -> Verdict:
             if not is_universal(ctx, u):
                 continue
             restored = ctx.oset.infaces_of(u)[slot]
-            for a_prime in competitors(ctx.oset, restored, "frame"):
+            for a_prime in competitors(ctx.oset, restored):
                 for mirrored in variants:
                     pn = _input_competition_niche(ctx, u, slot, a_prime, mirrored)
                     sub = is_balanced(ctx, pn)
@@ -349,7 +335,7 @@ def check_weak_n_category(
         raise InsufficientDimension(
             "max_dim %d < n+1 = %d" % (oset.max_dim, n + 1)
         )
-    ctx = CheckContext(oset, n, memo={} if memo else None)
+    ctx = CheckContext(oset, n, memo=memo)
     verdict = CheckVerdict(ok=True, n=n, shape_bound=shape_bound)
 
     niches: List[BoundaryConfig] = []

@@ -230,6 +230,15 @@ def test_enumerate_rejects_a_negative_bound(capsys):
     assert captured.out == ""
 
 
+def test_enumerate_rejects_a_dimension_too_deep_to_recurse(capsys):
+    # The listing recurses about dim/2 deep: far past the recursion limit
+    # even when other tests have cached the lower dimensions.
+    assert main(["enumerate", "--dim", "5000", "--bound", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["input error: dimension 5000 is too deep to enumerate"]
+    assert captured.out == ""
+
+
 def test_slice_audit_rejects_a_zero_bound(capsys):
     assert main(["slice-audit", "--bound", "0"]) == 2
     assert "input error: --bound" in capsys.readouterr().err

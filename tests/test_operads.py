@@ -518,6 +518,21 @@ def test_a_missing_permutation_entry_raises_as_the_replay_does():
         check_operad_axioms(operad, 1)
 
 
+def test_an_ill_typed_permutation_entry_raises():
+    # b . (1 0) names the unary i, which the audit then permutes by a
+    # permutation of two inputs: the table is ill-formed input, not a
+    # violation to report.
+    operad = TableOperad(
+        ("x",),
+        {"b": (("x", "x"), "x"), "i": (("x",), "x")},
+        {"x": "i"},
+        {("i", ("b",)): "b", ("b", ("i", "i")): "b", ("i", ("i",)): "i"},
+        {("b", (1, 0)): "i"},
+    )
+    with pytest.raises(DegreeMismatch, match=r"^degree 1 expected, got 2$"):
+        check_operad_axioms(operad, 1)
+
+
 def _random_table(seed):
     """A table operad drawn at random.  Its types are x, y and w.  Into x
     go the unit ex, u and the nullary z; into y the unit ey, v and y_k of

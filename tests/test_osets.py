@@ -189,15 +189,13 @@ def test_nullary_niche_needs_its_pin(z2_set):
 
 
 def test_competitors_examples(parallel_set, z2_set):
-    assert competitors(parallel_set, "f", "frame") == ("f", "g")
-    assert competitors(parallel_set, "f", "niche") == ("f", "g")
+    assert competitors(parallel_set, "f") == ("f", "g")
+    assert niche_occupants(parallel_set, "f") == ("f", "g")
     for cell in ("a0", "a1"):
-        assert cell in competitors(z2_set, cell, "frame")
-        assert set(competitors(z2_set, cell, "niche")) <= set(
-            competitors(z2_set, cell, "frame")
-        )
+        assert cell in competitors(z2_set, cell)
+        assert set(niche_occupants(z2_set, cell)) <= set(competitors(z2_set, cell))
     with pytest.raises(UnknownCell):
-        competitors(z2_set, "missing", "frame")
+        competitors(z2_set, "missing")
 
 
 def test_niche_occupants_read_off_the_index_match_the_built_niche(z2_set, broken_set):
@@ -218,13 +216,13 @@ def test_niche_occupants_read_off_the_index_match_the_built_niche(z2_set, broken
             if oset.dim_of(cell) >= 1:
                 expected = occupants(oset, niche_of(oset, cell))
                 assert niche_occupants(oset, cell) == expected, cell
-                assert competitors(oset, cell, "niche") == expected, cell
+                assert competitors(oset, cell) == occupants(oset, frame_of(oset, cell)), cell
     with pytest.raises(MalformedConfig):
         niche_occupants(z2_set, "o")
 
 
 def test_zero_cells_share_the_degenerate_frame(parallel_set):
-    assert competitors(parallel_set, "s", "frame") == ("s", "t")
+    assert competitors(parallel_set, "s") == ("s", "t")
 
 
 def test_extending_a_config_never_enlarges_occupants(z2_set):
@@ -268,8 +266,8 @@ def test_config_enumeration_rejects_out_of_range_dimensions(z2_set):
 
 def test_niche_competitors_are_frame_competitors_with_matching_outface(z2_set):
     for cell in z2_set.cells_of_dim(2)[:8]:
-        frame_comps = competitors(z2_set, cell, "frame")
-        niche_comps = competitors(z2_set, cell, "niche")
+        frame_comps = competitors(z2_set, cell)
+        niche_comps = niche_occupants(z2_set, cell)
         fixed_outface = tuple(
             c for c in niche_comps if z2_set.outface_of(c) == z2_set.outface_of(cell)
         )
@@ -442,10 +440,10 @@ def test_forced_boundaries_of_recursion_niches_match_faces_and_pins(make_set, co
     niches = []
     for cell in oset.cells_of_dim(1) + oset.cells_of_dim(2):
         for mirrored in (False, True):
-            for d_prime in competitors(oset, oset.outface_of(cell), "frame"):
+            for d_prime in competitors(oset, oset.outface_of(cell)):
                 niches.append(_output_composition_niche(ctx, cell, d_prime, mirrored))
             for slot, face in enumerate(oset.infaces_of(cell)):
-                for a_prime in competitors(oset, face, "frame"):
+                for a_prime in competitors(oset, face):
                     niches.append(_input_competition_niche(ctx, cell, slot, a_prime, mirrored))
     for pn in niches:
         assert pn.kind == "punctured_niche"
@@ -559,8 +557,8 @@ def test_niche_and_frame_competitors_differ_when_the_outfaces_do():
         {"f": (("p",), "q"), "g": (("p",), "r")},
     )
     assert validate(oset).ok
-    assert competitors(oset, "f", "niche") == ("f", "g")
-    assert competitors(oset, "f", "frame") == ("f",)
+    assert niche_occupants(oset, "f") == ("f", "g")
+    assert competitors(oset, "f") == ("f",)
 
 
 def test_config_enumeration_skips_a_given_shape_off_its_dimension_or_bound(z2_set):

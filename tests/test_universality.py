@@ -258,7 +258,7 @@ def test_each_context_has_a_memo_of_its_own(z2_set):
     assert first.memo == {} and first.memo is not second.memo
     verdict = is_universal(first, "a0")
     assert first.memo["a0"] == verdict and second.memo == {}
-    off = CheckContext(z2_set, 1, memo=None)
+    off = CheckContext(z2_set, 1, memo=False)
     assert is_universal(off, "a0") == verdict
     assert off.memo is None
 
@@ -437,7 +437,7 @@ def reference_is_universal(ctx, cell):
         )
     outface = ctx.oset.outface_of(cell)
     variants = (True, False) if ctx.mirror_first else (False, True)
-    for d_prime in competitors(ctx.oset, outface, "frame"):
+    for d_prime in competitors(ctx.oset, outface):
         for mirrored in variants:
             pn = _output_composition_niche(ctx, cell, d_prime, mirrored)
             sub = reference_is_balanced(ctx, pn)
@@ -468,7 +468,7 @@ def reference_is_balanced(ctx, cfg):
             if not reference_is_universal(ctx, u):
                 continue
             restored = ctx.oset.infaces_of(u)[slot]
-            for a_prime in competitors(ctx.oset, restored, "frame"):
+            for a_prime in competitors(ctx.oset, restored):
                 for mirrored in variants:
                     pn = _input_competition_niche(ctx, u, slot, a_prime, mirrored)
                     sub = reference_is_balanced(ctx, pn)

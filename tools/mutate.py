@@ -56,9 +56,6 @@ EQUIVALENT: Dict[str, Dict[Tuple[str, str, str], str]] = {
     "universality.py": {
         ("_note_dim", "flip", "dim > ctx.max_dim_reached"):
             "at dim == max_dim_reached the assignment stores the value already held",
-        ("is_universal", "continue-to-pass", "continue"):
-            "the skipped punctured niches are balanced in both listing orders, "
-            "so testing them only does more work",
     },
     "operads.py": {
         ("row", "flip", "len(row) < end"):
