@@ -65,9 +65,7 @@ from .osets import (
     OpetopicSet,
     competitors,
     enumerate_configs,
-    frame_of,
     make_config,
-    niche_of,
     occupants,
     outface_extensions,
     validate,

@@ -16,12 +16,10 @@ every configuration read that plan, never the references themselves.
 A boundary configuration assigns cells to some of the face positions.
 Edges none of whose two references land on an assigned face are *free*;
 a configuration pins each free edge with an explicit cell two dimensions
-down.  Pins are what distinguish, say, the nullary niches sitting at two
-different base cells, and they carry the fixed lower boundary of the
-punctured niches used by the universality recursion.  A checked
-configuration also carries the one cell on each of its edges, resolved or
-pinned, so readers such as ``forced_outface_boundary`` never resolve an
-edge twice.
+down, which is what distinguishes, say, the nullary niches sitting at two
+different base cells.  A checked configuration also carries the one cell
+on each of its edges, resolved or pinned, so readers such as
+``forced_outface_boundary`` never resolve an edge twice.
 """
 
 from __future__ import annotations
@@ -156,7 +154,7 @@ class OpetopicSet:
         # Cells of dimension >= 1 by shape code and infaces, and by shape
         # code and outface.  Cells with unparseable shapes or missing face
         # entries stay out of the indexes; validation reports them instead
-        # of construction failing.
+        # of construction failing.  Each entry lists its cells in name order.
         self._niche_index: Dict[Tuple[str, Tuple[str, ...]], Tuple[str, ...]] = {}
         self._outface_index: Dict[Tuple[str, str], Tuple[str, ...]] = {}
         for code, names in self._by_shape.items():
@@ -353,10 +351,6 @@ class BoundaryConfig(Value):
             return "punctured_niche"
         return "partial"
 
-    @property
-    def missing_inface_index(self) -> Optional[int]:
-        return self.infaces.index(None) if self.infaces.count(None) == 1 else None
-
     def sort_key(self):
         return (
             self.shape_code,
@@ -433,37 +427,14 @@ def make_config(
     return BoundaryConfig(shape_code, infaces, outface, tuple(kept), tuple(carried))
 
 
-def frame_of(oset: OpetopicSet, cell: str) -> BoundaryConfig:
-    shape = oset.shape_of(cell)
-    if shape.dim < 1:
-        raise MalformedConfig("0-cells have no frame configuration")
-    ins, out = oset.faces[cell]
-    return make_config(oset, shape.code, ins, out)
-
-
-def niche_of(oset: OpetopicSet, cell: str) -> BoundaryConfig:
-    """The cell's niche: its infaces, outface missing, the edges no inface
-    reaches pinned from the cell's own boundary."""
-    shape = oset.shape_of(cell)
-    if shape.dim < 1:
-        raise MalformedConfig("0-cells occupy no niche")
-    ins, out = oset.faces[cell]
-    pins = {
-        edge: oset.faces[out][0][fu]
-        for edge, (su, fu, sl, fl) in oset.shape_entry(shape.code).plan.items()
-        if su == sl == -1
-    }
-    return make_config(oset, shape.code, ins, None, pins)
-
-
 def niche_occupants(oset: OpetopicSet, cell: str) -> Tuple[str, ...]:
     """The occupants of the cell's niche, sorted, read off the niche index.
 
     The cells sharing its shape and infaces are kept when they also agree
-    on the edges that ``niche_of`` pins: those whose two references both
-    lie on the outface, which only empty-tree shapes have.  On a validated
-    set this equals ``occupants(oset, niche_of(oset, cell))``, without
-    building or checking the niche.
+    on the edges the niche pins from the cell's own boundary: those whose
+    two references both lie on the outface, which only empty-tree shapes
+    have.  On a validated set this equals ``occupants`` of the niche built
+    by ``make_config``, without building or checking the niche.
     """
     code = oset.cells[cell]
     entry = oset.shape_entry(code)
@@ -477,16 +448,6 @@ def niche_occupants(oset: OpetopicSet, cell: str) -> Tuple[str, ...]:
         want = faces[out][0]
         pool = [c for c in pool if all(faces[faces[c][1]][0][f] == want[f] for f in pinned)]
     return tuple(sorted(pool))
-
-
-def config_with(
-    oset: OpetopicSet,
-    cfg: BoundaryConfig,
-    *,
-    outface: str,
-) -> BoundaryConfig:
-    """A copy of ``cfg`` with its outface assigned; pins are re-derived."""
-    return make_config(oset, cfg.shape_code, cfg.infaces, outface, dict(cfg.pins))
 
 
 def cell_matches(oset: OpetopicSet, cfg: BoundaryConfig, cell: str) -> bool:
@@ -507,6 +468,21 @@ def cell_matches(oset: OpetopicSet, cfg: BoundaryConfig, cell: str) -> bool:
         if (face[1] if fu < 0 else face[0][fu]) != pin:
             return False
     return True
+
+
+def cells_with(
+    oset: OpetopicSet, code: str, infaces: Tuple[Optional[str], ...], outface: str
+) -> Tuple[str, ...]:
+    """The cells of shape ``code`` with this outface whose infaces agree
+    with ``infaces`` where it assigns one (None = free), in name order:
+    one lookup, by infaces when all are assigned, else by outface."""
+    faces = oset.faces
+    if None not in infaces:
+        pool = oset._niche_index.get((code, infaces), ())
+        return tuple(c for c in pool if faces[c][1] == outface)
+    assigned = [(i, c) for i, c in enumerate(infaces) if c is not None]
+    pool = oset._outface_index.get((code, outface), ())
+    return tuple(c for c in pool if all(faces[c][0][i] == a for i, a in assigned))
 
 
 def occupants(oset: OpetopicSet, cfg: BoundaryConfig) -> Tuple[str, ...]:
@@ -552,12 +528,12 @@ def forced_outface_boundary(
 def outface_extensions(oset: OpetopicSet, cfg: BoundaryConfig) -> Tuple[str, ...]:
     """Cells that can fill the configuration's outface slot, sorted.
 
-    These are the cells ``b`` for which ``config_with(oset, cfg,
-    outface=b)`` is well-formed: the only edges that assigning ``b`` can
-    break are those meeting the outface, and each carries a cell in the
-    checked ``cfg``, so ``b`` must have exactly the forced boundary.
-    Shapes below dimension 2 have no relations, and every cell of the
-    outface shape fits.
+    These are the cells ``b`` that ``make_config`` accepts as the outface
+    of ``cfg`` (same infaces and pins): the only edges that assigning
+    ``b`` can break are those meeting the outface, and each carries a
+    cell in the checked ``cfg``, so ``b`` must have exactly the forced
+    boundary.  Shapes below dimension 2 have no relations, and every cell
+    of the outface shape fits.
     """
     if cfg.outface is not None:
         return (cfg.outface,)
@@ -565,22 +541,19 @@ def outface_extensions(oset: OpetopicSet, cfg: BoundaryConfig) -> Tuple[str, ...
     if entry.shape.dim < 2:
         return oset.cells_of_shape(entry.output_code)
     ins, out = forced_outface_boundary(oset, cfg)
-    pool = oset._niche_index.get((entry.output_code, ins), ())
-    return tuple(sorted(c for c in pool if oset.outface_of(c) == out))
+    return cells_with(oset, entry.output_code, ins, out)
 
 
 def competitors(oset: OpetopicSet, cell: str) -> Tuple[str, ...]:
     """Occupants of the cell's frame, the cell included, sorted.
 
-    They are the occupants of the cell's niche (see ``niche_occupants``)
-    that share its outface: ``occupants(oset, frame_of(oset, cell))``,
-    without building or checking the frame.
+    They are the cells with its shape, infaces and outface, read off the
+    niche index without building or checking the frame.
     """
     if oset.dim_of(cell) == 0:
         # All 0-cells share the one degenerate boundary.
         return oset.cells_of_dim(0)
-    out = oset.outface_of(cell)
-    return tuple(u for u in niche_occupants(oset, cell) if oset.outface_of(u) == out)
+    return cells_with(oset, oset.cells[cell], *oset.faces[cell])
 
 
 # -- configuration enumeration ---------------------------------------------------

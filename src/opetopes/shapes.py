@@ -422,51 +422,63 @@ def enumerate_opetopes(dim: int, node_bound: int) -> Tuple[Opetope, ...]:
 
     ``size`` totals the node counts of every metatree stage, so the listing
     is finite in every dimension.  Dimensions 0 and 1 ignore the bound.
-    The listing recurses about dim/2 deep; IllTyped past the interpreter's
-    recursion limit.
+    The listings it rests on are filled bottom-up, lowest dimension first,
+    so the answer never depends on what the cache already holds; IllTyped
+    above ``MAX_ENUM_DIM``.
     """
     if dim < 0:
         raise IllTyped("dimension must be a natural number")
     if node_bound < 0:
         raise IllTyped("node bound must be a natural number")
-    try:
-        return _enumerate_cached(dim, node_bound)
-    except RecursionError:
+    if dim > MAX_ENUM_DIM:
         raise IllTyped("dimension %d is too deep to enumerate" % dim)
+    # The listing at (d, b) reads those at (d - 2, b) and (d - 1, b - 1).
+    needed, todo = set(), [(dim, node_bound)]
+    while todo:
+        d, b = key = todo.pop()
+        if key not in _ENUM_CACHE and key not in needed:
+            needed.add(key)
+            if d >= 2:
+                todo += [(d - 2, b), (d - 1, max(b - 1, 0))]
+    for key in sorted(needed):
+        _ENUM_CACHE[key] = _listing(*key)
+    return _ENUM_CACHE[(dim, node_bound)]
 
+
+# The deepest dimension listed.  A listing fills the cache at every
+# dimension below it, with codes about 4d characters long at dimension d,
+# so even at bound 0 the cache grows with the square of the dimension:
+# 8 MB of codes at 2000, 50 MB at 5000.  Codes past about dimension 1980
+# already nest too deeply for ``from_code`` to read back.
+MAX_ENUM_DIM = 2000
 
 _ENUM_CACHE: Dict[Tuple[int, int], Tuple[Opetope, ...]] = {}
 
 
-def _enumerate_cached(dim: int, bound: int) -> Tuple[Opetope, ...]:
-    key = (dim, bound)
-    if key in _ENUM_CACHE:
-        return _ENUM_CACHE[key]
+def _listing(dim: int, bound: int) -> Tuple[Opetope, ...]:
+    """The listing at (dim, bound), from the cached listings below it."""
     if dim == 0:
-        result = (POINT,)
-    elif dim == 1:
-        result = (ARROW,)
-    else:
-        shapes = []
-        for t in _enumerate_cached(dim - 2, bound):
-            if t.size <= bound:
-                shapes.append(Opetope(dim, empty_tree(dim - 2, t)))
-        # A label costs its own size plus its node, so only the listing one
-        # bound down can supply labels; the filter drops dims 0 and 1 at bound 0.
-        labels = [op for op in _enumerate_cached(dim - 1, max(bound - 1, 0)) if op.size + 1 <= bound]
-        by_output: Dict[Opetope, List[Opetope]] = {}
-        for op in labels:
-            by_output.setdefault(op.output, []).append(op)
-        for label in labels:
-            for root, _ in _gen_sub(label, bound, by_output):
-                nodes, leaves = root.index
-                for nu in itertools.permutations(nodes):
-                    for lam in itertools.permutations(leaves):
-                        shapes.append(Opetope(dim, PasteTree(dim - 2, root, None, nu, lam)))
-        shapes.sort(key=lambda s: s.code)
-        result = tuple(shapes)
-    _ENUM_CACHE[key] = result
-    return result
+        return (POINT,)
+    if dim == 1:
+        return (ARROW,)
+    shapes = []
+    for t in _ENUM_CACHE[(dim - 2, bound)]:
+        if t.size <= bound:
+            shapes.append(Opetope(dim, empty_tree(dim - 2, t)))
+    # A label costs its own size plus its node, so only the listing one
+    # bound down can supply labels; the filter drops dims 0 and 1 at bound 0.
+    labels = [op for op in _ENUM_CACHE[(dim - 1, max(bound - 1, 0))] if op.size + 1 <= bound]
+    by_output: Dict[Opetope, List[Opetope]] = {}
+    for op in labels:
+        by_output.setdefault(op.output, []).append(op)
+    for label in labels:
+        for root, _ in _gen_sub(label, bound, by_output):
+            nodes, leaves = root.index
+            for nu in itertools.permutations(nodes):
+                for lam in itertools.permutations(leaves):
+                    shapes.append(Opetope(dim, PasteTree(dim - 2, root, None, nu, lam)))
+    shapes.sort(key=lambda s: s.code)
+    return tuple(shapes)
 
 
 def _gen_children(slot_types, budget, by_output):

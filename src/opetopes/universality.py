@@ -14,18 +14,29 @@ the recursion terminates; no configuration above dimension n+1 is ever
 consulted, and verdicts are deterministic.  Universality verdicts are
 memoised per cell.
 
-For j <= n the punctured niches are built at the outfaces d' of the
-occupants of the cell's niche, read off the set's niche index.  On a
-validated set each such d' is a frame-competitor of the cell's outface,
-and the competitors left out need no niche: the punctured niche pinned at
-d' forces the outface boundary (the cell's infaces, d'), and a cell with
-that boundary would be an occupant of the cell's niche with outface d';
-so a left-out niche has no outface extension, and no occupant either,
-since an occupant's outface would be such an extension.  It is balanced
-in both listing orders, and leaving it out changes no verdict or witness.
-Above n the occupants are read off the niche index too.  Both rest on a
-validated set, which ``check_weak_n_category`` ensures before the
-recursion starts.
+Every punctured niche of the recursion pastes one missing unary ray cell
+onto a cell, so the boundary an outface filler is forced to have is known,
+and the recursion reads all it needs off the set's two indexes (cells by
+shape and infaces, and by shape and outface) without building one:
+
+* output composition of a cell c at d' forces (c's infaces, d'), so its
+  outface extensions are the occupants of c's niche with outface d';
+* input competition of an occupant u at a slot with a' forces (u's
+  infaces with a' at the slot, u's outface): one infaces-index lookup,
+  filtered by outface;
+* the fillers over an extension b are the cells of the ray shape with
+  outface b and the cell at its position: once the outface is assigned
+  every edge resolves, so no pin is left to check;
+* the niche's occupants are the fillers over all its extensions.
+
+Output compositions are visited only at the outfaces d' of the occupants
+of c's niche.  On a validated set each such d' is a frame-competitor of
+c's outface, and any other competitor forces a boundary no cell has, so
+its niche has no outface extension and no occupant: it is balanced in
+both listing orders, and leaving it out changes no verdict or witness.
+That step, the occupants as fillers, and the occupants read off the
+niche index above n rest on a validated set, which
+``check_weak_n_category`` ensures before the recursion starts.
 
 The two listing orders of each two-node punctured niche are genuinely
 different shapes (inface order is part of a shape), which is why both are
@@ -45,10 +56,9 @@ from .errors import (
 from .osets import (
     BoundaryConfig,
     OpetopicSet,
+    cells_with,
     competitors,
-    config_with,
     enumerate_configs,
-    make_config,
     niche_occupants,
     occupants,
     outface_extensions,
@@ -168,28 +178,9 @@ def _ray_on_input(base: Opetope, slot: int, mirrored: bool) -> Opetope:
     return Opetope(base.dim + 1, tree)
 
 
-def _output_composition_niche(
-    ctx: CheckContext, cell: str, d_prime: str, mirrored: bool
-) -> BoundaryConfig:
-    """The punctured niche pasting ``cell`` with a missing unary cell on
-    its outface, the far end pinned to the frame-competitor ``d_prime``."""
-    shape = ctx.oset.shape_of(cell)
-    big, cell_pos = ray_on_output_shape(shape, mirrored)
-    infaces: List[Optional[str]] = [None, None]
-    infaces[cell_pos] = cell
-    return make_config(ctx.oset, big.code, infaces, None, {(): d_prime})
-
-
-def _input_competition_niche(
-    ctx: CheckContext, cell: str, slot: int, a_prime: str, mirrored: bool
-) -> BoundaryConfig:
-    """The punctured niche pasting ``cell`` with a missing unary cell on
-    its ``slot``-th inface, the far end pinned to ``a_prime``."""
-    shape = ctx.oset.shape_of(cell)
-    big, cell_pos = ray_on_input_shape(shape, slot, mirrored)
-    infaces: List[Optional[str]] = [None, None]
-    infaces[cell_pos] = cell
-    return make_config(ctx.oset, big.code, infaces, None, {(slot, 0): a_prime})
+def _beside_ray(cell: str, cell_pos: int) -> Tuple[Optional[str], Optional[str]]:
+    """A ray shape's punctured-niche infaces: the ray cell missing."""
+    return (cell, None) if cell_pos == 0 else (None, cell)
 
 
 def is_universal(ctx: CheckContext, cell: str) -> Verdict:
@@ -199,7 +190,7 @@ def is_universal(ctx: CheckContext, cell: str) -> Verdict:
     closure condition on composites of universal cells is well-posed at
     the bottom of the tower.  The set must be validated (see the module
     docstring): the verdict reads occupants off the niche index, and
-    builds punctured niches only at the outfaces they reach.
+    visits output compositions only at the outfaces they reach.
     """
     if ctx.memo is not None and cell in ctx.memo:
         return ctx.memo[cell]
@@ -217,11 +208,14 @@ def is_universal(ctx: CheckContext, cell: str) -> Verdict:
             "universality at dimension %d needs configurations at %d > max_dim"
             % (j, j + 1)
         )
+    shape = ctx.oset.shape_of(cell)
+    outface_of = ctx.oset.outface_of
     variants = (True, False) if ctx.mirror_first else (False, True)
-    for d_prime in sorted({ctx.oset.outface_of(u) for u in occ}):
+    for d_prime in sorted({outface_of(u) for u in occ}):
+        extensions = tuple(u for u in occ if outface_of(u) == d_prime)
         for mirrored in variants:
-            pn = _output_composition_niche(ctx, cell, d_prime, mirrored)
-            sub = is_balanced(ctx, pn)
+            big, cell_pos = ray_on_output_shape(shape, mirrored)
+            sub = _balanced(ctx, big, _beside_ray(cell, cell_pos), extensions)
             if not sub:
                 witness = ("competitor:%s" % d_prime,) + sub.witnesses
                 return ctx._remember(cell, Verdict(False, witness))
@@ -229,36 +223,50 @@ def is_universal(ctx: CheckContext, cell: str) -> Verdict:
 
 
 def is_balanced(ctx: CheckContext, cfg: BoundaryConfig) -> Verdict:
-    """Is the punctured niche balanced, relative to the context's n?"""
+    """Is the punctured niche balanced, relative to the context's n?  ``cfg``
+    must be checked (by ``make_config`` or enumeration), the set validated."""
     if cfg.kind != "punctured_niche":
         raise MalformedConfig("balancedness is asked of punctured niches")
     shape = ctx.oset.shape(cfg.shape_code)
+    if shape.dim > ctx.n + 1:
+        _note_dim(ctx, shape.dim)
+        return Verdict(True)
+    return _balanced(ctx, shape, cfg.infaces, outface_extensions(ctx.oset, cfg))
+
+
+def _balanced(ctx: CheckContext, shape: Opetope, infaces: tuple, extensions: tuple) -> Verdict:
+    """Balancedness of the punctured niche of ``shape`` with these infaces
+    (one missing), at most n+1-dimensional, given its outface extensions;
+    fillers and occupants are read off the indexes (module docstring)."""
+    oset = ctx.oset
     m = shape.dim
     _note_dim(ctx, m)
-    if m > ctx.n + 1:
-        return Verdict(True)
-    slot = cfg.missing_inface_index
+    slot = infaces.index(None)
 
     # Existence: every outface filling extends to a full occupant that is
     # universal in its niche.
-    for b in outface_extensions(ctx.oset, cfg):
-        extended = config_with(ctx.oset, cfg, outface=b)
-        fillers = [u for u in occupants(ctx.oset, extended) if is_universal(ctx, u)]
+    occ: List[str] = []
+    for b in extensions:
+        over = cells_with(oset, shape.code, infaces, b)
+        fillers = [u for u in over if is_universal(ctx, u)]
         if not fillers:
             return Verdict(False, ("no-universal-filler-over:%s" % b,))
+        occ.extend(over)
 
     # Faithfulness: around every universal occupant, competition at the
     # restored inface stays balanced one dimension up.
     if m + 1 <= ctx.n + 1:
         variants = (True, False) if ctx.mirror_first else (False, True)
-        for u in occupants(ctx.oset, cfg):
+        for u in sorted(occ):
             if not is_universal(ctx, u):
                 continue
-            restored = ctx.oset.infaces_of(u)[slot]
-            for a_prime in competitors(ctx.oset, restored):
+            ins, out = oset.faces[u]
+            for a_prime in competitors(oset, ins[slot]):
+                forced = ins[:slot] + (a_prime,) + ins[slot + 1:]
+                extended = cells_with(oset, shape.code, forced, out)
                 for mirrored in variants:
-                    pn = _input_competition_niche(ctx, u, slot, a_prime, mirrored)
-                    sub = is_balanced(ctx, pn)
+                    big, cell_pos = ray_on_input_shape(shape, slot, mirrored)
+                    sub = _balanced(ctx, big, _beside_ray(u, cell_pos), extended)
                     if not sub:
                         witness = (
                             "occupant:%s" % u,

@@ -231,8 +231,8 @@ def test_enumerate_rejects_a_negative_bound(capsys):
 
 
 def test_enumerate_rejects_a_dimension_too_deep_to_recurse(capsys):
-    # The listing recurses about dim/2 deep: far past the recursion limit
-    # even when other tests have cached the lower dimensions.
+    # Dimension 5000 is past shapes.MAX_ENUM_DIM, refused before any
+    # listing is made, whatever other tests have cached.
     assert main(["enumerate", "--dim", "5000", "--bound", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.err.splitlines() == ["input error: dimension 5000 is too deep to enumerate"]

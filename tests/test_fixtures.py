@@ -9,7 +9,8 @@ import pytest
 from opetopes import build_fixture, documents
 from opetopes.cli import main
 from opetopes.fixtures import FIXTURES, z2_weak2
-from opetopes.osets import niche_of, outface_extensions
+from opetopes.osets import outface_extensions
+from reference_configs import niche_of
 
 # sha256 of ``documents.dumps(set_to_document(...))``.  Cell names and faces
 # are part of these bytes, so any change to how a fixture is filled shows.

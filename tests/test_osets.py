@@ -12,9 +12,7 @@ from opetopes import (
     competitors,
     enumerate_configs,
     enumerate_opetopes,
-    frame_of,
     make_config,
-    niche_of,
     occupants,
     validate,
 )
@@ -23,17 +21,18 @@ from opetopes.osets import (
     BoundaryConfig,
     _edge_type_code,
     cell_matches,
-    config_with,
     edge_incidences,
     forced_outface_boundary,
     niche_occupants,
     outface_extensions,
 )
-from opetopes.universality import (
-    CheckContext,
-    _config_label,
-    _input_competition_niche,
-    _output_composition_niche,
+from opetopes.universality import _config_label
+from reference_configs import (
+    config_with,
+    frame_of,
+    input_competition_niche,
+    niche_of,
+    output_composition_niche,
 )
 
 def _face_ref(oset, infaces, outface, ref):
@@ -436,15 +435,14 @@ def test_forced_boundaries_of_recursion_niches_match_faces_and_pins(make_set, co
     # 1- and 2-cell: their forced outface boundary is read off the carried
     # edges, and must be the one faces and pins give.
     oset = make_set()
-    ctx = CheckContext(oset, 1)
     niches = []
     for cell in oset.cells_of_dim(1) + oset.cells_of_dim(2):
         for mirrored in (False, True):
             for d_prime in competitors(oset, oset.outface_of(cell)):
-                niches.append(_output_composition_niche(ctx, cell, d_prime, mirrored))
+                niches.append(output_composition_niche(oset, cell, d_prime, mirrored))
             for slot, face in enumerate(oset.infaces_of(cell)):
                 for a_prime in competitors(oset, face):
-                    niches.append(_input_competition_niche(ctx, cell, slot, a_prime, mirrored))
+                    niches.append(input_competition_niche(oset, cell, slot, a_prime, mirrored))
     for pn in niches:
         assert pn.kind == "punctured_niche"
         assert forced_outface_boundary(oset, pn) == _reference_forced(oset, pn), pn
@@ -468,7 +466,7 @@ def test_carried_edges_stay_out_of_equality_hash_and_repr(z2_set):
         "BoundaryConfig(shape_code='[!pt|n|l0]', infaces=(), outface=None, pins=(((), 'o'),))"
     )
     assert _config_label(hand) == _config_label(listed) == "[!pt|n|l0]()->?[root=o]"
-    ray = _input_competition_niche(CheckContext(z2_set, 1), "a1", 0, "o", True)
+    ray = input_competition_niche(z2_set, "a1", 0, "o", True)
     assert _config_label(ray) == "[(ar:(ar:_))|n0.1|l0](a1,?)->?[00=o]"
     # The forced boundary is read off the carried edges only; a
     # configuration built without them is refused, not resolved again.

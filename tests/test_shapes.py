@@ -311,6 +311,22 @@ def test_bound_six_listings_are_pinned(fresh_shapes):
     assert len(enumerate_opetopes(2, 6)) == 874
 
 
+def test_deep_listings_do_not_depend_on_the_cache(fresh_shapes):
+    # The listings below are filled bottom-up, so a deep dimension lists the
+    # same shapes in a fresh cache as after a listing just below it.
+    from opetopes import IllTyped
+    from opetopes.shapes import MAX_ENUM_DIM
+
+    cold = enumerate_opetopes(2000, 0)
+    assert len(cold) == 1 and len(cold[0].code) == 8002
+    fresh_shapes()
+    enumerate_opetopes(1900, 0)
+    assert [s.code for s in enumerate_opetopes(2000, 0)] == [s.code for s in cold]
+    assert MAX_ENUM_DIM >= 2000
+    with pytest.raises(IllTyped, match="^dimension %d is too deep to enumerate$" % (MAX_ENUM_DIM + 1)):
+        enumerate_opetopes(MAX_ENUM_DIM + 1, 0)
+
+
 def test_memo_does_not_make_the_audit_vacuous(fresh_shapes, monkeypatch):
     # A wrong permutation built once and memoised must still show up as a
     # law (c) violation: the audit compares results, it never assumes a law.

@@ -19,16 +19,17 @@ from opetopes import (
     is_balanced,
     is_universal,
     make_config,
-    niche_of,
     occupants,
     validate,
 )
 from opetopes.fixtures import _standard_binary, monoid_set, z2_weak2
-from opetopes.osets import competitors, config_with, enumerate_configs, outface_extensions
-from opetopes.universality import (
-    _input_competition_niche,
-    _note_dim,
-    _output_composition_niche,
+from opetopes.osets import competitors, enumerate_configs, outface_extensions
+from opetopes.universality import _note_dim
+from reference_configs import (
+    config_with,
+    input_competition_niche,
+    niche_of,
+    output_composition_niche,
 )
 
 
@@ -310,25 +311,59 @@ def test_plain_z2_is_not_a_weak_two_category(z2_set):
 
 def test_input_competition_branch_runs_at_n_two(monkeypatch):
     # The balancedness condition that climbs a dimension only fires for
-    # m + 1 <= n + 1; at n = 2 it must have examined punctured niches
-    # whose pin sits on a depth-two edge (the pasted input slot).
+    # m + 1 <= n + 1; at n = 2 it must have consulted punctured niches
+    # pasted on an inface: the missing unary cell sits above a slot of the
+    # root node, so its far end is a depth-two edge.
     from opetopes import universality
     from opetopes.fixtures import z2_weak2
 
     asked = []
-    genuine = universality.is_balanced
+    genuine = universality._balanced
 
-    def recording(ctx, cfg):
-        asked.append(cfg)
-        return genuine(ctx, cfg)
+    def recording(ctx, shape, infaces, extensions):
+        asked.append((shape, infaces))
+        return genuine(ctx, shape, infaces, extensions)
 
-    monkeypatch.setattr(universality, "is_balanced", recording)
+    monkeypatch.setattr(universality, "_balanced", recording)
     full = z2_weak2()
     ctx = CheckContext(full, 2)
     for cell in full.cells_of_dim(1):
         assert is_universal(ctx, cell).value
-    deep_pins = [cfg for cfg in asked if any(len(edge) == 2 for edge, _ in cfg.pins)]
-    assert deep_pins, "no input-competition niche was ever consulted"
+    missing_paths = {shape.tree.node_order[infaces.index(None)] for shape, infaces in asked}
+    assert () in missing_paths, "no output-composition niche was ever consulted"
+    input_competition = [path for path in missing_paths if len(path) == 1]
+    assert input_competition, "no input-competition niche was ever consulted"
+
+
+# sha256 of the verdict document of each check, as ``check --out`` writes it.
+CHECKED_VERDICTS = {
+    ("z3_monoid", 1, 4): "3e530b76b9e2ab1ba356a5b6aea6f5333d73a8dc873aca04d40a8a5052917ec9",
+    ("broken_magma", 1, 4): "bc62e0751945860bc2e248b69bbc710a30f6c324b49a57b1dd41f6f0839c93af",
+    ("z2_weak2", 2, 2): "c6ad4e9d572631b8c4f0f5ee8640791a59e066b705c54ac237b4a46c2f50bfcc",
+}
+
+
+def test_the_check_builds_no_configuration_with_make_config(monkeypatch):
+    # Niches come checked from enumeration, and the recursion reads every
+    # punctured niche, its outface extensions and fillers off the indexes.
+    import hashlib
+    import sys
+
+    from opetopes import documents, osets
+    from opetopes.fixtures import FIXTURES
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("make_config was called")
+
+    genuine = osets.make_config
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "opetopes" and getattr(module, "make_config", None) is genuine:
+            monkeypatch.setattr(module, "make_config", refuse)
+    builders = {**FIXTURES, "z2_weak2": z2_weak2}
+    for (name, n, bound), digest in CHECKED_VERDICTS.items():
+        verdict = check_weak_n_category(builders[name](), n, bound)
+        text = documents.dumps(documents.verdict_to_document(verdict))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
 
 
 def test_faithfulness_failure_decides_a_deep_fixture_without_h2_0():
@@ -439,7 +474,7 @@ def reference_is_universal(ctx, cell):
     variants = (True, False) if ctx.mirror_first else (False, True)
     for d_prime in competitors(ctx.oset, outface):
         for mirrored in variants:
-            pn = _output_composition_niche(ctx, cell, d_prime, mirrored)
+            pn = output_composition_niche(ctx.oset, cell, d_prime, mirrored)
             sub = reference_is_balanced(ctx, pn)
             if not sub:
                 witness = ("competitor:%s" % d_prime,) + sub.witnesses
@@ -456,7 +491,7 @@ def reference_is_balanced(ctx, cfg):
     _note_dim(ctx, m)
     if m > ctx.n + 1:
         return Verdict(True)
-    slot = cfg.missing_inface_index
+    slot = cfg.infaces.index(None)
     for b in outface_extensions(ctx.oset, cfg):
         extended = config_with(ctx.oset, cfg, outface=b)
         fillers = [u for u in occupants(ctx.oset, extended) if reference_is_universal(ctx, u)]
@@ -470,7 +505,7 @@ def reference_is_balanced(ctx, cfg):
             restored = ctx.oset.infaces_of(u)[slot]
             for a_prime in competitors(ctx.oset, restored):
                 for mirrored in variants:
-                    pn = _input_competition_niche(ctx, u, slot, a_prime, mirrored)
+                    pn = input_competition_niche(ctx.oset, u, slot, a_prime, mirrored)
                     sub = reference_is_balanced(ctx, pn)
                     if not sub:
                         witness = (
