@@ -70,8 +70,7 @@ def cmd_check(args) -> int:
     if args.out:
         documents.check_writable(args.out)
     try:
-        doc = documents.load(args.set)
-        oset = documents.set_from_document(doc)
+        oset = documents.set_from_document(documents.load(args.set))
     except DocumentError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2

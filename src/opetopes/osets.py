@@ -7,7 +7,9 @@ read off the shape's pasting tree: every tree edge names exactly two
 lower-dimensional faces -- one from below (the node consuming the edge, or
 the outface's outface for the root edge) and one from above (the node
 producing it, or the outface's own inface for a leaf) -- and those two
-cells must coincide.
+cells must coincide.  A set is checked once, by the same pass over its
+cells that indexes them when it is built, and ``validate`` returns that
+pass's report.
 
 Each shape's references are compiled once, when the set first meets the
 shape, into a plan of small integers (see ``ShapeEntry``); validation and
@@ -127,11 +129,13 @@ class ShapeEntry(NamedTuple):
 
 
 class OpetopicSet:
-    """An immutable finite opetopic set.
+    """An immutable finite opetopic set, checked once when it is built.
 
     ``cells`` maps cell names to shape codes; ``faces`` maps each cell of
     dimension >= 1 to its inface tuple and outface.  ``shape_bound`` is the
     declared size cap used when boundary configurations are enumerated.
+    Building never fails on a malformed set: one pass over the cells in
+    name order indexes them and records every violation for ``validate``.
     """
 
     def __init__(
@@ -143,32 +147,88 @@ class OpetopicSet:
     ):
         self.max_dim = max_dim
         self.shape_bound = shape_bound
-        self.cells = dict(cells)
-        self.faces = {name: (tuple(ins), out) for name, (ins, out) in faces.items()}
+        self.cells = cells = dict(cells)
+        self.faces = faces = {name: (tuple(ins), out) for name, (ins, out) in faces.items()}
         # One entry per shape code, filled on first use.
         self._table: Dict[str, ShapeEntry] = {}
-        by_shape: Dict[str, List[str]] = {}
-        for name in sorted(self.cells):
-            by_shape.setdefault(self.cells[name], []).append(name)
-        self._by_shape = {code: tuple(names) for code, names in by_shape.items()}
         # Cells of dimension >= 1 by shape code and infaces, and by shape
-        # code and outface.  Cells with unparseable shapes or missing face
-        # entries stay out of the indexes; validation reports them instead
-        # of construction failing.  Each entry lists its cells in name order.
-        self._niche_index: Dict[Tuple[str, Tuple[str, ...]], Tuple[str, ...]] = {}
-        self._outface_index: Dict[Tuple[str, str], Tuple[str, ...]] = {}
-        for code, names in self._by_shape.items():
+        # code and outface, each entry in name order; cells with unparseable
+        # shapes or missing face entries stay out of both indexes.
+        by_shape: Dict[str, List[str]] = {}
+        niche_index: Dict[Tuple[str, Tuple[str, ...]], Tuple[str, ...]] = {}
+        outface_index: Dict[Tuple[str, str], Tuple[str, ...]] = {}
+        violations = [
+            "cell %s: has faces but is missing from cells" % name
+            for name in sorted(faces.keys() - cells.keys())
+        ]
+        checked = 0
+        for name in sorted(cells):
+            code = cells[name]
+            by_shape.setdefault(code, []).append(name)
             try:
-                dim = self.shape(code).dim
-            except IllTyped:
+                entry = self.shape_entry(code)
+            except IllTyped as exc:
+                violations.append("cell %s: unparseable shape %s (%s)" % (name, shapes.quote(code), exc))
                 continue
-            if dim >= 1:
-                for name in names:
-                    if name not in self.faces:
-                        continue
-                    ins, out = self.faces[name]
-                    self._niche_index[(code, ins)] = self._niche_index.get((code, ins), ()) + (name,)
-                    self._outface_index[(code, out)] = self._outface_index.get((code, out), ()) + (name,)
+            dim = entry.shape.dim
+            if dim > max_dim:
+                violations.append("cell %s: dimension %d exceeds max_dim %d" % (name, dim, max_dim))
+            if dim == 0:
+                if name in faces:
+                    violations.append("cell %s: 0-cells have no faces" % name)
+                continue
+            if name not in faces:
+                violations.append("cell %s: missing face assignment" % name)
+                continue
+            ins, out = faces[name]
+            niche_index[(code, ins)] = niche_index.get((code, ins), ()) + (name,)
+            outface_index[(code, out)] = outface_index.get((code, out), ()) + (name,)
+            if len(ins) != len(entry.input_codes):
+                violations.append(
+                    "cell %s: %d infaces assigned, shape has %d"
+                    % (name, len(ins), len(entry.input_codes))
+                )
+                continue
+            reported = len(violations)
+            for i, face in enumerate(ins):
+                if face not in cells:
+                    violations.append("cell %s: unknown inface %r" % (name, face))
+                elif cells[face] != entry.input_codes[i]:
+                    violations.append(
+                        "cell %s: inface %d is %s-shaped, expected %s"
+                        % (name, i, shapes.clip(cells[face]), shapes.clip(entry.input_codes[i]))
+                    )
+            if out not in cells:
+                violations.append("cell %s: unknown outface %r" % (name, out))
+            elif cells[out] != entry.output_code:
+                violations.append(
+                    "cell %s: outface is %s-shaped, expected %s"
+                    % (name, shapes.clip(cells[out]), shapes.clip(entry.output_code))
+                )
+            if len(violations) > reported:  # a face is unknown or of the wrong shape
+                continue
+            boundary = ins + (out,)
+            for edge, (su, fu, sl, fl) in entry.plan.items():
+                try:
+                    face = faces[boundary[su]]
+                    a = face[1] if fu < 0 else face[0][fu]
+                    face = faces[boundary[sl]]
+                    b = face[1] if fl < 0 else face[0][fl]
+                except (IndexError, KeyError):
+                    # A face's own face entry is missing or has the wrong
+                    # length; that cell's check reports it.
+                    violations.append(
+                        "cell %s: edge %r runs through a face with malformed faces" % (name, edge)
+                    )
+                    continue
+                checked += 1
+                if a != b:
+                    violations.append("cell %s: edge %r joins %s and %s" % (name, edge, a, b))
+        self._by_shape = {code: tuple(names) for code, names in by_shape.items()}
+        self._niche_index = niche_index
+        self._outface_index = outface_index
+        self._violations = tuple(sorted(violations))
+        self._relations_checked = checked
 
     def shape_entry(self, code: str) -> ShapeEntry:
         """The table entry of a shape code; IllTyped if it does not parse."""
@@ -214,9 +274,9 @@ class ValidationReport(Record):
     __slots__ = ("violations", "relations_checked")
     _fields = __slots__
 
-    def __init__(self):
-        self.violations = []
-        self.relations_checked = 0
+    def __init__(self, violations: Sequence[str] = (), relations_checked: int = 0):
+        self.violations = list(violations)
+        self.relations_checked = relations_checked
 
     @property
     def ok(self) -> bool:
@@ -224,87 +284,14 @@ class ValidationReport(Record):
 
 
 def validate(oset: OpetopicSet) -> ValidationReport:
-    """Check face typing and the incidence relations of every cell.
+    """The report of the checks the set made when it was built.
 
-    The report lists every violation and counts the incidences whose two
-    references were resolved and compared.
+    Each cell's faces are checked against its shape, and each incidence
+    whose two references resolve is compared: the report lists every
+    violation and counts those incidences.  The set is immutable, so the
+    report never goes stale; each call returns a fresh copy.
     """
-    report = ValidationReport()
-    faces = oset.faces
-
-    for name in sorted(set(oset.faces) - set(oset.cells)):
-        report.violations.append("cell %s: has faces but is missing from cells" % name)
-    for name in sorted(oset.cells):
-        code = oset.cells[name]
-        try:
-            entry = oset.shape_entry(code)
-        except IllTyped as exc:
-            report.violations.append(
-                "cell %s: unparseable shape %s (%s)" % (name, shapes.quote(code), exc)
-            )
-            continue
-        dim = entry.shape.dim
-        if dim > oset.max_dim:
-            report.violations.append(
-                "cell %s: dimension %d exceeds max_dim %d" % (name, dim, oset.max_dim)
-            )
-        if dim == 0:
-            if name in oset.faces:
-                report.violations.append("cell %s: 0-cells have no faces" % name)
-            continue
-        if name not in oset.faces:
-            report.violations.append("cell %s: missing face assignment" % name)
-            continue
-        ins, out = oset.faces[name]
-        if len(ins) != len(entry.input_codes):
-            report.violations.append(
-                "cell %s: %d infaces assigned, shape has %d"
-                % (name, len(ins), len(entry.input_codes))
-            )
-            continue
-        bad = False
-        for i, face in enumerate(ins):
-            if face not in oset.cells:
-                report.violations.append("cell %s: unknown inface %r" % (name, face))
-                bad = True
-            elif oset.cells[face] != entry.input_codes[i]:
-                report.violations.append(
-                    "cell %s: inface %d is %s-shaped, expected %s"
-                    % (name, i, shapes.clip(oset.cells[face]), shapes.clip(entry.input_codes[i]))
-                )
-                bad = True
-        if out not in oset.cells:
-            report.violations.append("cell %s: unknown outface %r" % (name, out))
-            bad = True
-        elif oset.cells[out] != entry.output_code:
-            report.violations.append(
-                "cell %s: outface is %s-shaped, expected %s"
-                % (name, shapes.clip(oset.cells[out]), shapes.clip(entry.output_code))
-            )
-            bad = True
-        if bad:
-            continue
-        boundary = ins + (out,)
-        for edge, (su, fu, sl, fl) in entry.plan.items():
-            try:
-                face = faces[boundary[su]]
-                a = face[1] if fu < 0 else face[0][fu]
-                face = faces[boundary[sl]]
-                b = face[1] if fl < 0 else face[0][fl]
-            except (IndexError, KeyError):
-                # A face's own face entry is missing or has the wrong
-                # length; that cell's check reports it.
-                report.violations.append(
-                    "cell %s: edge %r runs through a face with malformed faces" % (name, edge)
-                )
-                continue
-            report.relations_checked += 1
-            if a != b:
-                report.violations.append(
-                    "cell %s: edge %r joins %s and %s" % (name, edge, a, b)
-                )
-    report.violations.sort()
-    return report
+    return ValidationReport(oset._violations, oset._relations_checked)
 
 
 # -- boundary configurations ---------------------------------------------------

@@ -43,8 +43,8 @@ its code by ``from_code``, which validates it and rejects a non-canonical
 spelling).  ``graft`` reads the composite at each node with children off
 the same code walk as ``compose``, without its operand checks, which the
 validated tree already guarantees.  Parsing looks up each nested label by
-the code up to its matching bracket, and parses the structure of a new
-label only.
+the code up to its matching bracket, and parses only a new label's
+structure, innermost first, so its recursion does not deepen with nesting.
 """
 
 from __future__ import annotations
@@ -448,8 +448,8 @@ def enumerate_opetopes(dim: int, node_bound: int) -> Tuple[Opetope, ...]:
 # The deepest dimension listed.  A listing fills the cache at every
 # dimension below it, with codes about 4d characters long at dimension d,
 # so even at bound 0 the cache grows with the square of the dimension:
-# 8 MB of codes at 2000, 50 MB at 5000.  Codes past about dimension 1980
-# already nest too deeply for ``from_code`` to read back.
+# 8 MB of codes at 2000, 50 MB at 5000.  ``from_code`` reads every listed
+# code back, since it parses nested codes innermost first.
 MAX_ENUM_DIM = 2000
 
 _ENUM_CACHE: Dict[Tuple[int, int], Tuple[Opetope, ...]] = {}
@@ -563,8 +563,17 @@ def from_code(code: str) -> Opetope:
     found = _INTERNED.get(code)
     if found is not None:
         return found
+    close = _closing_brackets(code)
     try:
-        shape, rest = _parse(code, 0, _closing_brackets(code))
+        # Each bracketed code, innermost first, so the recursion does not
+        # deepen with the nesting; a piece that does not parse ends this
+        # pass, and the parse of the whole code reports its first error.
+        for start in close:
+            _parse(code, start, close)
+    except (IllTyped, IndexError, RecursionError):
+        pass
+    try:
+        shape, rest = _parse(code, 0, close)
     except IndexError:
         raise IllTyped("truncated code %s" % quote(code))
     except RecursionError:
@@ -578,7 +587,7 @@ _BRACKET = re.compile(r"[\[\]]")
 
 
 def _closing_brackets(code: str) -> Dict[int, int]:
-    """The offset of the matching ``]`` of every ``[`` that has one."""
+    """The offset of the matching ``]`` of every ``[`` that has one, inner pairs first."""
     close: Dict[int, int] = {}
     opened: List[int] = []
     for m in _BRACKET.finditer(code):

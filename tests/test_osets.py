@@ -311,6 +311,39 @@ def test_validation_quotes_a_long_code_only_in_part():
     ]
 
 
+@pytest.mark.parametrize("which", ["z2_set", "broken_set", "malformed"])
+def test_validate_returns_the_report_made_when_the_set_was_built(request, monkeypatch, which):
+    # The set is checked once, as it is built; validate reads no shape and
+    # hands out a fresh copy, so a caller mutating one cannot change the next.
+    from opetopes import osets
+
+    if which == "malformed":
+        cells = {"o": "pt", "a": "ar", "b": "ar", "bad": "[truncated"}
+        oset = OpetopicSet(1, 2, cells, {"a": (("o",), "o")})
+    else:
+        oset = request.getfixturevalue(which)
+    expected = validate(oset)
+
+    def refuse(*args):
+        raise AssertionError("validate read a shape entry")
+
+    monkeypatch.setattr(OpetopicSet, "shape_entry", refuse)
+    monkeypatch.setattr(osets.ShapeEntry, "of", refuse)
+    first = validate(oset)
+    assert first == expected
+    first.violations.append("cell x: mutated")
+    first.relations_checked += 1
+    assert validate(oset) == expected
+    if which == "malformed":
+        assert expected.violations == [
+            "cell b: missing face assignment",
+            "cell bad: unparseable shape '[truncated' (expected node at offset 1 in '[truncated')",
+        ]
+        assert expected.relations_checked == 0
+    else:
+        assert expected.ok and expected.relations_checked > 0
+
+
 def _reference_edges(oset, cfg):
     """Reference edge vector: the cell each edge carries, read off the
     faces through _face_ref, else off the pins."""

@@ -327,6 +327,28 @@ def test_deep_listings_do_not_depend_on_the_cache(fresh_shapes):
         enumerate_opetopes(MAX_ENUM_DIM + 1, 0)
 
 
+def test_the_deepest_listed_code_parses_back(fresh_shapes):
+    # Nested codes are parsed innermost first, so the bound-0 code at
+    # MAX_ENUM_DIM, about 1,000 brackets deep, reads back on an empty intern
+    # table (as in a new process reading a document) to the shape listed.
+    from opetopes.shapes import MAX_ENUM_DIM
+
+    code = enumerate_opetopes(MAX_ENUM_DIM, 0)[0].code
+    fresh_shapes()
+    shape = from_code(code)
+    assert shape.code == code and shape.dim == MAX_ENUM_DIM
+    assert enumerate_opetopes(MAX_ENUM_DIM, 0) == (shape,)
+
+
+def test_a_malformed_code_reports_its_first_error():
+    # The bracketed piece "[!zz]" fails on its own, at offset 10, but the
+    # code is read left to right and fails first at offset 7.
+    from opetopes import IllTyped
+
+    with pytest.raises(IllTyped, match=r"^expected node order at offset 7 in '\[\(ar:_\)Z\[!zz\]'$"):
+        from_code("[(ar:_)Z[!zz]")
+
+
 def test_memo_does_not_make_the_audit_vacuous(fresh_shapes, monkeypatch):
     # A wrong permutation built once and memoised must still show up as a
     # law (c) violation: the audit compares results, it never assumes a law.
