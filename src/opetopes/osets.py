@@ -149,8 +149,10 @@ class OpetopicSet:
         self.shape_bound = shape_bound
         self.cells = cells = dict(cells)
         self.faces = faces = {name: (tuple(ins), out) for name, (ins, out) in faces.items()}
-        # One entry per shape code, filled on first use.
+        # One entry per shape code, filled on first use, and the error
+        # message of each code that does not parse, so each code is parsed once.
         self._table: Dict[str, ShapeEntry] = {}
+        self._unparsed: Dict[str, str] = {}
         # Cells of dimension >= 1 by shape code and infaces, and by shape
         # code and outface, each entry in name order; cells with unparseable
         # shapes or missing face entries stay out of both indexes.
@@ -234,7 +236,14 @@ class OpetopicSet:
         """The table entry of a shape code; IllTyped if it does not parse."""
         entry = self._table.get(code)
         if entry is None:
-            entry = self._table[code] = ShapeEntry.of(shapes.from_code(code))
+            failed = self._unparsed.get(code)
+            if failed is not None:
+                raise IllTyped(failed)
+            try:
+                entry = self._table[code] = ShapeEntry.of(shapes.from_code(code))
+            except IllTyped as exc:
+                self._unparsed[code] = str(exc)
+                raise
         return entry
 
     def shape(self, code: str) -> Opetope:

@@ -31,11 +31,13 @@ index, so the order variants of one tree, which share its root, check
 only their level, their root label and (as pasting trees) their orders.
 Copying or unpickling a shape also returns the interned one.  The intern
 table is a plain dict and keeps its shapes for the life of the process:
-the enumeration cache holds every listed shape and each shape's memo its
-derived ones anyway, so a weak table would free almost nothing and cost a
-weak reference per new shape.
+the enumeration cache holds every listed shape and the derived table the
+operands and results of every derivation anyway, so a weak table would
+free almost nothing and cost a weak reference per new shape.
 Results derived from a shape (its permutations, composites, identity and
-ray shapes) are kept in that shape's memo, so each is found once.
+ray shapes) are kept in one module-level table keyed by the shape and
+the derivation, so each is found once and a shape carries no table of
+its own.  The identity permutation is not kept: it returns its shape.
 ``compose``, ``permute_inputs`` and ``identity_on`` find their result by
 code: each works out the result's code from its operands and looks it
 up, and builds a tree only for a new code (a new composite is parsed from
@@ -45,6 +47,8 @@ the same code walk as ``compose``, without its operand checks, which the
 validated tree already guarantees.  Parsing looks up each nested label by
 the code up to its matching bracket, and parses only a new label's
 structure, innermost first, so its recursion does not deepen with nesting.
+Writing a tree's code and reading its nodes back walk the tree with an
+explicit stack, so a tree of any depth builds and parses.
 """
 
 from __future__ import annotations
@@ -62,6 +66,8 @@ from .trees import PasteTree, Path, TreeNode, empty_tree, single_node_tree
 # miss paths of construction and ``derived``, which run once per distinct
 # shape or key.
 _INTERNED: Dict[str, "Opetope"] = {}
+# Shapes derived from a shape (see ``derived``), keyed by (shape,) + key.
+_DERIVED: Dict[tuple, "Opetope"] = {}
 _LOCK = threading.Lock()
 
 
@@ -80,7 +86,7 @@ class _Interned(type):
 class Opetope(metaclass=_Interned):
     """An n-dimensional shape; immutable and interned, so equality is identity."""
 
-    __slots__ = ("dim", "tree", "code", "_inputs", "_output", "_size", "_memo")
+    __slots__ = ("dim", "tree", "code", "_inputs", "_output", "_size")
 
     def __init__(self, dim: int, tree: Optional[PasteTree]):
         if dim < 0:
@@ -97,7 +103,6 @@ class Opetope(metaclass=_Interned):
         self._inputs = None
         self._output = None
         self._size = None
-        self._memo = None
         self.code = _encode(self)
 
     # -- operation view ----------------------------------------------------
@@ -162,22 +167,19 @@ class Opetope(metaclass=_Interned):
 
 
 def derived(shape: Opetope, key: tuple, build: Callable[..., Opetope], *args) -> Opetope:
-    """``build(*args)``, kept under ``key`` in the memo of ``shape``.
+    """``build(*args)``, the shape derived from ``shape`` under ``key``.
 
-    The key must determine the result; each distinct key is built once.
+    Results are kept in the one table ``_DERIVED`` under ``(shape,) + key``,
+    so the key must determine the result; each distinct key is built once.
     An error raised by ``build`` propagates and nothing is kept.
     """
-    memo = shape._memo
-    if memo is not None:
-        found = memo.get(key)
-        if found is not None:
-            return found
-    result = build(*args)
-    with _LOCK:
-        if shape._memo is None:
-            shape._memo = {}
-        return shape._memo.setdefault(key, result)
-
+    full = (shape,) + key
+    found = _DERIVED.get(full)
+    if found is None:
+        found = build(*args)
+        with _LOCK:
+            found = _DERIVED.setdefault(full, found)
+    return found
 
 
 def _validate_tree(dim: int, tree: PasteTree) -> None:
@@ -224,7 +226,7 @@ def identity_on(shape: Opetope) -> Opetope:
 
 
 def _identity_on(shape: Opetope) -> Opetope:
-    """``identity_on`` without the memo: the corolla on ``shape``, found by code."""
+    """``identity_on`` without the table: the corolla on ``shape``, found by code."""
     k = shape.arity
     code = "[(%s:%s)|n0|l%s]" % (shape.code, ",".join("_" * k), ".".join(map(str, range(k))))
     found = _INTERNED.get(code)
@@ -253,7 +255,7 @@ def compose(f: Opetope, gs: Sequence[Opetope]) -> Opetope:
 
 
 def _composed(f: Opetope, gs: Tuple[Opetope, ...]) -> Opetope:
-    """``compose`` without the memo: check the operands, then find the
+    """``compose`` without the table: check the operands, then find the
     composite by its code, parsing the code only when it is new."""
     if f.dim < 1:
         raise TypeMismatch("the point cannot be composed")
@@ -352,18 +354,19 @@ def permute_inputs(f: Opetope, sigma: Sequence[int]) -> Opetope:
     """The right action ``f . sigma``: input i of the result is input
     ``sigma[i]`` of ``f`` (0-indexed).  The output is unchanged."""
     sigma = tuple(sigma)
+    if f.dim >= 1 and len(sigma) == f.arity and sigma == tuple(range(len(sigma))):
+        return f
     return derived(f, ("permute", sigma), _permuted, f, sigma)
 
 
 def _permuted(f: Opetope, sigma: Tuple[int, ...]) -> Opetope:
-    """``permute_inputs`` without the memo: check ``sigma``, then find the
-    result by its code, building its tree only when the code is new."""
+    """``permute_inputs`` off the identity, without the table: check
+    ``sigma``, then find the result by its code, building its tree only
+    when the code is new."""
     if f.dim < 1:
         raise TypeMismatch("the point cannot be permuted")
     if len(sigma) != f.arity or sorted(sigma) != list(range(f.arity)):
         raise DegreeMismatch("permutation %r does not act on arity %d" % (sigma, f.arity))
-    if f.dim == 1 or sigma == tuple(range(f.arity)):
-        return f
     # Only the node-order field changes; it is the last "|n" of the code,
     # since the leaf-order field after it holds digits and dots only.
     head, _, tail = f.code.rpartition("|n")
@@ -523,9 +526,30 @@ def _encode(shape: Opetope) -> str:
     return "[%s|n%s|l%s]" % (body, nu, lam)
 
 
-def _encode_node(node: TreeNode) -> str:
-    parts = [("_" if c is None else _encode_node(c)) for c in node.children]
-    return "(%s:%s)" % (node.label.code, ",".join(parts))
+def _encode_node(root: TreeNode) -> str:
+    """The code of the tree at ``root``, written by one walk that keeps
+    the nodes it will come back to on an explicit stack, each with its
+    next slot, so a deep tree cannot exhaust the recursion limit."""
+    parts = ["(", root.label.code, ":"]
+    stack: List[Tuple[TreeNode, int]] = []
+    node, j = root, 0
+    while True:
+        children = node.children
+        while j < len(children):
+            if j:
+                parts.append(",")
+            child = children[j]
+            j += 1
+            if child is None:
+                parts.append("_")
+            else:
+                stack.append((node, j))
+                node, j, children = child, 0, child.children
+                parts += ("(", node.label.code, ":")
+        parts.append(")")
+        if not stack:
+            return "".join(parts)
+        node, j = stack.pop()
 
 
 # Built once the encoder exists; building interns them.
@@ -654,28 +678,41 @@ def _parse(s: str, i: int, close: Dict[int, int]) -> Tuple[Opetope, int]:
 
 
 def _parse_node(s: str, i: int, close: Dict[int, int]) -> Tuple[TreeNode, int]:
-    if s[i] != "(":
-        raise IllTyped("expected node at offset %d in %s" % (i, quote(s)))
-    label, i = _parse(s, i + 1, close)
-    if s[i] != ":":
-        raise IllTyped("expected ':' at offset %d in %s" % (i, quote(s)))
-    i += 1
-    children: List[Optional[TreeNode]] = []
-    if s[i] != ")":
+    """The node whose code starts at offset ``i`` and the offset after it.
+
+    The nodes whose slots are being read are kept on an explicit stack, so
+    a deep tree cannot exhaust the interpreter's recursion limit; the
+    checks, and so the first error reported, are those of a recursive
+    descent."""
+    stack: List[Tuple[Opetope, List[Optional[TreeNode]]]] = []
+    while True:
+        # A node starts at i.
+        if s[i] != "(":
+            raise IllTyped("expected node at offset %d in %s" % (i, quote(s)))
+        label, i = _parse(s, i + 1, close)
+        if s[i] != ":":
+            raise IllTyped("expected ':' at offset %d in %s" % (i, quote(s)))
+        i += 1
+        stack.append((label, []))
+        at_slot = s[i] != ")"
         while True:
-            if s[i] == "_":
-                children.append(None)
+            if at_slot:
+                if s[i] != "_":
+                    break  # a child node starts at i
+                stack[-1][1].append(None)
                 i += 1
             else:
-                child, i = _parse_node(s, i, close)
-                children.append(child)
-            if s[i] == ",":
+                if s[i] != ")":
+                    raise IllTyped("unterminated node at offset %d in %s" % (i, quote(s)))
+                label, children = stack.pop()
+                node = TreeNode(label, tuple(children))
                 i += 1
-                continue
-            break
-    if s[i] != ")":
-        raise IllTyped("unterminated node at offset %d in %s" % (i, quote(s)))
-    return TreeNode(label, tuple(children)), i + 1
+                if not stack:
+                    return node, i
+                stack[-1][1].append(node)
+            at_slot = s[i] == ","
+            if at_slot:
+                i += 1
 
 
 def _parse_indices(s: str, i: int) -> Tuple[Tuple[int, ...], int]:

@@ -31,7 +31,11 @@ Nodes and trees are slotted classes (see :mod:`opetopes.records`) that
 compare and hash structurally.  Like shapes they are immutable by
 convention: nothing assigns to a built node or tree, except the index a
 node keeps once it is first read and the flag a root keeps once its tree
-is validated (see :func:`opetopes.shapes._validate_tree`).
+is validated (see :func:`opetopes.shapes._validate_tree`).  A node's
+index may be shared and must never be mutated: the corollas that
+:func:`single_node_tree` builds share one index, one children tuple and
+one leaf order per arity, since a corolla's index depends only on its
+arity.  Indexing walks a tree with an explicit stack, so any depth indexes.
 """
 
 from __future__ import annotations
@@ -87,6 +91,7 @@ class TreeNode(Value):
 
         Computed on first use and kept on the node, so every tree sharing
         this root (the permuted variants of one shape) reads the same one.
+        A corolla from ``single_node_tree`` starts with its arity's shared one.
         Threads racing on first use build equal indexes; either is kept.
         """
         found = self._index
@@ -96,25 +101,27 @@ class TreeNode(Value):
 
 
 def _index_tree(root: TreeNode) -> TreeIndex:
-    nodes: Dict[Path, int] = {}
+    """Number the nodes in preorder and the leaves in planar order, by one
+    walk that keeps the nodes it will come back to on an explicit stack,
+    each with its path and next slot, so any depth indexes."""
+    nodes: Dict[Path, int] = {(): 0}
     leaves: Dict[Path, int] = {}
-    _index_walk(root, (), nodes, leaves)
-    return TreeIndex(nodes, leaves)
-
-
-# Recursive walks here and in ``shapes`` are module-level functions that take
-# their state as arguments.  A nested function that calls itself holds a
-# closure cell that refers back to the function, so every call would leave a
-# reference cycle that only the cyclic garbage collector can free.
-
-
-def _index_walk(node: TreeNode, path: Path, nodes: Dict[Path, int], leaves: Dict[Path, int]) -> None:
-    nodes[path] = len(nodes)
-    for j, child in enumerate(node.children):
-        if child is None:
-            leaves[path + (j,)] = len(leaves)
-        else:
-            _index_walk(child, path + (j,), nodes, leaves)
+    stack = []
+    node, path, j = root, (), 0
+    while True:
+        children = node.children
+        while j < len(children):
+            child = children[j]
+            if child is None:
+                leaves[path + (j,)] = len(leaves)
+                j += 1
+            else:
+                stack.append((node, path, j + 1))
+                node, path, j, children = child, path + (j,), 0, child.children
+                nodes[path] = len(nodes)
+        if not stack:
+            return TreeIndex(nodes, leaves)
+        node, path, j = stack.pop()
 
 
 class PasteTree(Value):
@@ -207,14 +214,33 @@ def empty_tree(level: int, edge_type: object) -> PasteTree:
     return PasteTree(level, None, edge_type, (), ((),))
 
 
+# The children tuple, leaf order and index of the corollas of each arity.
+_COROLLAS: Dict[int, Tuple[tuple, Tuple[Path, ...], TreeIndex]] = {}
+
+
 def single_node_tree(level: int, label: object) -> PasteTree:
-    """A one-node tree with all slots dangling (the corolla on ``label``)."""
-    node = TreeNode(label, (None,) * label.arity)
-    leaf_order = tuple((j,) for j in range(label.arity))
+    """A one-node tree with all slots dangling (the corolla on ``label``).
+
+    Corollas of one arity share their children tuple, leaf order and index."""
+    k = label.arity
+    shared = _COROLLAS.get(k)
+    if shared is None:
+        leaf_order = tuple((j,) for j in range(k))
+        index = TreeIndex({(): 0}, {leaf: j for j, leaf in enumerate(leaf_order)})
+        shared = _COROLLAS.setdefault(k, ((None,) * k, leaf_order, index))
+    children, leaf_order, index = shared
+    node = TreeNode(label, children)
+    node._index = index
     return PasteTree(level, node, None, ((),), leaf_order)
 
 
 # -- substitution ---------------------------------------------------------
+
+
+# Recursive walks here and in ``shapes`` are module-level functions that take
+# their state as arguments.  A nested function that calls itself holds a
+# closure cell that refers back to the function, so every call would leave a
+# reference cycle that only the cyclic garbage collector can free.
 
 
 def _rebuild_with(node: TreeNode, path: Path, replacement, depth: int = 0) -> Optional[TreeNode]:

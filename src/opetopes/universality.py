@@ -135,7 +135,8 @@ def ray_on_output_shape(base: Opetope, mirrored: bool) -> Tuple[Opetope, int]:
     base node's output; the composite outface has the base's own shape.
     Returns the shape with the inface position of the base node;
     ``mirrored`` swaps the listing order, giving the other of the two
-    genuinely distinct shapes.  The shape is kept in the base shape's memo.
+    genuinely distinct shapes.  The shape is kept in the derived table
+    (see :func:`opetopes.shapes.derived`) under the base shape.
     """
     shape = derived(base, ("ray-output", mirrored), _ray_on_output, base, mirrored)
     return (shape, 1) if mirrored else (shape, 0)
@@ -158,7 +159,7 @@ def ray_on_input_shape(base: Opetope, slot: int, mirrored: bool) -> Tuple[Opetop
     the composite outface again has the base's shape, with the pasted slot
     fed through the unary cell.  Returns the shape with the position of
     the base node; ``mirrored`` swaps the listing order.  The shape is
-    kept in the base shape's memo.
+    kept in the derived table under the base shape.
     """
     shape = derived(base, ("ray-input", slot, mirrored), _ray_on_input, base, slot, mirrored)
     return (shape, 0) if mirrored else (shape, 1)

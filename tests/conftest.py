@@ -30,16 +30,15 @@ def broken_set():
 
 @pytest.fixture
 def fresh_shapes(monkeypatch):
-    """Empty the shape intern table, the enumeration cache and the memos of
-    the point and the arrow, so every derived shape is built anew; the
-    returned function empties them again.  All are restored afterwards."""
+    """Empty the shape intern table, the enumeration cache and the table of
+    derived shapes, so every derived shape is built anew; the returned
+    function empties them again.  All are restored afterwards."""
     from opetopes import ARROW, POINT, shapes
 
     def reset():
         monkeypatch.setattr(shapes, "_INTERNED", {"pt": POINT, "ar": ARROW})
         monkeypatch.setattr(shapes, "_ENUM_CACHE", {})
-        monkeypatch.setattr(POINT, "_memo", None)
-        monkeypatch.setattr(ARROW, "_memo", None)
+        monkeypatch.setattr(shapes, "_DERIVED", {})
 
     reset()
     return reset

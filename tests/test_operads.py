@@ -237,7 +237,7 @@ def test_audit_report_identical_across_runs():
 
 
 def test_audit_on_warm_shape_memos_matches_a_cold_run(fresh_shapes):
-    # The first run fills an empty intern table and the shape memos; the
+    # The first run fills an empty intern table and the derived table; the
     # second reads them warm, and a third on tables emptied again must
     # report the same.
     cold = check_operad_axioms(OperadLevel(1), 4)

@@ -311,6 +311,41 @@ def test_validation_quotes_a_long_code_only_in_part():
     ]
 
 
+def test_a_failing_code_is_parsed_once_per_set(monkeypatch):
+    # Four hundred cells share one unparseable code: the set parses it
+    # once, reports the same message for every cell and raises it again,
+    # unchanged, when the shape is asked for later.
+    from opetopes import IllTyped, shapes
+
+    parsed = []
+    real = shapes.from_code
+
+    def counted(code):
+        parsed.append(code)
+        return real(code)
+
+    monkeypatch.setattr(shapes, "from_code", counted)
+    deep = "[(" * 2000 + "ar:_" + ")" * 2000
+    cells = {"d%03d" % i: deep for i in range(400)}
+    cells.update({"o": "pt", "short": "[truncated"})
+    oset = OpetopicSet(1, 2, cells, {})
+    assert sorted(parsed) == sorted([deep, "pt", "[truncated"])
+    quoted = "%r... (6004 characters)" % deep[:100]
+    assert validate(oset).violations == [
+        "cell d%03d: unparseable shape %s (code nested too deeply to parse)" % (i, quoted)
+        for i in range(400)
+    ] + ["cell short: unparseable shape '[truncated' (expected node at offset 1 in '[truncated')"]
+    for code, message in [
+        (deep, "code nested too deeply to parse"),
+        ("[truncated", "expected node at offset 1 in '[truncated'"),
+    ]:
+        for _ in range(2):
+            with pytest.raises(IllTyped) as raised:
+                oset.shape(code)
+            assert str(raised.value) == message
+    assert len(parsed) == 3
+
+
 @pytest.mark.parametrize("which", ["z2_set", "broken_set", "malformed"])
 def test_validate_returns_the_report_made_when_the_set_was_built(request, monkeypatch, which):
     # The set is checked once, as it is built; validate reads no shape and

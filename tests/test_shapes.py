@@ -236,7 +236,7 @@ def test_metatree_text_rendering():
     assert "!" in render_metatree(nullary3)
 
 
-# -- interning and the per-shape memo --------------------------------------------
+# -- interning and the derived table ---------------------------------------------
 
 
 def test_codes_parse_to_the_interned_shape():
@@ -468,10 +468,10 @@ class _Births(dict):
 
 def test_derived_shapes_found_by_code_match_the_reference_builders(fresh_shapes, monkeypatch):
     # Every composite, permutation and identity the audits derive, first on
-    # an empty intern table, then with the table kept and the memos emptied,
-    # so every result is looked up by code.  Within their bounds the audits
-    # never compose or permute into a new code, so a last pass goes past
-    # the bound for those.
+    # an empty intern table, then with the table kept and the derived table
+    # emptied, so every result is looked up by code.  Within their bounds
+    # the audits never compose or permute into a new code, so a last pass
+    # goes past the bound for those.
     from opetopes import OperadLevel, check_operad_axioms, shapes
 
     seen = []  # (builder, was the code interned before the call, args, result)
@@ -500,8 +500,7 @@ def test_derived_shapes_found_by_code_match_the_reference_builders(fresh_shapes,
     cold = [check_operad_axioms(OperadLevel(level), bound) for level, bound in levels]
     cold_calls, cold_taken = list(seen), taken()
     seen.clear()
-    for shape in list(shapes._INTERNED.values()):
-        monkeypatch.setattr(shape, "_memo", None)
+    monkeypatch.setattr(shapes, "_DERIVED", {})
     warm = [check_operad_axioms(OperadLevel(level), bound) for level, bound in levels]
     warm_taken = taken()
     assert cold == warm
@@ -648,17 +647,17 @@ def test_parsing_finds_nested_labels_by_code(fresh_shapes, monkeypatch):
     codes = sorted(set(oset.cells.values()))
     assert len(codes) == 83
     fresh_shapes()
-    calls = []
-    real = shapes._parse_node
+    built = []
+    real = shapes.TreeNode
 
-    def counted(s, i, close):
-        calls.append(i)
-        return real(s, i, close)
+    def counted(label, children):
+        built.append(label)
+        return real(label, children)
 
-    monkeypatch.setattr(shapes, "_parse_node", counted)
+    monkeypatch.setattr(shapes, "TreeNode", counted)
     parsed = [from_code(code) for code in codes]
     assert [s.code for s in parsed] == codes
-    assert len(calls) == 157 == sum(s.tree.node_count for s in parsed if s.dim >= 2)
+    assert len(built) == 157 == sum(s.tree.node_count for s in parsed if s.dim >= 2)
 
 
 def test_a_root_is_validated_once_and_only_itself():
@@ -710,3 +709,107 @@ def test_a_root_is_validated_once_and_only_itself():
     assert messages == [
         "slot 0 of node () expects %s, child composes to %s" % (unary.inputs[0].code, misfits.output.code)
     ] * 4
+
+
+# -- the derived table and shared corolla structure ------------------------------
+
+
+def test_a_cold_audit_keeps_one_derived_table_and_shares_corolla_indexes(fresh_shapes, monkeypatch):
+    # Derived shapes live in one table keyed by (shape,) + key, never in a
+    # slot of the shape; the identity permutation stores nothing; and the
+    # corollas that identities build share one index per arity.
+    from opetopes import Opetope, OperadLevel, check_operad_axioms, shapes
+
+    corollas = []
+    real = shapes.single_node_tree
+
+    def recorded(level, label):
+        tree = real(level, label)
+        corollas.append(tree)
+        return tree
+
+    monkeypatch.setattr(shapes, "single_node_tree", recorded)
+    report = check_operad_axioms(OperadLevel(3), 6)
+    assert report.violations == []
+    assert "_memo" not in Opetope.__slots__ and not hasattr(POINT, "_memo")
+    permutations = [key[2] for key in shapes._DERIVED if key[1] == "permute"]
+    assert permutations
+    assert all(sigma != tuple(range(len(sigma))) for sigma in permutations)
+    indexes = {}
+    for tree in corollas:
+        assert tree.node_count == 1 and not any(tree.root.children)
+        indexes.setdefault(tree.leaf_count, set()).add(id(tree.root.index))
+    assert len(corollas) > len(indexes) > 1
+    assert all(len(ids) == 1 for ids in indexes.values())
+
+
+def test_the_identity_permutation_is_its_shape_and_stores_nothing(fresh_shapes):
+    from opetopes import shapes
+    from opetopes.shapes import permute_inputs
+
+    assert permute_inputs(ARROW, (0,)) is ARROW
+    for shape in enumerate_opetopes(3, 3)[:40]:
+        assert permute_inputs(shape, range(shape.arity)) is shape
+    assert not any(key[1] == "permute" for key in shapes._DERIVED)
+
+
+def test_permutation_errors_are_unchanged():
+    from opetopes import DegreeMismatch, TypeMismatch
+    from opetopes.shapes import permute_inputs
+
+    twos = enumerate_opetopes(2, 2)
+    unary = next(s for s in twos if s.arity == 1)
+    binary = next(s for s in twos if s.arity == 2)
+    for f, sigma, error, message in [
+        (POINT, (), TypeMismatch, "the point cannot be permuted"),
+        (ARROW, (), DegreeMismatch, "permutation () does not act on arity 1"),
+        (unary, (0, 1), DegreeMismatch, "permutation (0, 1) does not act on arity 1"),
+        (binary, (0, 0), DegreeMismatch, "permutation (0, 0) does not act on arity 2"),
+        (binary, (1,), DegreeMismatch, "permutation (1,) does not act on arity 2"),
+    ]:
+        for _ in range(2):
+            with pytest.raises(error) as raised:
+                permute_inputs(f, sigma)
+            assert str(raised.value) == message
+
+
+def test_single_node_trees_of_one_arity_share_their_structure():
+    from opetopes.trees import single_node_tree
+
+    twos = enumerate_opetopes(2, 3)
+    for k in range(4):
+        labels = [s for s in twos if s.arity == k][:3]
+        trees = [single_node_tree(0, label) for label in labels]
+        first = trees[0]
+        assert first.node_order == ((),) and first.leaf_order == tuple((j,) for j in range(k))
+        assert first.root.children == (None,) * k
+        assert first.index == ({(): 0}, {(j,): j for j in range(k)})
+        for tree, label in zip(trees, labels):
+            assert tree.root.label is label and tree.level == 0
+            assert tree.root.index is first.root.index
+            assert tree.leaf_order is first.leaf_order
+            assert tree.root.children is first.root.children
+
+
+@pytest.mark.parametrize("length", [600, 1200])
+def test_a_deep_chain_builds_without_recursion(fresh_shapes, length):
+    # Indexing, encoding and parsing a tree walk it with an explicit stack,
+    # so a chain deeper than the interpreter's recursion limit still builds
+    # and its code reads back on an empty intern table.
+    from opetopes import Opetope
+    from opetopes.trees import PasteTree, TreeNode
+
+    root = None
+    for _ in range(length):
+        root = TreeNode(ARROW, (root,))
+    nodes, leaves = root.index
+    assert list(nodes) == [(0,) * d for d in range(length)]
+    assert list(leaves) == [(0,) * length]
+    shape = Opetope(2, PasteTree(0, root, None, tuple(nodes), tuple(leaves)))
+    assert shape.arity == length and shape.inputs == (ARROW,) * length
+    code = "[%s_%s|n%s|l0]" % ("(ar:" * length, ")" * length, ".".join(map(str, range(length))))
+    assert shape.code == code
+    fresh_shapes()
+    parsed = from_code(code)
+    assert parsed is not shape and parsed.code == code and parsed.arity == length
+    assert parsed.tree.node_order == shape.tree.node_order
