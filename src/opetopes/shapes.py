@@ -47,8 +47,9 @@ the same code walk as ``compose``, without its operand checks, which the
 validated tree already guarantees.  Parsing looks up each nested label by
 the code up to its matching bracket, and parses only a new label's
 structure, innermost first, so its recursion does not deepen with nesting.
-Writing a tree's code and reading its nodes back walk the tree with an
-explicit stack, so a tree of any depth builds and parses.
+Writing a tree's code, reading its nodes back, grafting it and writing a
+composite's code walk the trees with an explicit stack, so a tree of any
+depth builds, parses and composes.
 """
 
 from __future__ import annotations
@@ -292,7 +293,7 @@ def _composite_code(f: Opetope, gs: Tuple[Optional[Opetope], ...]) -> str:
     parts: List[str] = []
     numbers: Dict[Tuple[Path, Path], int] = {}  # (f node, operand node) -> preorder number
     planar: Dict[Path, int] = {}  # f leaf -> planar leaf position
-    _composite_edge(tree.root, (), operand, parts, numbers, planar)
+    _composite_walk(tree.root, operand, parts, numbers, planar)
     if not numbers:
         return "[!%s|n|l0]" % operand[()].tree.edge_type.code
     nu = ".".join(
@@ -308,46 +309,61 @@ def _composite_code(f: Opetope, gs: Tuple[Optional[Opetope], ...]) -> str:
 _KEPT: Tuple[Path, ...] = ((),)
 
 
-def _composite_edge(node: Optional[TreeNode], at: Path, operand, parts, numbers, planar) -> None:
-    """Write the composite above the edge of f's tree at ``at``, which
-    enters ``node``."""
-    while node is not None:
-        g = operand[at]
-        if g is None or not g.tree.is_empty:
-            break
-        node, at = node.children[0], at + (0,)
-    if node is None:
-        planar[at] = len(planar)
-        parts.append("_")
-    elif g is None:
-        numbers[at, ()] = len(numbers)
-        parts.append("(%s:" % node.label.code)
-        for j, child in enumerate(node.children):
+def _composite_walk(root: TreeNode, operand, parts, numbers, planar) -> None:
+    """Write the composite above the root edge of f's tree.
+
+    The walk keeps what it has still to write on an explicit stack, so a
+    deep tree cannot exhaust the recursion limit.  A task is a literal; an
+    edge of f's tree, as the node it enters and its path; or a node of the
+    operand tree that replaces a node of f's, as f's node, its path, the
+    slot of f's node that each operand leaf takes, the operand node and
+    its path.  A node's tasks are pushed last slot first, so nodes and
+    leaves are numbered in the order of a depth-first walk.
+    """
+    todo: list = [(root, ())]
+    while todo:
+        task = todo.pop()
+        if task.__class__ is str:
+            parts.append(task)
+            continue
+        if len(task) == 2:
+            node, at = task
+            while node is not None:
+                g = operand[at]
+                if g is None or not g.tree.is_empty:
+                    break
+                node, at = node.children[0], at + (0,)
+            if node is None:
+                planar[at] = len(planar)
+                parts.append("_")
+                continue
+            if g is None:
+                numbers[at, ()] = len(numbers)
+                parts.append("(%s:" % node.label.code)
+                todo.append(")")
+                children = node.children
+                for j in range(len(children) - 1, -1, -1):
+                    todo.append((children[j], at + (j,)))
+                    if j:
+                        todo.append(",")
+                continue
+            inner = g.tree
+            slots = {leaf: j for j, leaf in enumerate(inner.leaf_order)}
+            task = (node, at, slots, inner.root, ())
+        node, at, slots, sub, q = task
+        numbers[at, q] = len(numbers)
+        parts.append("(%s:" % sub.label.code)
+        todo.append(")")
+        children = sub.children
+        for j in range(len(children) - 1, -1, -1):
+            child = children[j]
+            if child is None:
+                k = slots[q + (j,)]
+                todo.append((node.children[k], at + (k,)))
+            else:
+                todo.append((node, at, slots, child, q + (j,)))
             if j:
-                parts.append(",")
-            _composite_edge(child, at + (j,), operand, parts, numbers, planar)
-        parts.append(")")
-    else:
-        inner = g.tree
-        slots = {leaf: j for j, leaf in enumerate(inner.leaf_order)}
-        _composite_splice(node, at, slots, inner.root, (), operand, parts, numbers, planar)
-
-
-def _composite_splice(node: TreeNode, at: Path, slots: Dict[Path, int], sub: TreeNode, q: Path,
-                      operand, parts, numbers, planar) -> None:
-    """Write node ``q`` of the operand tree that replaces ``node``; the
-    operand's leaf ``l`` takes slot ``slots[l]`` of ``node``."""
-    numbers[at, q] = len(numbers)
-    parts.append("(%s:" % sub.label.code)
-    for j, child in enumerate(sub.children):
-        if j:
-            parts.append(",")
-        if child is None:
-            k = slots[q + (j,)]
-            _composite_edge(node.children[k], at + (k,), operand, parts, numbers, planar)
-        else:
-            _composite_splice(node, at, slots, child, q + (j,), operand, parts, numbers, planar)
-    parts.append(")")
+                todo.append(",")
 
 
 def permute_inputs(f: Opetope, sigma: Sequence[int]) -> Opetope:
@@ -398,16 +414,35 @@ def graft(tree: PasteTree) -> Opetope:
     return permute_inputs(planar, sigma)
 
 
-def _grafted(node: TreeNode) -> Opetope:
-    """The planar composite of the subtree at ``node``: its label composed
-    with each child's composite, found by the code of one walk of the
-    label's tree.  A dangling slot keeps its node, so a node with no
+def _grafted(root: TreeNode) -> Opetope:
+    """The planar composite of the tree at ``root``: each node's label
+    composed with each child's composite, found by the code of one walk of
+    the label's tree.  A dangling slot keeps its node, so a node with no
     children composes to its label.  The validated tree already matches
-    each child's output to its slot, so no operand is checked again."""
-    if not any(node.children):
-        return node.label
-    gs = tuple([None if child is None else _grafted(child) for child in node.children])
-    return from_code(_composite_code(node.label, gs))
+    each child's output to its slot, so no operand is checked again.
+
+    The nodes whose children are still being composed are kept on an
+    explicit stack, each with the composites of its slots so far, so a
+    deep tree cannot exhaust the recursion limit."""
+    stack: List[Tuple[TreeNode, List[Optional[Opetope]]]] = []
+    node, gs = root, []
+    while True:
+        children = node.children
+        while len(gs) < len(children):
+            child = children[len(gs)]
+            if child is None:
+                gs.append(None)
+            else:
+                stack.append((node, gs))
+                node, gs, children = child, [], child.children
+        if any(children):
+            g = from_code(_composite_code(node.label, tuple(gs)))
+        else:
+            g = node.label
+        if not stack:
+            return g
+        node, gs = stack.pop()
+        gs.append(g)
 
 
 def faces(shape: Opetope) -> Tuple[Tuple[Opetope, ...], Opetope]:

@@ -311,6 +311,26 @@ def test_validation_quotes_a_long_code_only_in_part():
     ]
 
 
+def test_a_cell_with_a_deep_tree_is_checked_without_recursion():
+    # A cell whose shape is a 1,200-node chain of the unary 2-dimensional
+    # shape builds and is checked like any other: its faces are read off
+    # the tree by walks that keep an explicit stack.
+    length = 1200
+    unary = "[(ar:_)|n0|l0]"
+    tower = "[%s_%s|n%s|l0]" % (
+        ("(%s:" % unary) * length, ")" * length, ".".join(map(str, range(length)))
+    )
+    cells = {"o": "pt", "a": "ar", "u": unary, "t": tower}
+    faces = {"a": (("o",), "o"), "u": (("a",), "a"), "t": (("u",) * length, "u")}
+    oset = OpetopicSet(3, 2, cells, faces)
+    assert validate(oset).ok
+    assert oset.shape_of("t").output.code == unary
+    faces["t"] = (("u",), "u")
+    assert validate(OpetopicSet(3, 2, cells, faces)).violations == [
+        "cell t: 1 infaces assigned, shape has %d" % length
+    ]
+
+
 def test_a_failing_code_is_parsed_once_per_set(monkeypatch):
     # Four hundred cells share one unparseable code: the set parses it
     # once, reports the same message for every cell and raises it again,

@@ -813,3 +813,25 @@ def test_a_deep_chain_builds_without_recursion(fresh_shapes, length):
     parsed = from_code(code)
     assert parsed is not shape and parsed.code == code and parsed.arity == length
     assert parsed.tree.node_order == shape.tree.node_order
+
+
+@pytest.mark.parametrize("length", [600, 1200])
+def test_a_deep_tree_composes_without_recursion(fresh_shapes, length):
+    # Grafting a tree and writing a composite's code walk with an explicit
+    # stack, so a shape whose tree, or whose label's tree, is deeper than
+    # the interpreter's recursion limit still composes.
+    from opetopes import compose
+
+    unary = identity_on(ARROW)
+    assert unary.code == "[(ar:_)|n0|l0]"
+    order = ".".join(map(str, range(length)))
+    tower = from_code("[%s_%s|n%s|l0]" % (("(%s:" % unary.code) * length, ")" * length, order))
+    assert tower.dim == 3 and tower.arity == length
+    assert tower.output is unary
+    chain = from_code("[%s_%s|n%s|l0]" % ("(ar:" * length, ")" * length, order))
+    assert compose(chain, (unary,) * length) is chain
+    # The chain on the root, the unary shape on its first slot.
+    code = "[(%s:(%s:_)%s)|n0.1|l%s]" % (chain.code, unary.code, ",_" * (length - 1), order)
+    shape = from_code(code)
+    assert shape.code == code and shape.inputs == (chain, unary)
+    assert shape.output is chain
