@@ -19,9 +19,10 @@ A boundary configuration assigns cells to some of the face positions.
 Edges none of whose two references land on an assigned face are *free*;
 a configuration pins each free edge with an explicit cell two dimensions
 down, which is what distinguishes, say, the nullary niches sitting at two
-different base cells.  A checked configuration also carries the one cell
-on each of its edges, resolved or pinned, so readers such as
-``forced_outface_boundary`` never resolve an edge twice.
+different base cells.  A configuration is just those four fields: shape,
+infaces, outface and pins.  Its *occupants* are the cells whose boundary
+extends it, and ``cells_with`` is the one lookup that finds them, for
+configurations, niches, frames and outface fillers alike.
 """
 
 from __future__ import annotations
@@ -92,9 +93,7 @@ class ShapeEntry(NamedTuple):
 
     ``input_codes`` is empty and ``output_code`` None for the point.
     ``plan`` compiles ``edge_incidences(shape)``: one ``PlanRow`` per edge,
-    in sorted edge order, which is also the order of a configuration's
-    ``edges``.  ``outface_rows`` lists the edges (by that order) meeting
-    the outface's own outface and then each of its infaces.
+    in sorted edge order.
     """
 
     shape: Opetope
@@ -102,29 +101,21 @@ class ShapeEntry(NamedTuple):
     output_code: Optional[str]
     plan: Dict[EdgeKey, PlanRow]
     edge_types: Dict[EdgeKey, str]
-    outface_rows: Tuple[int, ...]
 
     @classmethod
     def of(cls, shape: Opetope) -> "ShapeEntry":
         if shape.dim == 0:
-            return cls(shape, (), None, {}, {}, ())
+            return cls(shape, (), None, {}, {})
         plan = {
             edge: _slot_pair(upper) + _slot_pair(lower)
             for edge, (upper, lower) in sorted(edge_incidences(shape).items())
         }
-        # Every face slot of the outface is met by exactly one reference.
-        outface_rows: Dict[int, int] = {}
-        for index, row in enumerate(plan.values()):
-            for slot, face in (row[:2], row[2:]):
-                if slot == -1:
-                    outface_rows[face] = index
         return cls(
             shape,
             tuple(s.code for s in shape.inputs),
             shape.output.code,
             plan,
             {edge: _edge_type_code(shape, edge) for edge in plan},
-            tuple(outface_rows[k] for k in range(-1, len(outface_rows) - 1)),
         )
 
 
@@ -312,15 +303,10 @@ class BoundaryConfig(Value):
     ``infaces`` has one entry per inface position (None = missing) and
     ``outface`` is None when missing.  ``pins`` assigns a cell to every
     free edge (an edge neither of whose face references is assigned).
-
-    ``edges`` is set on every configuration that ``make_config`` or
-    enumeration has checked: the one cell on each edge, resolved or
-    pinned, in the order of the shape's plan.  It follows from the other
-    fields, so equality, hashing, ``sort_key`` and repr leave it out.
     """
 
-    __slots__ = ("shape_code", "infaces", "outface", "pins", "edges")
-    _fields = ("shape_code", "infaces", "outface", "pins")
+    __slots__ = ("shape_code", "infaces", "outface", "pins")
+    _fields = __slots__
 
     def __init__(
         self,
@@ -328,13 +314,11 @@ class BoundaryConfig(Value):
         infaces: Tuple[Optional[str], ...],
         outface: Optional[str],
         pins: Tuple[Tuple[EdgeKey, str], ...],
-        edges: Optional[Tuple[str, ...]] = None,
     ):
         self.shape_code = shape_code
         self.infaces = infaces
         self.outface = outface
         self.pins = pins
-        self.edges = edges
 
     @property
     def kind(self) -> str:
@@ -368,7 +352,7 @@ def make_config(
     Every edge whose two references both resolve must agree; every free
     edge must be pinned with a cell of the edge's type (pins on resolvable
     edges are checked and then dropped, so equal configurations have equal
-    representations).  The result carries the cell on each edge.
+    representations).
     """
     entry = oset.shape_entry(shape_code)
     cells = oset.cells
@@ -391,7 +375,6 @@ def make_config(
             raise MalformedConfig("outface must be %s-shaped" % entry.output_code)
     pins = dict(pins) if pins else {}
     kept: List[Tuple[EdgeKey, str]] = []
-    carried: List[str] = []
     faces = oset.faces
     boundary = infaces + (outface,)
     for edge, (su, fu, sl, fl) in entry.plan.items():
@@ -416,88 +399,74 @@ def make_config(
                     "pin on edge %r must be %s-shaped" % (edge, entry.edge_types[edge])
                 )
             kept.append((edge, pin))
-            cell = pin
-        carried.append(cell)
     if pins:
         raise MalformedConfig("pins on unknown edges: %r" % sorted(pins))
-    return BoundaryConfig(shape_code, infaces, outface, tuple(kept), tuple(carried))
+    return BoundaryConfig(shape_code, infaces, outface, tuple(kept))
+
+
+def cells_with(
+    oset: OpetopicSet,
+    code: str,
+    infaces: Tuple[Optional[str], ...],
+    outface: Optional[str] = None,
+    pins: Tuple[Tuple[EdgeKey, str], ...] = (),
+) -> Tuple[str, ...]:
+    """The cells of shape ``code`` whose boundary extends a partly
+    assigned one, in name order: their infaces agree with ``infaces`` and
+    their outface with ``outface`` where these assign one (None = free),
+    and each pinned edge carries its pin.  The candidates are one lookup,
+    already in name order: by infaces when all are assigned, else by
+    outface when it is, else every cell of the shape."""
+    faces = oset.faces
+    if None not in infaces:
+        pool = oset._niche_index.get((code, infaces), ())
+        if outface is not None:
+            pool = tuple(c for c in pool if faces[c][1] == outface)
+    else:
+        if outface is not None:
+            pool = oset._outface_index.get((code, outface), ())
+        else:
+            pool = oset.cells_of_shape(code)
+        assigned = [(i, a) for i, a in enumerate(infaces) if a is not None]
+        pool = tuple(c for c in pool if all(faces[c][0][i] == a for i, a in assigned))
+    if pins:
+        plan = oset.shape_entry(code).plan
+        pool = tuple(c for c in pool if all(_carries(oset, c, plan[e], pin) for e, pin in pins))
+    return pool
+
+
+def _carries(oset: OpetopicSet, cell: str, row: PlanRow, pin: str) -> bool:
+    """Does the edge of this plan row carry ``pin`` on the cell's boundary?"""
+    ins, out = oset.faces[cell]
+    face = oset.faces[out if row[0] < 0 else ins[row[0]]]
+    return (face[1] if row[1] < 0 else face[0][row[1]]) == pin
+
+
+def occupants(oset: OpetopicSet, cfg: BoundaryConfig) -> Tuple[str, ...]:
+    """All cells of the configuration's shape extending it, sorted: one
+    ``cells_with`` lookup on its four fields."""
+    return cells_with(oset, cfg.shape_code, cfg.infaces, cfg.outface, cfg.pins)
 
 
 def niche_occupants(oset: OpetopicSet, cell: str) -> Tuple[str, ...]:
-    """The occupants of the cell's niche, sorted, read off the niche index.
+    """The occupants of the cell's niche, sorted, without building it.
 
-    The cells sharing its shape and infaces are kept when they also agree
-    on the edges the niche pins from the cell's own boundary: those whose
-    two references both lie on the outface, which only empty-tree shapes
-    have.  On a validated set this equals ``occupants`` of the niche built
-    by ``make_config``, without building or checking the niche.
+    The niche keeps the cell's infaces and pins the edges whose two
+    references both lie on the outface (only empty-tree shapes have one)
+    with the cells its own outface puts there.  On a validated set this
+    equals ``occupants`` of the niche ``make_config`` builds.
     """
     code = oset.cells[cell]
     entry = oset.shape_entry(code)
     if entry.shape.dim < 1:
         raise MalformedConfig("0-cells occupy no niche")
-    faces = oset.faces
-    ins, out = faces[cell]
-    pool = oset._niche_index.get((code, ins), ())
-    pinned = [fu for su, fu, sl, fl in entry.plan.values() if su == sl == -1]
-    if pinned:
-        want = faces[out][0]
-        pool = [c for c in pool if all(faces[faces[c][1]][0][f] == want[f] for f in pinned)]
-    return tuple(sorted(pool))
-
-
-def cell_matches(oset: OpetopicSet, cfg: BoundaryConfig, cell: str) -> bool:
-    """Does the cell's boundary extend the configuration (pins included)?"""
-    if oset.cells[cell] != cfg.shape_code:
-        return False
     ins, out = oset.faces[cell]
-    for want, have in zip(cfg.infaces, ins):
-        if want is not None and want != have:
-            return False
-    if cfg.outface is not None and cfg.outface != out:
-        return False
-    boundary = ins + (out,)
-    plan = oset.shape_entry(cfg.shape_code).plan
-    for edge, pin in cfg.pins:
-        su, fu = plan[edge][:2]
-        face = oset.faces[boundary[su]]
-        if (face[1] if fu < 0 else face[0][fu]) != pin:
-            return False
-    return True
-
-
-def cells_with(
-    oset: OpetopicSet, code: str, infaces: Tuple[Optional[str], ...], outface: str
-) -> Tuple[str, ...]:
-    """The cells of shape ``code`` with this outface whose infaces agree
-    with ``infaces`` where it assigns one (None = free), in name order:
-    one lookup, by infaces when all are assigned, else by outface."""
-    faces = oset.faces
-    if None not in infaces:
-        pool = oset._niche_index.get((code, infaces), ())
-        return tuple(c for c in pool if faces[c][1] == outface)
-    assigned = [(i, c) for i, c in enumerate(infaces) if c is not None]
-    pool = oset._outface_index.get((code, outface), ())
-    return tuple(c for c in pool if all(faces[c][0][i] == a for i, a in assigned))
-
-
-def occupants(oset: OpetopicSet, cfg: BoundaryConfig) -> Tuple[str, ...]:
-    """All cells of the configuration's shape extending it, sorted.
-
-    The candidates are read from an index when the configuration fixes a
-    key: the cells with exactly its infaces when every inface is
-    assigned, else the cells with its outface when that is assigned.
-    Otherwise every cell of the shape is a candidate.
-    """
-    if None not in cfg.infaces:
-        pool = oset._niche_index.get((cfg.shape_code, cfg.infaces), ())
-        if cfg.outface is None and not cfg.pins:
-            return tuple(sorted(pool))
-    elif cfg.outface is not None:
-        pool = oset._outface_index.get((cfg.shape_code, cfg.outface), ())
-    else:
-        pool = oset.cells_of_shape(cfg.shape_code)
-    return tuple(sorted(c for c in pool if cell_matches(oset, cfg, c)))
+    pins = tuple(
+        (edge, oset.faces[out][0][fu])
+        for edge, (su, fu, sl, fl) in entry.plan.items()
+        if su == sl == -1
+    )
+    return cells_with(oset, code, ins, None, pins)
 
 
 def forced_outface_boundary(
@@ -505,20 +474,32 @@ def forced_outface_boundary(
 ) -> Tuple[Tuple[str, ...], str]:
     """The boundary any outface filler of the configuration must have.
 
-    Each face of the would-be outface cell lies on one edge of the shape,
-    and a checked configuration of dimension >= 2 carries a cell on every
-    edge, so the forced infaces and outface are read off its ``edges``.
-    MalformedConfig below dimension 2, where no relation meets the
-    outface's faces, and for a configuration that carries no edges.
+    Each face of the would-be outface cell is met by one reference of one
+    edge of the shape; the edge's other reference names the face's cell,
+    read off an assigned face of the configuration, or else off the
+    edge's pin.  MalformedConfig below dimension 2, where no relation
+    meets the outface's faces, and for a free edge without a pin.
     """
     entry = oset.shape_entry(cfg.shape_code)
     if entry.shape.dim < 2:
         raise MalformedConfig("configurations below dimension 2 force no outface boundary")
-    if cfg.edges is None:
-        raise MalformedConfig("the configuration carries no edge cells; build it with make_config")
-    edges = cfg.edges
-    out_row, *in_rows = entry.outface_rows
-    return tuple(edges[r] for r in in_rows), edges[out_row]
+    faces = oset.faces
+    boundary = cfg.infaces + (cfg.outface,)
+    pins = dict(cfg.pins)
+    forced: Dict[int, str] = {}
+    for edge, (su, fu, sl, fl) in entry.plan.items():
+        for slot, face, other, other_face in ((su, fu, sl, fl), (sl, fl, su, fu)):
+            if slot != -1:
+                continue
+            cell = boundary[other]
+            if cell is not None:
+                cell = faces[cell][1] if other_face < 0 else faces[cell][0][other_face]
+            elif edge in pins:
+                cell = pins[edge]
+            else:
+                raise MalformedConfig("edge %r of %s needs a pin" % (edge, cfg.shape_code))
+            forced[face] = cell
+    return tuple(forced[k] for k in range(len(forced) - 1)), forced[-1]
 
 
 def outface_extensions(oset: OpetopicSet, cfg: BoundaryConfig) -> Tuple[str, ...]:
@@ -526,10 +507,10 @@ def outface_extensions(oset: OpetopicSet, cfg: BoundaryConfig) -> Tuple[str, ...
 
     These are the cells ``b`` that ``make_config`` accepts as the outface
     of ``cfg`` (same infaces and pins): the only edges that assigning
-    ``b`` can break are those meeting the outface, and each carries a
-    cell in the checked ``cfg``, so ``b`` must have exactly the forced
-    boundary.  Shapes below dimension 2 have no relations, and every cell
-    of the outface shape fits.
+    ``b`` can break are those meeting the outface, and each already names
+    a cell in ``cfg``, so ``b`` must have exactly the forced boundary.
+    Shapes below dimension 2 have no relations, and every cell of the
+    outface shape fits.
     """
     if cfg.outface is not None:
         return (cfg.outface,)
@@ -596,31 +577,23 @@ def _pin_completions(
 ) -> Iterator[BoundaryConfig]:
     """The configurations over one assignment, its free edges pinned with
     every cell of their types; none when the assignment breaks an
-    incidence.  Each one is checked here, as ``make_config`` would, and
-    carries the cell on each edge."""
+    incidence.  Each one is checked here, as ``make_config`` would."""
     faces = oset.faces
     boundary = infaces + (outface,)
-    carried: List[Optional[str]] = []
-    free: List[int] = []
-    for index, (su, fu, sl, fl) in enumerate(entry.plan.values()):
+    free: List[EdgeKey] = []
+    for edge, (su, fu, sl, fl) in entry.plan.items():
         face = boundary[su]
         a = None if face is None else (faces[face][1] if fu < 0 else faces[face][0][fu])
         face = boundary[sl]
         b = None if face is None else (faces[face][1] if fl < 0 else faces[face][0][fl])
         if a is None:
             if b is None:
-                free.append(index)
-            a = b
+                free.append(edge)
         elif b is not None and a != b:
             return
-        carried.append(a)
-    edges = tuple(entry.plan)
-    pools = [oset.cells_of_shape(entry.edge_types[edges[i]]) for i in free]
+    pools = [oset.cells_of_shape(entry.edge_types[edge]) for edge in free]
     for combo in itertools.product(*pools):
-        for i, cell in zip(free, combo):
-            carried[i] = cell
-        pins = tuple((edges[i], cell) for i, cell in zip(free, combo))
-        yield BoundaryConfig(entry.shape.code, infaces, outface, pins, tuple(carried))
+        yield BoundaryConfig(entry.shape.code, infaces, outface, tuple(zip(free, combo)))
 
 
 def _edge_type_code(shape: Opetope, edge: EdgeKey) -> str:

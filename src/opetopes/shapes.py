@@ -724,7 +724,10 @@ def _parse_node(s: str, i: int, close: Dict[int, int]) -> Tuple[TreeNode, int]:
         # A node starts at i.
         if s[i] != "(":
             raise IllTyped("expected node at offset %d in %s" % (i, quote(s)))
-        label, i = _parse(s, i + 1, close)
+        start = i + 1
+        label, i = _parse(s, start, close)
+        if label.dim == 0:
+            raise IllTyped("the point labels no node, at offset %d in %s" % (start, quote(s)))
         if s[i] != ":":
             raise IllTyped("expected ':' at offset %d in %s" % (i, quote(s)))
         i += 1

@@ -243,17 +243,23 @@ def single_node_tree(level: int, label: object) -> PasteTree:
 # reference cycle that only the cyclic garbage collector can free.
 
 
-def _rebuild_with(node: TreeNode, path: Path, replacement, depth: int = 0) -> Optional[TreeNode]:
+def _rebuild_with(node: TreeNode, path: Path, replacement) -> Optional[TreeNode]:
     """Return the tree rooted at ``node`` with the node at ``path`` swapped
-    for ``replacement`` (``depth`` entries of ``path`` already walked).
+    for ``replacement``.
 
-    ``replacement`` is a TreeNode or None; None empties that position.
+    ``replacement`` is a TreeNode or None; None empties that position.  The
+    ancestors along ``path`` are collected walking down and rebuilt walking
+    up, so a deep path cannot exhaust the interpreter's recursion limit.
     """
-    if depth == len(path):
-        return replacement
-    j = path[depth]
-    child = _rebuild_with(node.children[j], path, replacement, depth + 1)
-    return TreeNode(node.label, node.children[:j] + (child,) + node.children[j + 1 :])
+    ancestors = []
+    for j in path:
+        ancestors.append(node)
+        node = node.children[j]
+    for parent, j in zip(reversed(ancestors), reversed(path)):
+        replacement = TreeNode(
+            parent.label, parent.children[:j] + (replacement,) + parent.children[j + 1 :]
+        )
+    return replacement
 
 
 def substitute_tree(

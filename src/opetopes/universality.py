@@ -17,7 +17,8 @@ memoised per cell.
 Every punctured niche of the recursion pastes one missing unary ray cell
 onto a cell, so the boundary an outface filler is forced to have is known,
 and the recursion reads all it needs off the set's two indexes (cells by
-shape and infaces, and by shape and outface) without building one:
+shape and infaces, and by shape and outface), each read one
+``osets.cells_with`` lookup, without building one:
 
 * output composition of a cell c at d' forces (c's infaces, d'), so its
   outface extensions are the occupants of c's niche with outface d';
@@ -225,7 +226,8 @@ def is_universal(ctx: CheckContext, cell: str) -> Verdict:
 
 def is_balanced(ctx: CheckContext, cfg: BoundaryConfig) -> Verdict:
     """Is the punctured niche balanced, relative to the context's n?  ``cfg``
-    must be checked (by ``make_config`` or enumeration), the set validated."""
+    must pin its free edges, as ``make_config`` and enumeration do, and the
+    set be validated."""
     if cfg.kind != "punctured_niche":
         raise MalformedConfig("balancedness is asked of punctured niches")
     shape = ctx.oset.shape(cfg.shape_code)

@@ -1,9 +1,11 @@
-"""Configuration builders kept as test references.
+"""Configuration builders and an occupant test kept as test references.
 
 The checker reads frames, niches and the punctured niches of its
 recursion off the set's indexes and never builds them.  These builders
 make the same configurations the checked way, through ``make_config``, so
-the tests can compare the two readings.
+the tests can compare the two readings.  ``cell_matches`` tests one cell
+against a configuration, field by field, as a scan reference for the
+index lookups of ``osets.cells_with``.
 """
 
 from opetopes import MalformedConfig, make_config
@@ -55,3 +57,23 @@ def input_competition_niche(oset, cell, slot, a_prime, mirrored):
     infaces = [None, None]
     infaces[cell_pos] = cell
     return make_config(oset, big.code, infaces, None, {(slot, 0): a_prime})
+
+
+def cell_matches(oset, cfg, cell):
+    """Does the cell's boundary extend the configuration (pins included)?"""
+    if oset.cells[cell] != cfg.shape_code:
+        return False
+    ins, out = oset.faces[cell]
+    for want, have in zip(cfg.infaces, ins):
+        if want is not None and want != have:
+            return False
+    if cfg.outface is not None and cfg.outface != out:
+        return False
+    boundary = ins + (out,)
+    plan = oset.shape_entry(cfg.shape_code).plan
+    for edge, pin in cfg.pins:
+        su, fu = plan[edge][:2]
+        face = oset.faces[boundary[su]]
+        if (face[1] if fu < 0 else face[0][fu]) != pin:
+            return False
+    return True

@@ -87,6 +87,22 @@ def test_check_rejects_a_non_canonical_shape_code(tmp_path, capsys, cell, spelli
     assert err[1].startswith("  cell %s: unparseable shape %r" % (cell, spelling))
 
 
+def test_check_names_a_cell_whose_tree_node_is_the_point(tmp_path, capsys):
+    fix = tmp_path / "point.json"
+    main(["fixture", "point", "--out", str(fix)])
+    doc = json.loads(fix.read_text())
+    doc["cells"]["x"] = "[(pt:)|n0|l]"
+    doc["faces"]["x"] = {"infaces": [], "outface": "o"}
+    fix.write_text(json.dumps(doc))
+    assert main(["check", str(fix), "--n", "1", "--bound", "2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "input error: set fails validation",
+        "  cell x: unparseable shape '[(pt:)|n0|l]' "
+        "(the point labels no node, at offset 2 in '[(pt:)|n0|l]')",
+    ]
+
+
 def test_check_rejects_a_too_deeply_nested_shape_code(tmp_path, capsys):
     fix = tmp_path / "z2.json"
     main(["fixture", "z2_monoid", "--out", str(fix)])

@@ -20,7 +20,6 @@ from opetopes.fixtures import build_fixture, z2_weak2
 from opetopes.osets import (
     BoundaryConfig,
     _edge_type_code,
-    cell_matches,
     edge_incidences,
     forced_outface_boundary,
     niche_occupants,
@@ -28,6 +27,7 @@ from opetopes.osets import (
 )
 from opetopes.universality import _config_label
 from reference_configs import (
+    cell_matches,
     config_with,
     frame_of,
     input_competition_niche,
@@ -297,6 +297,16 @@ def test_unparseable_shape_codes_are_reported_not_crashed():
     assert any("unparseable" in v for v in report.violations)
 
 
+def test_a_point_labelled_node_is_an_unparseable_shape():
+    # The point is no operation, so no tree node can carry it: the cell is
+    # reported, not the set's build aborted.
+    oset = OpetopicSet(2, 2, {"o": "pt", "x": "[(pt:)|n0|l]"}, {"x": ((), "o")})
+    assert validate(oset).violations == [
+        "cell x: unparseable shape '[(pt:)|n0|l]' "
+        "(the point labels no node, at offset 2 in '[(pt:)|n0|l]')"
+    ]
+
+
 def test_validation_quotes_a_long_code_only_in_part():
     from opetopes.shapes import QUOTE_LIMIT
 
@@ -439,10 +449,10 @@ def _reference_niche(oset, cell):
 
 def test_enumerated_configs_are_canonical_and_well_kinded():
     # Enumeration builds its configurations without make_config; each must
-    # be the one make_config builds from the same faces and pins, and both
-    # must carry the edge vector a reference resolver reads off faces and
-    # pins.  So must every frame, niche and outface extension.
-    listed = extended = 0
+    # be the one make_config builds from the same faces and pins.  Every
+    # niche and punctured niche of dimension >= 2 must force the outface
+    # boundary a reference resolver reads off faces and pins.
+    listed = extended = forced = 0
     for oset in (build_fixture("z3_monoid"), build_fixture("broken_magma"), z2_weak2()):
         for dim in range(1, oset.max_dim + 1):
             for kind in ("frame", "niche", "punctured_niche"):
@@ -452,27 +462,26 @@ def test_enumerated_configs_are_canonical_and_well_kinded():
                         oset, cfg.shape_code, cfg.infaces, cfg.outface, dict(cfg.pins)
                     )
                     assert rebuilt == cfg
-                    assert rebuilt.edges == cfg.edges == _reference_edges(oset, cfg), cfg
                     listed += 1
                     if kind == "frame":
                         continue
+                    if dim >= 2:
+                        assert forced_outface_boundary(oset, cfg) == _reference_forced(oset, cfg), cfg
+                        forced += 1
                     for b in outface_extensions(oset, cfg):
-                        ext = config_with(oset, cfg, outface=b)
-                        assert ext.edges == _reference_edges(oset, ext), ext
+                        config_with(oset, cfg, outface=b)
                         extended += 1
         for cell in oset.cells:
             if oset.dim_of(cell) >= 1:
-                niche = niche_of(oset, cell)
-                assert niche == _reference_niche(oset, cell), cell
-                assert niche.edges == _reference_edges(oset, niche), cell
-                frame = frame_of(oset, cell)
-                assert frame.edges == _reference_edges(oset, frame), cell
+                assert niche_of(oset, cell) == _reference_niche(oset, cell), cell
+                assert frame_of(oset, cell).kind == "frame", cell
     assert listed == 33267
     assert extended == 33668
+    assert forced == 18371
 
 
 def test_outface_inface_references_cover_its_positions_once():
-    # ShapeEntry.outface_rows finds the edge on each face of the outface
+    # forced_outface_boundary finds the edge on each face of the outface
     # from the "io" and "oo" references alone.
     checked = 0
     for dim, bound in ((2, 6), (3, 6), (4, 5)):
@@ -520,8 +529,8 @@ def test_outface_extensions_match_trial_extension(make_set):
 )
 def test_forced_boundaries_of_recursion_niches_match_faces_and_pins(make_set, count):
     # The punctured niches the universality recursion pastes around every
-    # 1- and 2-cell: their forced outface boundary is read off the carried
-    # edges, and must be the one faces and pins give.
+    # 1- and 2-cell: their forced outface boundary is read off the plan's
+    # rows, and must be the one faces and pins give.
     oset = make_set()
     niches = []
     for cell in oset.cells_of_dim(1) + oset.cells_of_dim(2):
@@ -537,7 +546,9 @@ def test_forced_boundaries_of_recursion_niches_match_faces_and_pins(make_set, co
     assert len(niches) == count
 
 
-def test_carried_edges_stay_out_of_equality_hash_and_repr(z2_set):
+def test_a_hand_built_config_reads_as_its_checked_copies(z2_set):
+    # A configuration is its four fields: one built by hand is the one
+    # make_config and enumeration build, in every reading.
     nullary = next(s for s in enumerate_opetopes(2, 2) if s.arity == 0)
     pins = (((), "o"),)
     (listed,) = [
@@ -545,8 +556,9 @@ def test_carried_edges_stay_out_of_equality_hash_and_repr(z2_set):
     ]
     rebuilt = make_config(z2_set, nullary.code, (), None, dict(pins))
     hand = BoundaryConfig(nullary.code, (), None, pins)
-    assert listed.edges == rebuilt.edges == ("o",)
-    assert hand.edges is None
+    assert BoundaryConfig.__slots__ == BoundaryConfig._fields == (
+        "shape_code", "infaces", "outface", "pins"
+    )
     assert listed == rebuilt == hand
     assert len({hash(listed), hash(rebuilt), hash(hand)}) == 1
     assert listed.sort_key() == rebuilt.sort_key() == hand.sort_key()
@@ -556,17 +568,34 @@ def test_carried_edges_stay_out_of_equality_hash_and_repr(z2_set):
     assert _config_label(hand) == _config_label(listed) == "[!pt|n|l0]()->?[root=o]"
     ray = input_competition_niche(z2_set, "a1", 0, "o", True)
     assert _config_label(ray) == "[(ar:(ar:_))|n0.1|l0](a1,?)->?[00=o]"
-    # The forced boundary is read off the carried edges only; a
-    # configuration built without them is refused, not resolved again.
-    assert forced_outface_boundary(z2_set, listed) == (("o",), "o")
-    with pytest.raises(MalformedConfig, match="carries no edge cells"):
-        forced_outface_boundary(z2_set, hand)
-    with pytest.raises(MalformedConfig, match="carries no edge cells"):
-        outface_extensions(z2_set, hand)
+    # The forced boundary is read off the fields alone, so the hand-built
+    # copy gets the same boundary and the same outface fillers.
+    for cfg in (listed, rebuilt, hand):
+        assert forced_outface_boundary(z2_set, cfg) == (("o",), "o")
+        assert outface_extensions(z2_set, cfg) == ("a0", "a1")
+    hand_ray = BoundaryConfig(ray.shape_code, ray.infaces, None, ray.pins)
+    assert forced_outface_boundary(z2_set, hand_ray) == forced_outface_boundary(z2_set, ray)
+    assert outface_extensions(z2_set, hand_ray) == outface_extensions(z2_set, ray)
     arrow = make_config(z2_set, "ar", ("o",), None)
-    assert arrow.edges == ()
     with pytest.raises(MalformedConfig, match="below dimension 2"):
         forced_outface_boundary(z2_set, arrow)
+
+
+def test_an_unpinned_free_edge_forces_no_outface_boundary(z2_set):
+    # A hand-built configuration that leaves a free edge unpinned is
+    # refused with make_config's message, whichever face the edge meets.
+    nullary = next(s for s in enumerate_opetopes(2, 2) if s.arity == 0)
+    unpinned = BoundaryConfig(nullary.code, (), None, ())
+    with pytest.raises(MalformedConfig, match=r"edge \(\) of \[!pt\|n\|l0\] needs a pin"):
+        make_config(z2_set, nullary.code, (), None)
+    with pytest.raises(MalformedConfig, match=r"edge \(\) of \[!pt\|n\|l0\] needs a pin"):
+        forced_outface_boundary(z2_set, unpinned)
+    with pytest.raises(MalformedConfig, match="needs a pin"):
+        outface_extensions(z2_set, unpinned)
+    ray = input_competition_niche(z2_set, "a1", 0, "o", True)
+    bare = BoundaryConfig(ray.shape_code, ray.infaces, None, ())
+    with pytest.raises(MalformedConfig, match=r"edge \(0, 0\) of .* needs a pin"):
+        forced_outface_boundary(z2_set, bare)
 
 
 def _scanned_occupants(oset, cfg):
@@ -633,6 +662,27 @@ def test_cell_matches_reads_each_pin_through_the_cells_faces():
         if cell_matches(oset, cfg, "c")
     ]
     assert matched == [((None, "g"), (((0, 0), "p"),)), (("f", None), (((), "r"),))]
+
+
+def test_occupants_read_each_pin_off_the_face_that_meets_its_edge():
+    # Each free edge of the triangle's 2-cell is pinned with every point;
+    # only the pin naming the cell the edge carries on c's own boundary
+    # matches.  With both infaces missing, the inner edge carries f's
+    # outface q, not the outface h's own outface r.
+    shape, oset = _triangle()
+    configs = list(enumerate_configs(oset, "punctured_niche", 2, shape=shape))
+    configs += [make_config(oset, shape.code, (None, None), "h", {(0,): p}) for p in "pqr"]
+    matched = []
+    for cfg in configs:
+        found = occupants(oset, cfg)
+        assert found == _scanned_occupants(oset, cfg), cfg
+        if found:
+            matched.append((cfg.infaces, cfg.outface, cfg.pins))
+    assert matched == [
+        ((None, "g"), None, (((0, 0), "p"),)),
+        (("f", None), None, (((), "r"),)),
+        ((None, None), "h", (((0,), "q"),)),
+    ]
 
 
 def test_niche_and_frame_competitors_differ_when_the_outfaces_do():

@@ -54,6 +54,29 @@ def test_substitute_chain_into_chain():
     assert set(leaf_paths(result)) == {(0, 0, 0)}
 
 
+def test_substitute_at_the_deepest_node_of_a_deep_chain():
+    # The path down to the replaced node is rebuilt with a loop, so a chain
+    # deeper than the recursion limit takes a substitution like a short one.
+    length = 1200
+    outer = chain(length)
+    deepest = (0,) * (length - 1)
+    grown, remap = substitute_tree(outer, deepest, chain(2))
+    assert grown.node_count == length + 1
+    assert grown.leaf_order == ((0,) * (length + 1),)
+    assert remap(deepest[:-1]) == deepest[:-1]
+    assert grown.node_at(deepest + (0,)).children == (None,)
+    shrunk, _ = substitute_tree(outer, deepest, empty_tree(0, ARROW))
+    assert shrunk.node_count == length - 1
+    assert shrunk.leaf_order == ((0,) * (length - 1),)
+    # Halfway down, the nodes below the replaced one are kept, not copied,
+    # and every ancestor is rebuilt with its own label.
+    middle = (0,) * (length // 2)
+    grown, _ = substitute_tree(outer, middle, chain(2))
+    assert grown.node_at(middle + (0, 0)) is outer.node_at(middle + (0,))
+    assert grown.node_at(middle[:-1]) is not outer.node_at(middle[:-1])
+    assert all(grown.node_at(p).label is ARROW for p in grown.node_order)
+
+
 def test_substitute_empty_deletes_unary_node():
     outer = chain(2)
     result, _ = substitute_tree(outer, (0,), empty_tree(0, ARROW))
