@@ -129,14 +129,14 @@ def set_from_document(doc: dict) -> OpetopicSet:
     # Names and codes are JSON strings and the bounds JSON integers
     # (FORMAT.md 4.2); nothing is converted.  A bool is an int subclass,
     # and str() would read null as the cell "None".
+    # The cells are checked in place and copied once, by the set.
     try:
-        cells = {}
-        for name, code in doc["cells"].items():
+        cells = doc["cells"]
+        for name, code in cells.items():
             if type(name) is not str:
                 raise _malformed("a cell name", name)
             if type(code) is not str:
                 raise _malformed("the code of cell %s" % shapes.quote(name), code)
-            cells[name] = code
         faces = {}
         for name, v in doc["faces"].items():
             if type(name) is not str:

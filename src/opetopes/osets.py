@@ -8,8 +8,8 @@ lower-dimensional faces -- one from below (the node consuming the edge, or
 the outface's outface for the root edge) and one from above (the node
 producing it, or the outface's own inface for a leaf) -- and those two
 cells must coincide.  A set is checked once, by the same pass over its
-cells that indexes them when it is built, and ``validate`` returns that
-pass's report.
+cells that groups them by shape when it is built, and ``validate``
+returns that pass's report.
 
 Each shape's references are compiled once, when the set first meets the
 shape, into a plan of small integers (see ``ShapeEntry``); validation and
@@ -22,12 +22,16 @@ down, which is what distinguishes, say, the nullary niches sitting at two
 different base cells.  A configuration is just those four fields: shape,
 infaces, outface and pins.  Its *occupants* are the cells whose boundary
 extends it, and ``cells_with`` is the one lookup that finds them, for
-configurations, niches, frames and outface fillers alike.
+configurations, niches, frames and outface fillers alike.  It reads two
+indexes per shape, its cells by infaces (the niche index) and by outface,
+built on the first lookup that needs them (``OpetopicSet._shape_index``),
+so a set keeps only the indexes of the shapes it has been asked about.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DimOutOfRange, IllTyped, MalformedConfig, UnknownCell
@@ -119,6 +123,13 @@ class ShapeEntry(NamedTuple):
         )
 
 
+# One shape code's cells by infaces and by outface, each entry in name order.
+ShapeIndex = Tuple[Dict[Tuple[str, ...], Tuple[str, ...]], Dict[str, Tuple[str, ...]]]
+
+# Guards the miss path of every set's ``_shape_index``.
+_LOCK = threading.Lock()
+
+
 class OpetopicSet:
     """An immutable finite opetopic set, checked once when it is built.
 
@@ -126,7 +137,9 @@ class OpetopicSet:
     dimension >= 1 to its inface tuple and outface.  ``shape_bound`` is the
     declared size cap used when boundary configurations are enumerated.
     Building never fails on a malformed set: one pass over the cells in
-    name order indexes them and records every violation for ``validate``.
+    name order groups them by shape and records every violation for
+    ``validate``.  The set copies ``cells`` and keeps the face pairs it is
+    handed.  Each shape's two indexes are built on first query.
     """
 
     def __init__(
@@ -139,17 +152,20 @@ class OpetopicSet:
         self.max_dim = max_dim
         self.shape_bound = shape_bound
         self.cells = cells = dict(cells)
-        self.faces = faces = {name: (tuple(ins), out) for name, (ins, out) in faces.items()}
+        # The face pairs are kept as handed; only a pair whose infaces are
+        # not a tuple is rebuilt.
+        self.faces = faces = {
+            name: pair if type(pair) is tuple and type(pair[0]) is tuple else (tuple(pair[0]), pair[1])
+            for name, pair in faces.items()
+        }
         # One entry per shape code, filled on first use, and the error
         # message of each code that does not parse, so each code is parsed once.
         self._table: Dict[str, ShapeEntry] = {}
         self._unparsed: Dict[str, str] = {}
-        # Cells of dimension >= 1 by shape code and infaces, and by shape
-        # code and outface, each entry in name order; cells with unparseable
-        # shapes or missing face entries stay out of both indexes.
+        # Each shape code's two indexes, built on the first ``cells_with``
+        # query for that code (see ``_shape_index``).
+        self._indexes: Dict[str, ShapeIndex] = {}
         by_shape: Dict[str, List[str]] = {}
-        niche_index: Dict[Tuple[str, Tuple[str, ...]], Tuple[str, ...]] = {}
-        outface_index: Dict[Tuple[str, str], Tuple[str, ...]] = {}
         violations = [
             "cell %s: has faces but is missing from cells" % name
             for name in sorted(faces.keys() - cells.keys())
@@ -174,8 +190,6 @@ class OpetopicSet:
                 violations.append("cell %s: missing face assignment" % name)
                 continue
             ins, out = faces[name]
-            niche_index[(code, ins)] = niche_index.get((code, ins), ()) + (name,)
-            outface_index[(code, out)] = outface_index.get((code, out), ()) + (name,)
             if len(ins) != len(entry.input_codes):
                 violations.append(
                     "cell %s: %d infaces assigned, shape has %d"
@@ -218,8 +232,6 @@ class OpetopicSet:
                 if a != b:
                     violations.append("cell %s: edge %r joins %s and %s" % (name, edge, a, b))
         self._by_shape = {code: tuple(names) for code, names in by_shape.items()}
-        self._niche_index = niche_index
-        self._outface_index = outface_index
         self._violations = tuple(sorted(violations))
         self._relations_checked = checked
 
@@ -236,6 +248,19 @@ class OpetopicSet:
                 self._unparsed[code] = str(exc)
                 raise
         return entry
+
+    def _shape_index(self, code: str) -> ShapeIndex:
+        """The cells of shape ``code`` by infaces and by outface, built on
+        the first query for the code from its cells in name order.  A cell
+        is indexed iff its code parses, its shape has dimension >= 1 and it
+        has a face entry; the build pass reports every other fault."""
+        found = self._indexes.get(code)
+        if found is None:
+            with _LOCK:
+                found = self._indexes.get(code)
+                if found is None:
+                    found = self._indexes[code] = _built_index(self, code)
+        return found
 
     def shape(self, code: str) -> Opetope:
         return self.shape_entry(code).shape
@@ -263,6 +288,21 @@ class OpetopicSet:
 
     def outface_of(self, cell: str) -> str:
         return self.faces[cell][1]
+
+
+def _built_index(oset: OpetopicSet, code: str) -> ShapeIndex:
+    by_infaces: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+    by_outface: Dict[str, Tuple[str, ...]] = {}
+    entry = oset._table.get(code)
+    if entry is not None and entry.shape.dim >= 1:
+        faces = oset.faces
+        for name in oset.cells_of_shape(code):
+            pair = faces.get(name)
+            if pair is not None:
+                ins, out = pair
+                by_infaces[ins] = by_infaces.get(ins, ()) + (name,)
+                by_outface[out] = by_outface.get(out, ()) + (name,)
+    return by_infaces, by_outface
 
 
 # -- validation ---------------------------------------------------------------
@@ -415,16 +455,18 @@ def cells_with(
     assigned one, in name order: their infaces agree with ``infaces`` and
     their outface with ``outface`` where these assign one (None = free),
     and each pinned edge carries its pin.  The candidates are one lookup,
-    already in name order: by infaces when all are assigned, else by
-    outface when it is, else every cell of the shape."""
+    already in name order: in the shape's index by infaces when all are
+    assigned, else in its index by outface when it is, else every cell of
+    the shape.  The shape's indexes are built by the first lookup that
+    reads one."""
     faces = oset.faces
     if None not in infaces:
-        pool = oset._niche_index.get((code, infaces), ())
+        pool = oset._shape_index(code)[0].get(infaces, ())
         if outface is not None:
             pool = tuple(c for c in pool if faces[c][1] == outface)
     else:
         if outface is not None:
-            pool = oset._outface_index.get((code, outface), ())
+            pool = oset._shape_index(code)[1].get(outface, ())
         else:
             pool = oset.cells_of_shape(code)
         assigned = [(i, a) for i, a in enumerate(infaces) if a is not None]

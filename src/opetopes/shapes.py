@@ -810,8 +810,22 @@ def _emit_stages(op: Opetope, stage: int, stages: List[List[dict]]) -> None:
         _emit_stages(tree.node_at(p).label, stage - 1, stages)
 
 
-def _node_json(node: TreeNode) -> dict:
-    return {"slots": [None if c is None else _node_json(c) for c in node.children]}
+def _node_json(root: TreeNode) -> dict:
+    """The slot structure of the tree at ``root`` as nested ``slots``
+    lists, built by one walk that keeps the nodes whose lists it has yet
+    to fill on an explicit stack, so any depth serialises."""
+    top: dict = {"slots": []}
+    stack = [(root, top["slots"])]
+    while stack:
+        node, slots = stack.pop()
+        for child in node.children:
+            if child is None:
+                slots.append(None)
+            else:
+                spec: dict = {"slots": []}
+                slots.append(spec)
+                stack.append((child, spec["slots"]))
+    return top
 
 
 def render_metatree(shape: Opetope) -> str:
@@ -844,8 +858,27 @@ def render_metatree(shape: Opetope) -> str:
 
 
 def _render_slots(spec: dict) -> str:
-    inner = ",".join("_" if c is None else _render_slots(c) for c in spec["slots"])
-    return "(%s)" % inner
+    """``(_,(_))`` for a slot spec, written by one walk that keeps the specs
+    it will come back to on an explicit stack, each with its next slot."""
+    parts = ["("]
+    stack: List[Tuple[list, int]] = []
+    slots, j = spec["slots"], 0
+    while True:
+        while j < len(slots):
+            if j:
+                parts.append(",")
+            child = slots[j]
+            j += 1
+            if child is None:
+                parts.append("_")
+            else:
+                stack.append((slots, j))
+                slots, j = child["slots"], 0
+                parts.append("(")
+        parts.append(")")
+        if not stack:
+            return "".join(parts)
+        slots, j = stack.pop()
 
 
 def from_metatree(stages: Sequence[dict]) -> Opetope:
@@ -869,24 +902,34 @@ def _built_stage(stages: Sequence[dict], cursors: List[int], stage: int) -> Opet
     dim = stage + 1
     if entry.get("empty"):
         return Opetope(dim, empty_tree(dim - 2, from_code(entry["type_code"])))
-    labels = [_built_stage(stages, cursors, stage - 1) for _ in range(_spec_nodes(entry["root"]))]
-    root = _spec_node(entry["root"], iter(labels))
+    order = _spec_preorder(entry["root"])
+    labels = [_built_stage(stages, cursors, stage - 1) for _ in order]
+    root = _spec_tree(order, labels)
     nu = _picked(tuple(root.index.nodes), entry["node_order"], "node_order")
     lam = _picked(tuple(root.index.leaves), entry["leaf_order"], "leaf_order")
     return Opetope(dim, PasteTree(dim - 2, root, None, nu, lam))
 
 
-def _spec_nodes(spec: dict) -> int:
-    return 1 + sum(_spec_nodes(c) for c in spec["slots"] if c is not None)
+def _spec_preorder(spec: dict) -> List[list]:
+    """The slot lists of a slot spec's nodes in preorder, read by one walk
+    with an explicit stack."""
+    order = []
+    stack = [spec]
+    while stack:
+        slots = stack.pop()["slots"]
+        order.append(slots)
+        stack.extend(c for c in reversed(slots) if c is not None)
+    return order
 
 
-def _spec_node(spec: dict, labels: Iterator[Opetope]) -> TreeNode:
-    """The node of a metatree slot spec, labelled in preorder from ``labels``."""
-    label = next(labels)
-    children = []
-    for c in spec["slots"]:
-        children.append(None if c is None else _spec_node(c, labels))
-    return TreeNode(label, tuple(children))
+def _spec_tree(order: List[list], labels: List[Opetope]) -> TreeNode:
+    """The tree of preorder slot lists ``order``, node i labelled
+    ``labels[i]``.  Nodes are built from the last back, so each node's
+    subtrees are built just before it, the first child's on top."""
+    built: List[TreeNode] = []
+    for slots, label in zip(reversed(order), reversed(labels)):
+        built.append(TreeNode(label, tuple(None if c is None else built.pop() for c in slots)))
+    return built.pop()
 
 
 def _picked(paths: Tuple[Path, ...], indices, name: str) -> Tuple[Path, ...]:

@@ -16,9 +16,10 @@ memoised per cell.
 
 Every punctured niche of the recursion pastes one missing unary ray cell
 onto a cell, so the boundary an outface filler is forced to have is known,
-and the recursion reads all it needs off the set's two indexes (cells by
-shape and infaces, and by shape and outface), each read one
-``osets.cells_with`` lookup, without building one:
+and the recursion reads all it needs off each shape's two indexes (its
+cells by infaces and by outface, built on the set's first query for the
+shape), each read one ``osets.cells_with`` lookup, without building a
+configuration:
 
 * output composition of a cell c at d' forces (c's infaces, d'), so its
   outface extensions are the occupants of c's niche with outface d';

@@ -20,6 +20,7 @@ from opetopes.fixtures import build_fixture, z2_weak2
 from opetopes.osets import (
     BoundaryConfig,
     _edge_type_code,
+    cells_with,
     edge_incidences,
     forced_outface_boundary,
     niche_occupants,
@@ -743,3 +744,117 @@ def test_an_incidence_through_malformed_faces_is_reported_not_checked(z2_set):
     through = [v for v in report.violations[1:] if v.endswith("runs through a face with malformed faces")]
     assert len(through) == len(report.violations) - 1 >= 10
     assert report.relations_checked + len(through) == validate(z2_set).relations_checked
+
+
+def test_the_indexes_hold_exactly_the_parsed_positive_dimensional_cells_with_faces():
+    # A cell with the wrong inface count (w) and one above max_dim (u) are
+    # indexed; a 0-cell given faces (p), a cell without a face entry (m)
+    # and one whose code does not parse (bad) are not.
+    nullary = next(s for s in enumerate_opetopes(2, 2) if s.arity == 0)
+    cells = {"o": "pt", "p": "pt", "a": "ar", "w": "ar", "m": "ar", "u": nullary.code, "bad": "[truncated"}
+    faces = {
+        "p": ((), "o"),
+        "a": (("o",), "o"),
+        "w": (("o", "p"), "o"),
+        "u": ((), "a"),
+        "bad": (("o",), "o"),
+    }
+    oset = OpetopicSet(1, 2, cells, faces)
+    assert len(validate(oset).violations) == 5
+    infaces = sorted({ins for ins, _ in oset.faces.values()})
+    outfaces = sorted({out for _, out in oset.faces.values()})
+    found = {}
+    for code in sorted(set(oset.cells.values())):
+        for ins in infaces:
+            found[code, ins, None] = cells_with(oset, code, ins)
+        for out in outfaces:
+            found[code, (None,), out] = cells_with(oset, code, (None,), out)
+        found[code, (None,), None] = cells_with(oset, code, (None,))
+    assert {key: cells for key, cells in found.items() if cells} == {
+        ("ar", ("o",), None): ("a",),
+        ("ar", ("o", "p"), None): ("w",),
+        ("ar", (None,), "o"): ("a", "w"),
+        ("ar", (None,), None): ("a", "m", "w"),
+        (nullary.code, (), None): ("u",),
+        (nullary.code, (None,), "a"): ("u",),
+        (nullary.code, (None,), None): ("u",),
+        ("[truncated", (None,), None): ("bad",),
+        ("pt", (None,), None): ("o", "p"),
+    }
+    assert cells_with(oset, "ar", ("o", None), "o") == ("a", "w")
+    assert cells_with(oset, "ar", ("o",), "o") == ("a",)
+    assert cells_with(oset, "ar", ("o",), "p") == ()
+
+
+def test_threads_build_each_shape_index_once(monkeypatch):
+    # Four threads query a fresh set's occupants: every answer equals the
+    # serial one, and each shape code's index is built once, by whichever
+    # thread asks first.
+    import collections
+    import sys
+    import threading
+    import time
+
+    from opetopes import osets
+
+    serial_set = build_fixture("z3_monoid")
+    configs = [
+        cfg
+        for dim in range(1, serial_set.max_dim + 1)
+        for kind in ("niche", "punctured_niche")
+        for cfg in enumerate_configs(serial_set, kind, dim)
+    ]
+    expected = [occupants(serial_set, cfg) for cfg in configs]
+    assert any(expected) and not all(expected)
+    builds = collections.Counter()
+    build = osets._built_index
+
+    def counted(oset, code):
+        builds[code] += 1
+        time.sleep(0.001)  # hand the other threads the interpreter mid-build
+        return build(oset, code)
+
+    oset = build_fixture("z3_monoid")
+    assert not oset._indexes
+    monkeypatch.setattr(osets, "_built_index", counted)
+    results = {}
+    start = threading.Barrier(4, timeout=60)
+
+    def work(index):
+        start.wait()
+        results[index] = [occupants(oset, cfg) for cfg in configs]
+
+    workers = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert sorted(results) == list(range(4))
+    assert all(results[index] == expected for index in range(4))
+    assert builds and set(builds.values()) == {1}
+    assert sorted(builds) == sorted(oset._indexes) == sorted(serial_set._indexes)
+
+
+def test_a_set_copies_its_cells_and_keeps_the_face_pairs_it_is_handed():
+    from opetopes.documents import set_from_document, set_to_document
+
+    nullary = next(s for s in enumerate_opetopes(2, 2) if s.arity == 0)
+    cells = {"o": "pt", "a": "ar", "u": nullary.code}
+    faces = {"a": (("o",), "o"), "u": ([], "a")}
+    oset = OpetopicSet(2, 2, cells, faces)
+    assert validate(oset).ok
+    assert oset.faces["a"] is faces["a"]
+    assert oset.faces["u"] == ((), "a") and type(oset.faces["u"][0]) is tuple
+    cells["b"] = "ar"
+    faces["b"] = (("o",), "o")
+    assert "b" not in oset.cells and "b" not in oset.faces
+    doc = set_to_document(oset)
+    loaded = set_from_document(doc)
+    assert loaded.cells == doc["cells"] and loaded.cells is not doc["cells"]
+    assert set_to_document(loaded) == doc

@@ -816,6 +816,33 @@ def test_a_deep_chain_builds_without_recursion(fresh_shapes, length):
 
 
 @pytest.mark.parametrize("length", [600, 1200])
+def test_a_deep_chain_has_a_metatree_without_recursion(length):
+    # The metatree is written, rendered and read back by walks that keep
+    # an explicit stack, so a chain deeper than the recursion limit
+    # round-trips like a short one.
+    from opetopes import Opetope, render_metatree
+    from opetopes.trees import PasteTree, TreeNode
+
+    root = None
+    for _ in range(length):
+        root = TreeNode(ARROW, (root,))
+    nodes, leaves = root.index
+    shape = Opetope(2, PasteTree(0, root, None, tuple(nodes), tuple(leaves)))
+    stages = metatree_stages(shape)
+    assert stages[0] == {"dim": 1, "trees": [{"arrow": True}] * length}
+    spec = stages[1]["trees"][0]["root"]
+    for _ in range(length - 1):
+        assert len(spec) == 1 and len(spec["slots"]) == 1
+        spec = spec["slots"][0]
+    assert spec == {"slots": [None]}
+    order = ".".join(map(str, range(length)))
+    assert render_metatree(shape) == "dim 1: %s\ndim 2: %s_%s n%s l0" % (
+        "  ".join(["|"] * length), "(" * length, ")" * length, order
+    )
+    assert from_metatree(stages) is shape
+
+
+@pytest.mark.parametrize("length", [600, 1200])
 def test_a_deep_tree_composes_without_recursion(fresh_shapes, length):
     # Grafting a tree and writing a composite's code walk with an explicit
     # stack, so a shape whose tree, or whose label's tree, is deeper than
