@@ -95,11 +95,15 @@ def monoid_set(
             cells[name] = shape.code
             faces[name] = (tuple("a" + m for m in assignment), "a" + product)
 
-    base = OpetopicSet(3, shape_bound, cells, faces)
     if deep_dim3:
         layer = _recursion_shapes(two_shapes, shape_bound)
     else:
         layer = _bracketings(_standard_binary(enumerate_opetopes(2, 2)))
+    # The fill reads only the cells below dimension 2 and the 2-cells of the
+    # layer's face shapes (every 2-shape, for the ray shapes).
+    read = {"pt", arrow.code} | {s.code for shape3 in layer for s in (*shape3.inputs, shape3.output)}
+    kept = {name: code for name, code in cells.items() if code in read}
+    base = OpetopicSet(3, shape_bound, kept, {name: faces[name] for name in kept if name in faces})
     # The encoding stores one 2-cell per (shape, infaces), so a niche has at
     # most one outface extension: the filler exists iff the niche closes up.
     for si, shape3 in enumerate(layer):

@@ -454,11 +454,12 @@ def cells_with(
     """The cells of shape ``code`` whose boundary extends a partly
     assigned one, in name order: their infaces agree with ``infaces`` and
     their outface with ``outface`` where these assign one (None = free),
-    and each pinned edge carries its pin.  The candidates are one lookup,
-    already in name order: in the shape's index by infaces when all are
-    assigned, else in its index by outface when it is, else every cell of
-    the shape.  The shape's indexes are built by the first lookup that
-    reads one."""
+    and each pinned edge carries its pin.  A cell whose inface count
+    differs from its shape's matches no partly assigned infaces.  The
+    candidates are one lookup, already in name order: in the shape's index
+    by infaces when all are assigned, else in its index by outface when it
+    is, else every cell of the shape.  The shape's indexes are built by
+    the first lookup that reads one."""
     faces = oset.faces
     if None not in infaces:
         pool = oset._shape_index(code)[0].get(infaces, ())
@@ -470,7 +471,12 @@ def cells_with(
         else:
             pool = oset.cells_of_shape(code)
         assigned = [(i, a) for i, a in enumerate(infaces) if a is not None]
-        pool = tuple(c for c in pool if all(faces[c][0][i] == a for i, a in assigned))
+        if assigned:
+            arity = oset.shape(code).arity
+            pool = tuple(
+                c for c in pool
+                if len(faces[c][0]) == arity and all(faces[c][0][i] == a for i, a in assigned)
+            )
     if pins:
         plan = oset.shape_entry(code).plan
         pool = tuple(c for c in pool if all(_carries(oset, c, plan[e], pin) for e, pin in pins))

@@ -11,8 +11,8 @@ and otherwise combines an existence condition (every outface filling
 extends to a full occupant universal in its niche) with a faithfulness
 condition that climbs one more dimension.  Dimensions only ever climb, so
 the recursion terminates; no configuration above dimension n+1 is ever
-consulted, and verdicts are deterministic.  Universality verdicts are
-memoised per cell.
+consulted, and each cell has exactly one verdict, which the context's
+verdict table keeps.
 
 Every punctured niche of the recursion pastes one missing unary ray cell
 onto a cell, so the boundary an outface filler is forced to have is known,
@@ -42,7 +42,7 @@ niche index above n rest on a validated set, which
 
 The two listing orders of each two-node punctured niche are genuinely
 different shapes (inface order is part of a shape), which is why both are
-always checked.
+always checked, in the order ``_ORDERS``.
 """
 
 from __future__ import annotations
@@ -87,38 +87,23 @@ class Verdict(NamedTuple):
         return self.value
 
 
+# The listing orders of a two-node punctured niche, as ``mirrored`` flags.
+_ORDERS = (False, True)
+
+
 class CheckContext(Record):
-    """Shared state for one run of the recursion.
+    """Shared state for one run of the recursion: the set, n, the highest
+    dimension reached, and ``verdicts``, each cell's universality verdict
+    once decided.  Each context starts with an empty table of its own."""
 
-    The memo maps a cell name to its universality verdict; it is
-    transparent: verdicts with and without it agree, which the tests
-    replay.  Each context starts with a memo of its own; ``memo=False``
-    turns memoisation off.  ``mirror_first`` only reorders the two
-    listing-order variants of each punctured niche; it exists so the
-    regression property (swapping the variants changes nothing) can be
-    exercised.
-    """
-
-    __slots__ = ("oset", "n", "memo", "mirror_first", "max_dim_reached")
+    __slots__ = ("oset", "n", "verdicts", "max_dim_reached")
     _fields = __slots__
 
-    def __init__(
-        self,
-        oset: OpetopicSet,
-        n: int,
-        memo: bool = True,
-        mirror_first: bool = False,
-    ):
+    def __init__(self, oset: OpetopicSet, n: int):
         self.oset = oset
         self.n = n
-        self.memo = {} if memo else None
-        self.mirror_first = mirror_first
+        self.verdicts = {}
         self.max_dim_reached = 0
-
-    def _remember(self, cell: str, verdict: Verdict) -> Verdict:
-        if self.memo is not None:
-            self.memo[cell] = verdict
-        return verdict
 
 
 def _note_dim(ctx: CheckContext, dim: int) -> None:
@@ -193,36 +178,41 @@ def is_universal(ctx: CheckContext, cell: str) -> Verdict:
     closure condition on composites of universal cells is well-posed at
     the bottom of the tower.  The set must be validated (see the module
     docstring): the verdict reads occupants off the niche index, and
-    visits output compositions only at the outfaces they reach.
+    visits output compositions only at the outfaces they reach.  The
+    verdict is decided once per context and then read off its table.
     """
-    if ctx.memo is not None and cell in ctx.memo:
-        return ctx.memo[cell]
-    j = ctx.oset.dim_of(cell)
+    verdict = ctx.verdicts.get(cell)
+    if verdict is None:
+        verdict = ctx.verdicts[cell] = _universal(ctx, cell)
+    return verdict
+
+
+def _universal(ctx: CheckContext, cell: str) -> Verdict:
+    """The verdict ``is_universal`` stores on a miss, decided afresh."""
+    shape = ctx.oset.shape_of(cell)
+    j = shape.dim
     _note_dim(ctx, j)
     if j == 0:
-        return ctx._remember(cell, Verdict(True, (cell,)))
+        return Verdict(True, (cell,))
     occ = niche_occupants(ctx.oset, cell)
     if j > ctx.n:
         if occ == (cell,):
-            return ctx._remember(cell, Verdict(True, (cell,)))
-        return ctx._remember(cell, Verdict(False, occ))
+            return Verdict(True, (cell,))
+        return Verdict(False, occ)
     if j + 1 > ctx.oset.max_dim:
         raise DimensionOverflow(
             "universality at dimension %d needs configurations at %d > max_dim"
             % (j, j + 1)
         )
-    shape = ctx.oset.shape_of(cell)
     outface_of = ctx.oset.outface_of
-    variants = (True, False) if ctx.mirror_first else (False, True)
     for d_prime in sorted({outface_of(u) for u in occ}):
         extensions = tuple(u for u in occ if outface_of(u) == d_prime)
-        for mirrored in variants:
+        for mirrored in _ORDERS:
             big, cell_pos = ray_on_output_shape(shape, mirrored)
             sub = _balanced(ctx, big, _beside_ray(cell, cell_pos), extensions)
             if not sub:
-                witness = ("competitor:%s" % d_prime,) + sub.witnesses
-                return ctx._remember(cell, Verdict(False, witness))
-    return ctx._remember(cell, Verdict(True, (cell,)))
+                return Verdict(False, ("competitor:%s" % d_prime,) + sub.witnesses)
+    return Verdict(True, (cell,))
 
 
 def is_balanced(ctx: CheckContext, cfg: BoundaryConfig) -> Verdict:
@@ -260,7 +250,6 @@ def _balanced(ctx: CheckContext, shape: Opetope, infaces: tuple, extensions: tup
     # Faithfulness: around every universal occupant, competition at the
     # restored inface stays balanced one dimension up.
     if m + 1 <= ctx.n + 1:
-        variants = (True, False) if ctx.mirror_first else (False, True)
         for u in sorted(occ):
             if not is_universal(ctx, u):
                 continue
@@ -268,7 +257,7 @@ def _balanced(ctx: CheckContext, shape: Opetope, infaces: tuple, extensions: tup
             for a_prime in competitors(oset, ins[slot]):
                 forced = ins[:slot] + (a_prime,) + ins[slot + 1:]
                 extended = cells_with(oset, shape.code, forced, out)
-                for mirrored in variants:
+                for mirrored in _ORDERS:
                     big, cell_pos = ray_on_input_shape(shape, slot, mirrored)
                     sub = _balanced(ctx, big, _beside_ray(u, cell_pos), extended)
                     if not sub:
@@ -326,12 +315,7 @@ def _config_label(cfg: BoundaryConfig) -> str:
     return label + ("[%s]" % pins if pins else "")
 
 
-def check_weak_n_category(
-    oset: OpetopicSet,
-    n: int,
-    shape_bound: int,
-    memo: bool = True,
-) -> CheckVerdict:
+def check_weak_n_category(oset: OpetopicSet, n: int, shape_bound: int) -> CheckVerdict:
     """Decide both weak n-category conditions over the bounded niche space.
 
     Condition 1: every niche of dimension 1..n+1 whose shape fits the
@@ -347,51 +331,47 @@ def check_weak_n_category(
         raise InsufficientDimension(
             "max_dim %d < n+1 = %d" % (oset.max_dim, n + 1)
         )
-    ctx = CheckContext(oset, n, memo=memo)
+    ctx = CheckContext(oset, n)
     verdict = CheckVerdict(ok=True, n=n, shape_bound=shape_bound)
-
-    niches: List[BoundaryConfig] = []
     for dim in range(1, n + 2):
-        batch = enumerate_configs(oset, "niche", dim, size_bound=shape_bound)
-        verdict.niche_counts[dim] = len(batch)
-        niches.extend(batch)
-
-    for cfg in niches:
-        label = _config_label(cfg)
-        occ = occupants(oset, cfg)
-        universal = [u for u in occ if is_universal(ctx, u)]
-        rec1 = {
-            "niche": label,
-            "occupants": len(occ),
-            "universal_occupant": universal[0] if universal else None,
-        }
-        verdict.condition1.append(rec1)
-        if rec1["universal_occupant"] is None:
-            verdict.ok = False
-            if verdict.failure is None:
-                verdict.failure = {"condition": 1, **rec1}
-        if not all(is_universal(ctx, c) for c in cfg.infaces):
-            continue
-        bad = None
-        for u in universal:
-            out = oset.outface_of(u)
-            out_verdict = is_universal(ctx, out)
-            if not out_verdict:
-                bad = {
-                    "occupant": u,
-                    "outface": out,
-                    "trace": list(out_verdict.witnesses),
-                }
-                break
-        rec2 = {
-            "niche": label,
-            "universal_occupants": len(universal),
-            "non_universal_composite": bad,
-        }
-        verdict.condition2.append(rec2)
-        if bad is not None:
-            verdict.ok = False
-            if verdict.failure is None:
-                verdict.failure = {"condition": 2, **rec2}
+        niches = enumerate_configs(oset, "niche", dim, size_bound=shape_bound)
+        verdict.niche_counts[dim] = len(niches)
+        for cfg in niches:
+            label = _config_label(cfg)
+            occ = occupants(oset, cfg)
+            universal = [u for u in occ if is_universal(ctx, u)]
+            rec1 = {
+                "niche": label,
+                "occupants": len(occ),
+                "universal_occupant": universal[0] if universal else None,
+            }
+            verdict.condition1.append(rec1)
+            if rec1["universal_occupant"] is None:
+                verdict.ok = False
+                if verdict.failure is None:
+                    verdict.failure = {"condition": 1, **rec1}
+            if not all(is_universal(ctx, c) for c in cfg.infaces):
+                continue
+            bad = None
+            for u in universal:
+                out = oset.outface_of(u)
+                out_verdict = is_universal(ctx, out)
+                if not out_verdict:
+                    bad = {
+                        "occupant": u,
+                        "outface": out,
+                        "trace": list(out_verdict.witnesses),
+                    }
+                    break
+            rec2 = {
+                "niche": label,
+                "universal_occupants": len(universal),
+                "non_universal_composite": bad,
+            }
+            verdict.condition2.append(rec2)
+            if bad is not None:
+                verdict.ok = False
+                if verdict.failure is None:
+                    verdict.failure = {"condition": 2, **rec2}
     verdict.max_dim_reached = ctx.max_dim_reached
     return verdict

@@ -781,9 +781,23 @@ def test_the_indexes_hold_exactly_the_parsed_positive_dimensional_cells_with_fac
         ("[truncated", (None,), None): ("bad",),
         ("pt", (None,), None): ("o", "p"),
     }
-    assert cells_with(oset, "ar", ("o", None), "o") == ("a", "w")
+    assert cells_with(oset, "ar", ("o", None), "o") == ("a",)
     assert cells_with(oset, "ar", ("o",), "o") == ("a",)
     assert cells_with(oset, "ar", ("o",), "p") == ()
+
+
+def test_a_cell_with_too_few_infaces_matches_no_partly_assigned_infaces():
+    # c is binary-shaped but has one inface: reading slot 1 off it must
+    # not fail, and it extends neither partial boundary.
+    binary = diagram_binary()
+    cells = {"o": "pt", "a": "ar", "c": binary.code, "d": binary.code}
+    faces = {"a": (("o",), "o"), "c": (("a",), "a"), "d": (("a", "a"), "a")}
+    oset = OpetopicSet(2, 2, cells, faces)
+    assert not validate(oset).ok
+    assert cells_with(oset, binary.code, (None, "a"), "a") == ("d",)
+    assert cells_with(oset, binary.code, ("a", None), "a") == ("d",)
+    assert cells_with(oset, binary.code, ("a", None)) == ("d",)
+    assert cells_with(oset, binary.code, ("a",), "a") == ("c",)
 
 
 def test_threads_build_each_shape_index_once(monkeypatch):
