@@ -70,7 +70,7 @@ def cmd_check(args) -> int:
     if args.out:
         documents.check_writable(args.out)
     try:
-        oset = documents.set_from_document(documents.load(args.set))
+        oset = documents.read_set(args.set)
     except DocumentError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
@@ -92,6 +92,9 @@ def cmd_check(args) -> int:
     except InsufficientDimension as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
+    # The verdict holds no reference to the set: free the set before the
+    # verdict document is written.
+    del oset
     out_doc = documents.verdict_to_document(verdict)
     if args.out:
         documents.store(out_doc, args.out)

@@ -3,7 +3,14 @@
 Documents are plain JSON objects with a ``format_version`` and a ``kind``.
 Serialisation is canonical (sorted keys, two-space indent, trailing
 newline), so identical payloads produce byte-identical files and every
-document round-trips exactly.  FORMAT.md describes the layouts bit by bit.
+document round-trips exactly.  ``store`` encodes a document as it writes
+it, so the whole text is never held at once.  ``load`` returns a
+document's plain JSON; ``read_set``, which ``opetopes check`` uses, reads
+an opetopic_set document straight into its set: each face object becomes
+the (infaces tuple, outface) pair the set keeps, with one string per
+distinct cell name, so the set never exists beside a parsed copy.
+``set_from_document`` takes a face as an object or as such a pair.
+FORMAT.md describes the layouts bit by bit.
 """
 
 from __future__ import annotations
@@ -12,8 +19,9 @@ import errno
 import json
 import os
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
-from typing import List, Union
+from typing import Dict, Iterator, List, TextIO, Union
 
 from .errors import DocumentError
 from . import shapes
@@ -29,13 +37,23 @@ def dumps(doc: dict) -> str:
 
 
 def store(doc: dict, path: Union[str, Path]) -> None:
-    write_text(dumps(doc), path)
+    """Write ``dumps(doc)``, encoded chunk by chunk as it is written."""
+    with _writing(path) as handle:
+        json.dump(doc, handle, sort_keys=True, indent=2)
+        handle.write("\n")
 
 
 def write_text(text: str, path: Union[str, Path]) -> None:
     """Write an output file; DocumentError naming the path if it cannot be."""
+    with _writing(path) as handle:
+        handle.write(text)
+
+
+@contextmanager
+def _writing(path: Union[str, Path]) -> Iterator[TextIO]:
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as handle:
+            yield handle
     except OSError as exc:
         raise DocumentError("cannot write %s: %s" % (path, exc.strerror or exc))
 
@@ -60,8 +78,14 @@ def check_writable(path: Union[str, Path]) -> None:
 
 
 def load(path: Union[str, Path]) -> dict:
+    return _read(path)
+
+
+def _read(path: Union[str, Path], object_hook=None) -> dict:
+    """The document at ``path``, parsed with ``object_hook`` (see
+    ``json.loads``), after its version and kind are checked."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_hook=object_hook)
     except (OSError, ValueError) as exc:
         raise DocumentError("cannot read document: %s" % exc)
     except RecursionError:
@@ -123,13 +147,53 @@ def set_to_document(oset: OpetopicSet) -> dict:
     }
 
 
+def read_set(path: Union[str, Path]) -> OpetopicSet:
+    """The opetopic set of the document at ``path``: the set and the
+    errors of ``set_from_document(load(path))``, without a parsed copy
+    of the document beside the set.
+
+    Each object with a list under ``infaces`` becomes, as soon as it is
+    parsed, the (infaces tuple, outface) pair the set keeps.  Every name
+    in these pairs is the string object of that name's key in ``cells``
+    (or, for a name no earlier object has as a key, one string per
+    distinct name).  Where such a pair stands in for something else (a
+    code, a name, ``cells``, the document itself), or holds what is not
+    a name, the set cannot be built; the document is then read again as
+    plain JSON, so its error is reported as ``load`` reads it.
+    """
+    names: Dict[str, str] = {}
+    name = names.setdefault
+
+    # The parser calls this on every object, so it loops over no item in
+    # Python.  The keys of every other object (``cells`` comes before
+    # ``faces``) become the names' strings.
+    def face_pair(obj: dict):
+        infaces = obj.get("infaces")
+        if type(infaces) is list:
+            outface = obj.get("outface")
+            try:
+                return tuple(map(name, infaces, infaces)), name(outface, outface)
+            except TypeError:  # an unhashable inface or outface: not a name
+                pass
+        names.update(zip(obj, obj))
+        return obj
+
+    try:
+        return set_from_document(_read(path, face_pair))
+    except DocumentError:
+        pass
+    # Outside the handler, so the pair-read document is freed first.
+    return set_from_document(load(path))
+
+
 def set_from_document(doc: dict) -> OpetopicSet:
     if doc.get("kind") != "opetopic_set":
         raise DocumentError("expected an opetopic_set document")
     # Names and codes are JSON strings and the bounds JSON integers
     # (FORMAT.md 4.2); nothing is converted.  A bool is an int subclass,
     # and str() would read null as the cell "None".
-    # The cells are checked in place and copied once, by the set.
+    # The cells are checked in place and copied once, by the set.  A face
+    # is an object or an (infaces, outface) pair, which the set keeps.
     try:
         cells = doc["cells"]
         for name, code in cells.items():
@@ -141,16 +205,21 @@ def set_from_document(doc: dict) -> OpetopicSet:
         for name, v in doc["faces"].items():
             if type(name) is not str:
                 raise _malformed("a cell name", name)
-            infaces = v["infaces"]
-            if type(infaces) is not list:
+            pair = type(v) is tuple
+            if pair:
+                infaces, outface = v
+            else:
+                infaces = v["infaces"]
+            if type(infaces) not in (list, tuple):
                 raise _malformed("the infaces of cell %s" % shapes.quote(name), infaces, "a list")
             for face in infaces:
                 if type(face) is not str:
                     raise _malformed("an inface of cell %s" % shapes.quote(name), face)
-            outface = v["outface"]
+            if not pair:
+                outface = v["outface"]
             if type(outface) is not str:
                 raise _malformed("the outface of cell %s" % shapes.quote(name), outface)
-            faces[name] = (tuple(infaces), outface)
+            faces[name] = v if pair else (tuple(infaces), outface)
         bounds = doc["max_dim"], doc["shape_bound"]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DocumentError("malformed opetopic_set document: %s" % exc)

@@ -138,8 +138,9 @@ class OpetopicSet:
     declared size cap used when boundary configurations are enumerated.
     Building never fails on a malformed set: one pass over the cells in
     name order groups them by shape and records every violation for
-    ``validate``.  The set copies ``cells`` and keeps the face pairs it is
-    handed.  Each shape's two indexes are built on first query.
+    ``validate``.  The set copies ``cells``, keeping one string per
+    distinct code, and keeps the face pairs it is handed.  Each shape's
+    two indexes are built on first query.
     """
 
     def __init__(
@@ -151,7 +152,9 @@ class OpetopicSet:
     ):
         self.max_dim = max_dim
         self.shape_bound = shape_bound
-        self.cells = cells = dict(cells)
+        # One string per distinct code: a document's parser makes one per cell.
+        codes: Dict[str, str] = {}
+        self.cells = cells = dict(zip(cells, map(codes.setdefault, cells.values(), cells.values())))
         # The face pairs are kept as handed; only a pair whose infaces are
         # not a tuple is rebuilt.
         self.faces = faces = {
@@ -454,7 +457,8 @@ def cells_with(
     """The cells of shape ``code`` whose boundary extends a partly
     assigned one, in name order: their infaces agree with ``infaces`` and
     their outface with ``outface`` where these assign one (None = free),
-    and each pinned edge carries its pin.  A cell whose inface count
+    and each pinned edge carries its pin.  A cell with no face entry
+    matches no query that assigns a face, and one whose inface count
     differs from its shape's matches no partly assigned infaces.  The
     candidates are one lookup, already in name order: in the shape's index
     by infaces when all are assigned, else in its index by outface when it
@@ -475,7 +479,7 @@ def cells_with(
             arity = oset.shape(code).arity
             pool = tuple(
                 c for c in pool
-                if len(faces[c][0]) == arity and all(faces[c][0][i] == a for i, a in assigned)
+                if c in faces and len(faces[c][0]) == arity and all(faces[c][0][i] == a for i, a in assigned)
             )
     if pins:
         plan = oset.shape_entry(code).plan

@@ -35,7 +35,8 @@ is validated (see :func:`opetopes.shapes._validate_tree`).  A node's
 index may be shared and must never be mutated: the corollas that
 :func:`single_node_tree` builds share one index, one children tuple and
 one leaf order per arity, since a corolla's index depends only on its
-arity.  Indexing walks a tree with an explicit stack, so any depth indexes.
+arity.  Indexing, equality and hashing walk a tree with an explicit
+stack, so any depth indexes, compares and hashes.
 """
 
 from __future__ import annotations
@@ -65,7 +66,9 @@ class TreeNode(Value):
     """One node of a pasting tree: a label plus one child per slot.
 
     ``children`` has exactly ``label.arity`` entries; ``None`` marks a
-    dangling slot (a leaf edge).  Nodes compare and hash structurally.
+    dangling slot (a leaf edge).  Nodes compare and hash structurally,
+    walking the tree with an explicit stack, so any depth compares and
+    hashes.
     """
 
     __slots__ = ("label", "children", "_index", "_valid")
@@ -84,6 +87,34 @@ class TreeNode(Value):
         # of ``shapes``; the other trees on this root (the order variants
         # of one shape) then skip the walk, as they share the index.
         self._valid = False
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if a is None or b is None or len(a.children) != len(b.children):
+                return False
+            if a.label is not b.label and not a.label == b.label:
+                return False
+            pairs.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self) -> int:
+        # The labels and dangling slots in one fixed walk order fix the tree.
+        seen = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node is None:
+                seen.append(None)
+            else:
+                seen.append(node.label)
+                stack.extend(node.children)
+        return hash(tuple(seen))
 
     @property
     def index(self) -> TreeIndex:

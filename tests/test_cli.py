@@ -188,6 +188,19 @@ def _string_infaces(doc):
     doc["faces"]["a0"]["infaces"] = "o"
 
 
+# A face-shaped object where a string belongs is quoted as the document
+# wrote it, not as the face pair the set keeps.
+_FACE_OBJECT = {"infaces": ["o"], "outface": "o"}
+
+
+def _face_object_code(doc):
+    doc["cells"]["a0"] = dict(_FACE_OBJECT)
+
+
+def _face_object_inface(doc):
+    doc["faces"]["a0"]["infaces"] = [dict(_FACE_OBJECT)]
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -195,6 +208,14 @@ def _string_infaces(doc):
         (_integer_faces, "an inface of cell 'a0' must be a string, got 0"),
         (_list_code, 'the code of cell \'a0\' must be a string, got ["ar"]'),
         (_string_infaces, 'the infaces of cell \'a0\' must be a list, got "o"'),
+        (
+            _face_object_code,
+            'the code of cell \'a0\' must be a string, got {"infaces": ["o"], "outface": "o"}',
+        ),
+        (
+            _face_object_inface,
+            'an inface of cell \'a0\' must be a string, got {"infaces": ["o"], "outface": "o"}',
+        ),
     ],
 )
 def test_check_reads_names_and_codes_only_as_strings(tmp_path, capsys, edit, message):
@@ -210,6 +231,65 @@ def test_check_reads_names_and_codes_only_as_strings(tmp_path, capsys, edit, mes
     captured = capsys.readouterr()
     assert captured.err.splitlines() == ["input error: malformed opetopic_set document: " + message]
     assert captured.out == ""
+
+
+def test_check_frees_the_set_before_it_writes_the_verdict(tmp_path, capsys, monkeypatch):
+    import weakref
+
+    from opetopes import cli, documents
+
+    fix = tmp_path / "z2.json"
+    main(["fixture", "z2_monoid", "--out", str(fix)])
+    read, store = documents.read_set, documents.store
+    sets, alive = [], []
+
+    def read_set(path):
+        oset = read(path)
+        sets.append(weakref.ref(oset))
+        return oset
+
+    def record_store(doc, path):
+        alive.append(sets[0]() is not None)
+        store(doc, path)
+
+    monkeypatch.setattr(cli.documents, "read_set", read_set)
+    monkeypatch.setattr(cli.documents, "store", record_store)
+    out = tmp_path / "verdict.json"
+    assert main(["check", str(fix), "--n", "1", "--bound", "2", "--out", str(out)]) == 0
+    assert alive == [False]
+    assert json.loads(out.read_text())["pass"] is True
+
+
+def test_check_at_set_bound_five_peaks_below_80_mb(tmp_path):
+    # Z/3 at set bound 5 (31,346 cells, a 6.5 MB document, a 9.9 MB
+    # verdict): the set is read without a parsed copy beside it, freed
+    # before the verdict is written, and the verdict is encoded as it is
+    # written.  A child's ru_maxrss starts at its parent's peak when it
+    # replaces it, so a small launcher runs the check and reports its
+    # child's peak, which this large test process cannot raise.
+    import subprocess
+    import sys
+
+    import opetopes
+    from opetopes import documents
+    from opetopes.fixtures import _cyclic_table, monoid_set
+
+    elements, unit, table = _cyclic_table(3)
+    fix = tmp_path / "z3_b5.json"
+    documents.store(documents.set_to_document(monoid_set(elements, unit, table, shape_bound=5)), fix)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(opetopes.__file__)))
+    launcher = (
+        "import os, resource, subprocess, sys; "
+        "proc = subprocess.run([sys.executable, '-m', 'opetopes'] + sys.argv[1:], "
+        "env=dict(os.environ, PYTHONPATH=%r), stdout=subprocess.DEVNULL); "
+        "print(proc.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)" % src
+    )
+    argv = ["check", str(fix), "--n", "1", "--bound", "5", "--out", str(tmp_path / "verdict.json")]
+    proc = subprocess.run([sys.executable, "-I", "-c", launcher] + argv, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak_kb < 80 * 1024
 
 
 def test_check_rejects_a_negative_bound(tmp_path, capsys):

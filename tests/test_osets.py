@@ -800,6 +800,21 @@ def test_a_cell_with_too_few_infaces_matches_no_partly_assigned_infaces():
     assert cells_with(oset, binary.code, ("a",), "a") == ("c",)
 
 
+def test_a_cell_without_a_face_entry_matches_no_partly_assigned_infaces():
+    # m is binary-shaped but has no face entry: the candidates of a query
+    # that assigns only infaces are every cell of the shape, and reading
+    # m's faces must not fail.
+    binary = diagram_binary()
+    cells = {"o": "pt", "a": "ar", "c": binary.code, "m": binary.code}
+    faces = {"a": (("o",), "o"), "c": (("a", "a"), "a")}
+    oset = OpetopicSet(2, 2, cells, faces)
+    assert "cell m: missing face assignment" in validate(oset).violations
+    assert cells_with(oset, binary.code, ("a", None)) == ("c",)
+    assert cells_with(oset, binary.code, (None, "a")) == ("c",)
+    assert cells_with(oset, binary.code, ("a", None), "a") == ("c",)
+    assert cells_with(oset, binary.code, (None, None)) == ("c", "m")
+
+
 def test_threads_build_each_shape_index_once(monkeypatch):
     # Four threads query a fresh set's occupants: every answer equals the
     # serial one, and each shape code's index is built once, by whichever

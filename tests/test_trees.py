@@ -119,3 +119,20 @@ def test_nodes_and_trees_compare_and_hash_structurally():
     reordered = PasteTree(0, a.root, None, tuple(reversed(a.node_order)), a.leaf_order)
     assert reordered.root == a.root and reordered != a
     assert TreeNode(ARROW, (None,)) != (ARROW, (None,))
+
+
+@pytest.mark.parametrize("length", [600, 1200])
+def test_deep_chains_compare_and_hash_without_recursion(length):
+    # Equality and hashing walk the nodes with an explicit stack, so two
+    # distinct chains deeper than the recursion limit compare like short ones.
+    from opetopes import from_code
+
+    a, b = chain(length), chain(length)
+    assert a.root is not b.root
+    assert a.root == b.root and hash(a.root) == hash(b.root)
+    assert a == b and hash(a) == hash(b)
+    assert a.root != chain(length - 1).root and a != chain(length + 1)
+    code = "[" + "(ar:" * length + "_" + ")" * length + "|n%s|l0]" % ".".join(
+        map(str, range(length))
+    )
+    hash(from_code(code).tree.root)
