@@ -458,8 +458,10 @@ def cells_with(
     assigned one, in name order: their infaces agree with ``infaces`` and
     their outface with ``outface`` where these assign one (None = free),
     and each pinned edge carries its pin.  A cell with no face entry
-    matches no query that assigns a face, and one whose inface count
-    differs from its shape's matches no partly assigned infaces.  The
+    matches no query that assigns a face, one whose inface count differs
+    from its shape's matches no partly assigned infaces, and one whose
+    boundary does not reach a pinned edge (a face on the way has no face
+    entry or too few infaces) matches no query that pins it.  The
     candidates are one lookup, already in name order: in the shape's index
     by infaces when all are assigned, else in its index by outface when it
     is, else every cell of the shape.  The shape's indexes are built by
@@ -488,10 +490,16 @@ def cells_with(
 
 
 def _carries(oset: OpetopicSet, cell: str, row: PlanRow, pin: str) -> bool:
-    """Does the edge of this plan row carry ``pin`` on the cell's boundary?"""
-    ins, out = oset.faces[cell]
-    face = oset.faces[out if row[0] < 0 else ins[row[0]]]
-    return (face[1] if row[1] < 0 else face[0][row[1]]) == pin
+    """Does the edge of this plan row carry ``pin`` on the cell's boundary?
+    It does not when the cell's boundary does not reach the edge: when
+    the cell or the face the row reads has no face entry, or has too few
+    infaces for the row."""
+    try:
+        ins, out = oset.faces[cell]
+        face = oset.faces[out if row[0] < 0 else ins[row[0]]]
+        return (face[1] if row[1] < 0 else face[0][row[1]]) == pin
+    except (KeyError, IndexError):
+        return False
 
 
 def occupants(oset: OpetopicSet, cfg: BoundaryConfig) -> Tuple[str, ...]:

@@ -32,12 +32,17 @@ only their level, their root label and (as pasting trees) their orders.
 Copying or unpickling a shape also returns the interned one.  The intern
 table is a plain dict and keeps its shapes for the life of the process:
 the enumeration cache holds every listed shape and the derived table the
-operands and results of every derivation anyway, so a weak table would
-free almost nothing and cost a weak reference per new shape.
-Results derived from a shape (its permutations, composites, identity and
-ray shapes) are kept in one module-level table keyed by the shape and
-the derivation, so each is found once and a shape carries no table of
-its own.  The identity permutation is not kept: it returns its shape.
+operands and results of every composite anyway, and an identity or a
+permutation is found again only by its code, so a weak table would free
+little, cost a weak reference per new shape and rebuild each dropped
+identity or permutation on its next use.
+Composites and the ray shapes of ``universality`` are kept in one
+module-level table, a composite keyed by its operands and a ray shape
+by its base and a tagged key, so each is found once and a shape carries
+no table of its own.  Identities and permutations are kept in no table
+but the intern table: their code is cheap to work out from the operand,
+so looking it up there is their whole memo.  The identity permutation
+returns its shape.
 ``compose``, ``permute_inputs`` and ``identity_on`` find their result by
 code: each works out the result's code from its operands and looks it
 up, and builds a tree only for a new code (a new composite is parsed from
@@ -67,7 +72,7 @@ from .trees import PasteTree, Path, TreeNode, empty_tree, single_node_tree
 # miss paths of construction and ``derived``, which run once per distinct
 # shape or key.
 _INTERNED: Dict[str, "Opetope"] = {}
-# Shapes derived from a shape (see ``derived``), keyed by (shape,) + key.
+# Composites and ray shapes (see ``derived``), keyed by (shape,) + key.
 _DERIVED: Dict[tuple, "Opetope"] = {}
 _LOCK = threading.Lock()
 
@@ -172,7 +177,11 @@ def derived(shape: Opetope, key: tuple, build: Callable[..., Opetope], *args) ->
 
     Results are kept in the one table ``_DERIVED`` under ``(shape,) + key``,
     so the key must determine the result; each distinct key is built once.
-    An error raised by ``build`` propagates and nothing is kept.
+    A composite is keyed by its operands alone, ``(f, g_1, ..., g_k)``;
+    every other key starts with a string tag, so its full key, whose second
+    entry is that string, never equals a composite's, whose entries are
+    all shapes.  An error raised by ``build`` propagates and nothing is
+    kept.
     """
     full = (shape,) + key
     found = _DERIVED.get(full)
@@ -220,14 +229,15 @@ def _validate_tree(dim: int, tree: PasteTree) -> None:
 
 
 def identity_on(shape: Opetope) -> Opetope:
-    """The unary shape on ``shape``: the identity operation at its level."""
+    """The unary shape on ``shape``: the identity operation at its level.
+    It is found by its code, so it is kept in no table but the intern table."""
     if shape.dim == 0:
         return ARROW
-    return derived(shape, ("identity",), _identity_on, shape)
+    return _identity_on(shape)
 
 
 def _identity_on(shape: Opetope) -> Opetope:
-    """``identity_on`` without the table: the corolla on ``shape``, found by code."""
+    """``identity_on`` above the point: the corolla on ``shape``, found by code."""
     k = shape.arity
     code = "[(%s:%s)|n0|l%s]" % (shape.code, ",".join("_" * k), ".".join(map(str, range(k))))
     found = _INTERNED.get(code)
@@ -252,7 +262,7 @@ def compose(f: Opetope, gs: Sequence[Opetope]) -> Opetope:
     the ``g_i`` inputs and its output equals ``f``'s output.
     """
     gs = tuple(gs)
-    return derived(f, ("compose", gs), _composed, f, gs)
+    return derived(f, gs, _composed, f, gs)
 
 
 def _composed(f: Opetope, gs: Tuple[Opetope, ...]) -> Opetope:
@@ -368,17 +378,18 @@ def _composite_walk(root: TreeNode, operand, parts, numbers, planar) -> None:
 
 def permute_inputs(f: Opetope, sigma: Sequence[int]) -> Opetope:
     """The right action ``f . sigma``: input i of the result is input
-    ``sigma[i]`` of ``f`` (0-indexed).  The output is unchanged."""
+    ``sigma[i]`` of ``f`` (0-indexed).  The output is unchanged.  The
+    result is found by its code, so it is kept in no table but the intern
+    table."""
     sigma = tuple(sigma)
     if f.dim >= 1 and len(sigma) == f.arity and sigma == tuple(range(len(sigma))):
         return f
-    return derived(f, ("permute", sigma), _permuted, f, sigma)
+    return _permuted(f, sigma)
 
 
 def _permuted(f: Opetope, sigma: Tuple[int, ...]) -> Opetope:
-    """``permute_inputs`` off the identity, without the table: check
-    ``sigma``, then find the result by its code, building its tree only
-    when the code is new."""
+    """``permute_inputs`` off the identity: check ``sigma``, then find the
+    result by its code, building its tree only when the code is new."""
     if f.dim < 1:
         raise TypeMismatch("the point cannot be permuted")
     if len(sigma) != f.arity or sorted(sigma) != list(range(f.arity)):

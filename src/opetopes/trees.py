@@ -35,8 +35,9 @@ is validated (see :func:`opetopes.shapes._validate_tree`).  A node's
 index may be shared and must never be mutated: the corollas that
 :func:`single_node_tree` builds share one index, one children tuple and
 one leaf order per arity, since a corolla's index depends only on its
-arity.  Indexing, equality and hashing walk a tree with an explicit
-stack, so any depth indexes, compares and hashes.
+arity.  Indexing, equality, hashing and substitution walk a tree with an
+explicit stack or a loop, so any depth indexes, compares, hashes and
+substitutes.
 """
 
 from __future__ import annotations
@@ -351,7 +352,7 @@ def substitute_tree(
         return q
 
     inner_leaf_index = {leaf: j for j, leaf in enumerate(inner.leaf_order)}
-    grafted = _filled(inner.root, (), inner_leaf_index, victim.children)
+    grafted = _filled(inner.root, inner_leaf_index, victim.children)
 
     new_root = _rebuild_with(tree.root, path, grafted)
     pos = tree.node_order.index(path)
@@ -365,15 +366,26 @@ def substitute_tree(
     return new_tree, remap
 
 
-def _filled(node: TreeNode, at: Path, leaf_index: Dict[Path, int], hung: tuple) -> TreeNode:
-    """The inner tree below ``node`` with ``hung[j]`` on its j-th leaf."""
-    children = []
-    for j, child in enumerate(node.children):
-        slot = at + (j,)
-        if child is not None:
-            children.append(_filled(child, slot, leaf_index, hung))
-        elif slot in leaf_index:
-            children.append(hung[leaf_index[slot]])
-        else:
-            children.append(None)
-    return TreeNode(node.label, tuple(children))
+def _filled(root: TreeNode, leaf_index: Dict[Path, int], hung: tuple) -> TreeNode:
+    """The inner tree at ``root`` with ``hung[j]`` on its j-th leaf.
+
+    The nodes whose children are still being filled are kept on an
+    explicit stack, each with its path and its children so far, so a deep
+    inner tree cannot exhaust the recursion limit."""
+    stack = []
+    node, at, children = root, (), []
+    while True:
+        slots = node.children
+        while len(children) < len(slots):
+            j = len(children)
+            child = slots[j]
+            if child is None:
+                children.append(hung[leaf_index[at + (j,)]])
+            else:
+                stack.append((node, at, children))
+                node, at, children, slots = child, at + (j,), [], child.children
+        filled = TreeNode(node.label, tuple(children))
+        if not stack:
+            return filled
+        node, at, children = stack.pop()
+        children.append(filled)

@@ -815,6 +815,29 @@ def test_a_cell_without_a_face_entry_matches_no_partly_assigned_infaces():
     assert cells_with(oset, binary.code, (None, None)) == ("c", "m")
 
 
+def test_a_pin_read_off_a_face_without_a_face_entry_matches_nothing():
+    # c's second inface b is an arrow with no face entry, so c's boundary
+    # does not reach the pinned edge read off b: c carries no pin there.
+    code = "[(ar:(ar:_))|n0.1|l0]"
+    cells = {"o": "pt", "a": "ar", "b": "ar", "c": code}
+    faces = {"a": (("o",), "o"), "c": (("a", "b"), "a")}
+    oset = OpetopicSet(2, 2, cells, faces)
+    assert "cell b: missing face assignment" in validate(oset).violations
+    assert cells_with(oset, code, (None, None), "a", (((0,), "o"),)) == ()
+    assert cells_with(oset, code, ("a", "b"), "a", (((0,), "o"),)) == ()
+    # Edge (0,) is read off the outface of inface 1, edge (0, 0) off
+    # inface 0 of the outface.  A candidate with too few infaces (m), one
+    # without a face entry (x) and one whose outface has too few infaces
+    # (y's a2) carry no pin on the edge they cannot reach.
+    plan = oset.shape_entry(code).plan
+    assert [plan[e][:2] for e in ((0,), (0, 0))] == [(1, -1), (-1, 0)]
+    cells.update(m=code, x=code, y=code, a2="ar")
+    faces.update(b=(("o",), "o"), m=(("a",), "a"), y=(("a", "b"), "a2"), a2=((), "o"))
+    oset = OpetopicSet(2, 2, cells, faces)
+    assert cells_with(oset, code, (None, None), None, (((0,), "o"),)) == ("c", "y")
+    assert cells_with(oset, code, (None, None), None, (((0, 0), "o"),)) == ("c", "m")
+
+
 def test_threads_build_each_shape_index_once(monkeypatch):
     # Four threads query a fresh set's occupants: every answer equals the
     # serial one, and each shape code's index is built once, by whichever

@@ -350,8 +350,8 @@ def test_a_malformed_code_reports_its_first_error():
 
 
 def test_memo_does_not_make_the_audit_vacuous(fresh_shapes, monkeypatch):
-    # A wrong permutation built once and memoised must still show up as a
-    # law (c) violation: the audit compares results, it never assumes a law.
+    # A wrong permutation must still show up as a law (c) violation: the
+    # audit compares results, it never assumes a law.
     from opetopes import OperadLevel, check_operad_axioms, shapes
 
     target = next(s for s in enumerate_opetopes(2, 3) if s.arity == 3)
@@ -715,9 +715,11 @@ def test_a_root_is_validated_once_and_only_itself():
 
 
 def test_a_cold_audit_keeps_one_derived_table_and_shares_corolla_indexes(fresh_shapes, monkeypatch):
-    # Derived shapes live in one table keyed by (shape,) + key, never in a
-    # slot of the shape; the identity permutation stores nothing; and the
-    # corollas that identities build share one index per arity.
+    # Derived shapes live in one table, never in a slot of the shape; it
+    # keeps composites under their operands (f, g_1, ..., g_k) and ray
+    # shapes under a tagged key, but no identity or permutation, which are
+    # found by code; and the corollas that identities build share one
+    # index per arity.
     from opetopes import Opetope, OperadLevel, check_operad_axioms, shapes
 
     corollas = []
@@ -732,9 +734,19 @@ def test_a_cold_audit_keeps_one_derived_table_and_shares_corolla_indexes(fresh_s
     report = check_operad_axioms(OperadLevel(3), 6)
     assert report.violations == []
     assert "_memo" not in Opetope.__slots__ and not hasattr(POINT, "_memo")
-    permutations = [key[2] for key in shapes._DERIVED if key[1] == "permute"]
-    assert permutations
-    assert all(sigma != tuple(range(len(sigma))) for sigma in permutations)
+    assert shapes._DERIVED
+    arities = set()
+    for key, result in shapes._DERIVED.items():
+        f, *rest = key
+        if rest and isinstance(rest[0], str):
+            assert rest[0] in ("ray-output", "ray-input")
+            continue
+        assert len(key) == 1 + f.arity
+        assert all(isinstance(g, Opetope) for g in key)
+        assert result.output is f.output
+        assert result.inputs == tuple(x for g in rest for x in g.inputs)
+        arities.add(f.arity)
+    assert 0 in arities and len(arities) > 2
     indexes = {}
     for tree in corollas:
         assert tree.node_count == 1 and not any(tree.root.children)
@@ -747,10 +759,40 @@ def test_the_identity_permutation_is_its_shape_and_stores_nothing(fresh_shapes):
     from opetopes import shapes
     from opetopes.shapes import permute_inputs
 
+    listing = enumerate_opetopes(3, 3)[:40]
+    before = dict(shapes._DERIVED)
     assert permute_inputs(ARROW, (0,)) is ARROW
-    for shape in enumerate_opetopes(3, 3)[:40]:
+    for shape in listing:
         assert permute_inputs(shape, range(shape.arity)) is shape
-    assert not any(key[1] == "permute" for key in shapes._DERIVED)
+    assert shapes._DERIVED == before
+
+
+def test_identities_and_permutations_are_found_again_by_code(fresh_shapes):
+    # Neither is kept in the derived table: a repeat call finds the shape
+    # the first call interned, on emptied tables as on warm ones.
+    from opetopes import shapes
+    from opetopes.shapes import permute_inputs
+
+    rounds = []
+    for _ in range(2):
+        f = next(s for s in enumerate_opetopes(3, 5) if s.arity == 3)
+        before = dict(shapes._DERIVED)
+        derive = [
+            lambda: identity_on(f),
+            lambda: identity_on(f.output),
+            lambda: permute_inputs(f, (2, 0, 1)),
+            lambda: permute_inputs(f, [1, 0, 2]),
+        ]
+        made = [d() for d in derive]
+        assert all(d() is g for d, g in zip(derive, made))
+        assert all(shapes._INTERNED[g.code] is g for g in made)
+        assert shapes._DERIVED == before
+        assert [g.arity for g in made] == [1, 1, 3, 3]
+        assert made[2].inputs == (f.inputs[2], f.inputs[0], f.inputs[1])
+        rounds.append(made)
+        fresh_shapes()
+    assert [g.code for g in rounds[0]] == [g.code for g in rounds[1]]
+    assert not any(a is b for a, b in zip(*rounds))
 
 
 def test_permutation_errors_are_unchanged():

@@ -77,6 +77,26 @@ def test_substitute_at_the_deepest_node_of_a_deep_chain():
     assert all(grown.node_at(p).label is ARROW for p in grown.node_order)
 
 
+def test_substitute_a_deep_inner_tree():
+    # The inner tree is copied with an explicit stack, so an inner chain
+    # deeper than the recursion limit substitutes like a short one, and
+    # the outer node's children hang below its leaf.
+    length = 1500
+    result, remap = substitute_tree(single_node_tree(0, ARROW), (), chain(length))
+    assert result.node_count == length
+    assert result == chain(length)
+    assert remap((0,)) == (0,) * length
+    with pytest.raises(NoSuchNode):
+        remap(())
+    outer = chain(2)
+    result, remap = substitute_tree(outer, (), chain(length))
+    assert result.node_count == length + 1
+    assert result.node_at((0,) * length) is outer.node_at((0,))
+    assert remap((0,)) == (0,) * length and remap((0, 0)) == (0,) * (length + 1)
+    assert result.leaf_order == ((0,) * (length + 1),)
+    assert result.node_order == ((0,) * length,) + tuple((0,) * d for d in reversed(range(length)))
+
+
 def test_substitute_empty_deletes_unary_node():
     outer = chain(2)
     result, _ = substitute_tree(outer, (0,), empty_tree(0, ARROW))
