@@ -52,9 +52,14 @@ the same code walk as ``compose``, without its operand checks, which the
 validated tree already guarantees.  Parsing looks up each nested label by
 the code up to its matching bracket, and parses only a new label's
 structure, innermost first, so its recursion does not deepen with nesting.
-Writing a tree's code, reading its nodes back, grafting it and writing a
-composite's code walk the trees with an explicit stack, so a tree of any
-depth builds, parses and composes.
+Grafting a tree and writing and reading its staged metatree walk it with
+``trees.preorder`` and ``trees.fold``.  Writing a tree's code, reading
+its nodes back and writing a composite's code are the audit's hot path
+and keep inline walks of their own, each with an explicit stack, since a
+walk through callbacks measured about four times as slow there.  So a tree
+of any depth builds, parses, composes and serialises.  The metatree goes
+stage by stage and ``size`` counts the nodes in the code, so a shape of
+any dimension has both too.
 """
 
 from __future__ import annotations
@@ -62,10 +67,11 @@ from __future__ import annotations
 import itertools
 import re
 import threading
+from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ArityMismatch, DegreeMismatch, IllTyped, TypeMismatch, ZeroDimensional
-from .trees import PasteTree, Path, TreeNode, empty_tree, single_node_tree
+from .trees import PasteTree, Path, TreeNode, empty_tree, fold, preorder, single_node_tree
 
 
 # One shape per code, held for the life of the process; the lock guards the
@@ -75,6 +81,8 @@ _INTERNED: Dict[str, "Opetope"] = {}
 # Composites and ray shapes (see ``derived``), keyed by (shape,) + key.
 _DERIVED: Dict[tuple, "Opetope"] = {}
 _LOCK = threading.Lock()
+# A metatree slot spec's slots, the children ``trees.preorder`` walks.
+_SLOTS = itemgetter("slots")
 
 
 class _Interned(type):
@@ -144,17 +152,14 @@ class Opetope(metaclass=_Interned):
 
     @property
     def size(self) -> int:
-        """Total node count over all metatree stages; the enumeration bound."""
+        """Total node count over all metatree stages; the enumeration bound.
+
+        It is the number of ``(`` in the code: a node writes one and its
+        label's code, and an empty tree its edge type's code, so a shape's
+        size is its node count plus its labels' sizes, or its edge type's,
+        counted without recursion."""
         if self._size is None:
-            if self.dim <= 1:
-                self._size = 0
-            elif self.tree.is_empty:
-                self._size = self.tree.edge_type.size
-            else:
-                total = self.tree.node_count
-                for p in self.tree.node_order:
-                    total += self.tree.node_at(p).label.size
-                self._size = total
+            self._size = self.code.count("(")
         return self._size
 
     # -- dunder ------------------------------------------------------------
@@ -319,6 +324,7 @@ def _composite_code(f: Opetope, gs: Tuple[Optional[Opetope], ...]) -> str:
 _KEPT: Tuple[Path, ...] = ((),)
 
 
+# Inline, not a ``trees.fold``: this walk runs for every new composite.
 def _composite_walk(root: TreeNode, operand, parts, numbers, planar) -> None:
     """Write the composite above the root edge of f's tree.
 
@@ -413,47 +419,28 @@ def graft(tree: PasteTree) -> Opetope:
 
     The empty tree composes to the identity on its edge type.  The result's
     i-th input sits on the tree's i-th leaf, so the final answer is the
-    planar fold corrected by the tree's leaf order.
+    planar fold, each node's composite made from its children's, corrected
+    by the tree's leaf order.
     """
     if tree.is_empty:
         return identity_on(tree.edge_type)
     if tree.level == 0:
         return ARROW
-    planar = _grafted(tree.root)
+    planar = fold(tree.root, lambda i: None, _composite_at)
     leaves = tree.index.leaves
     sigma = tuple(leaves[leaf] for leaf in tree.leaf_order)
     return permute_inputs(planar, sigma)
 
 
-def _grafted(root: TreeNode) -> Opetope:
-    """The planar composite of the tree at ``root``: each node's label
-    composed with each child's composite, found by the code of one walk of
-    the label's tree.  A dangling slot keeps its node, so a node with no
-    children composes to its label.  The validated tree already matches
-    each child's output to its slot, so no operand is checked again.
-
-    The nodes whose children are still being composed are kept on an
-    explicit stack, each with the composites of its slots so far, so a
-    deep tree cannot exhaust the recursion limit."""
-    stack: List[Tuple[TreeNode, List[Optional[Opetope]]]] = []
-    node, gs = root, []
-    while True:
-        children = node.children
-        while len(gs) < len(children):
-            child = children[len(gs)]
-            if child is None:
-                gs.append(None)
-            else:
-                stack.append((node, gs))
-                node, gs, children = child, [], child.children
-        if any(children):
-            g = from_code(_composite_code(node.label, tuple(gs)))
-        else:
-            g = node.label
-        if not stack:
-            return g
-        node, gs = stack.pop()
-        gs.append(g)
+def _composite_at(node: TreeNode, gs: List[Optional[Opetope]]) -> Opetope:
+    """``node``'s label composed with ``gs``, its children's composites,
+    found by the code of one walk of the label's tree.  A dangling slot
+    (``None``) keeps its node, so a node with no children composes to its
+    label.  The validated tree already matches each child's output to its
+    slot, so no operand is checked again."""
+    if any(gs):
+        return from_code(_composite_code(node.label, tuple(gs)))
+    return node.label
 
 
 def faces(shape: Opetope) -> Tuple[Tuple[Opetope, ...], Opetope]:
@@ -572,6 +559,7 @@ def _encode(shape: Opetope) -> str:
     return "[%s|n%s|l%s]" % (body, nu, lam)
 
 
+# Inline, not a ``trees.fold``: every new shape's code is written here.
 def _encode_node(root: TreeNode) -> str:
     """The code of the tree at ``root``, written by one walk that keeps
     the nodes it will come back to on an explicit stack, each with its
@@ -723,6 +711,7 @@ def _parse(s: str, i: int, close: Dict[int, int]) -> Tuple[Opetope, int]:
     return shape, i
 
 
+# Inline, not a ``trees.fold``: it reads a string, not a tree, and runs per new code.
 def _parse_node(s: str, i: int, close: Dict[int, int]) -> Tuple[TreeNode, int]:
     """The node whose code starts at offset ``i`` and the offset after it.
 
@@ -790,53 +779,34 @@ def metatree_stages(shape: Opetope) -> List[dict]:
     trees of stage d-1 are, in order, the top trees of the labels of every
     stage-d node (concatenated tree by tree, nodes in preorder).  Stage 1
     entries are arrow markers.  Empty trees carry their edge type's code.
-    See FORMAT.md for the exact layout.
+    See FORMAT.md for the exact layout.  The stages are written one at a
+    time from the top down, so no walk recurses once per dimension.
     """
-    if shape.dim == 0:
-        return []
-    stages: List[List[dict]] = [[] for _ in range(shape.dim)]
-    _emit_stages(shape, shape.dim - 1, stages)
-    return [{"dim": d + 1, "trees": stages[d]} for d in range(shape.dim)]
-
-
-def _emit_stages(op: Opetope, stage: int, stages: List[List[dict]]) -> None:
-    """Append ``op``'s top tree to ``stages[stage]`` and its labels' trees,
-    in preorder, to the stages below."""
-    if op.dim == 1:
-        stages[stage].append({"arrow": True})
-        return
-    tree = op.tree
-    if tree.is_empty:
-        stages[stage].append({"empty": True, "type_code": tree.edge_type.code})
-        return
-    nodes, leaves = tree.index
-    stages[stage].append(
-        {
-            "root": _node_json(tree.root),
-            "node_order": [nodes[p] for p in tree.node_order],
-            "leaf_order": [leaves[p] for p in tree.leaf_order],
-        }
-    )
-    for p in nodes:
-        _emit_stages(tree.node_at(p).label, stage - 1, stages)
-
-
-def _node_json(root: TreeNode) -> dict:
-    """The slot structure of the tree at ``root`` as nested ``slots``
-    lists, built by one walk that keeps the nodes whose lists it has yet
-    to fill on an explicit stack, so any depth serialises."""
-    top: dict = {"slots": []}
-    stack = [(root, top["slots"])]
-    while stack:
-        node, slots = stack.pop()
-        for child in node.children:
-            if child is None:
-                slots.append(None)
+    stages = []
+    level = [shape]
+    for dim in range(shape.dim, 0, -1):
+        trees, below = [], []
+        for op in level:
+            tree = op.tree
+            if dim == 1:
+                trees.append({"arrow": True})
+            elif tree.is_empty:
+                trees.append({"empty": True, "type_code": tree.edge_type.code})
             else:
-                spec: dict = {"slots": []}
-                slots.append(spec)
-                stack.append((child, spec["slots"]))
-    return top
+                nodes, leaves = tree.index
+                spec = fold(tree.root, lambda i: None, lambda node, slots: {"slots": slots})
+                trees.append(
+                    {
+                        "root": spec,
+                        "node_order": [nodes[p] for p in tree.node_order],
+                        "leaf_order": [leaves[p] for p in tree.leaf_order],
+                    }
+                )
+                below += [node.label for node in preorder(tree.root) if node is not None]
+        stages.append({"dim": dim, "trees": trees})
+        level = below
+    stages.reverse()
+    return stages
 
 
 def render_metatree(shape: Opetope) -> str:
@@ -856,10 +826,11 @@ def render_metatree(shape: Opetope) -> str:
             elif tree.get("empty"):
                 parts.append("!" + tree["type_code"])
             else:
+                slots = fold(tree["root"], lambda i: "_", lambda spec, s: "(%s)" % ",".join(s), _SLOTS)
                 parts.append(
                     "%s n%s l%s"
                     % (
-                        _render_slots(tree["root"]),
+                        slots,
                         ".".join(map(str, tree["node_order"])),
                         ".".join(map(str, tree["leaf_order"])),
                     )
@@ -868,79 +839,55 @@ def render_metatree(shape: Opetope) -> str:
     return "\n".join(lines)
 
 
-def _render_slots(spec: dict) -> str:
-    """``(_,(_))`` for a slot spec, written by one walk that keeps the specs
-    it will come back to on an explicit stack, each with its next slot."""
-    parts = ["("]
-    stack: List[Tuple[list, int]] = []
-    slots, j = spec["slots"], 0
-    while True:
-        while j < len(slots):
-            if j:
-                parts.append(",")
-            child = slots[j]
-            j += 1
-            if child is None:
-                parts.append("_")
-            else:
-                stack.append((slots, j))
-                slots, j = child["slots"], 0
-                parts.append("(")
-        parts.append(")")
-        if not stack:
-            return "".join(parts)
-        slots, j = stack.pop()
-
-
 def from_metatree(stages: Sequence[dict]) -> Opetope:
-    """Rebuild a shape from its staged metatree (inverse of the above)."""
+    """Rebuild a shape from its staged metatree (inverse of the above).
+
+    The stages are read from the lowest up: the trees of each stage take
+    as labels the shapes of the stage below, in turn, so no walk recurses
+    once per dimension.  IllTyped unless every tree is used and the top
+    stage holds one, and for a document not laid out as
+    ``metatree_stages`` writes it."""
     if not stages:
         return POINT
-    cursors = [0] * len(stages)
-    top = _built_stage(stages, cursors, len(stages) - 1)
-    if any(cursors[d] != len(stages[d]["trees"]) for d in range(len(stages))):
+    shapes: List[Opetope] = []
+    try:
+        for dim, stage in enumerate(stages, 1):
+            shapes = _stage_shapes(dim, stage["trees"], shapes)
+    except (LookupError, TypeError, AttributeError) as exc:
+        raise IllTyped("malformed metatree (%s: %s)" % (type(exc).__name__, exc))
+    if len(shapes) != 1:
+        raise IllTyped("the top metatree stage holds %d trees, not one" % len(shapes))
+    return shapes[0]
+
+
+def _stage_shapes(dim: int, entries: Sequence[dict], labels: List[Opetope]) -> List[Opetope]:
+    """The shapes of one stage's trees, whose nodes take ``labels``, the
+    shapes of the stage below, in turn."""
+    built = []
+    taken = 0
+    for entry in entries:
+        if entry.get("arrow"):
+            built.append(ARROW)
+            continue
+        if entry.get("empty"):
+            built.append(Opetope(dim, empty_tree(dim - 2, from_code(entry["type_code"]))))
+            continue
+        spec = entry["root"]
+        count = sum(node is not None for node in preorder(spec, _SLOTS))
+        if taken + count > len(labels):
+            raise IllTyped("metatree stage %d has too few trees" % (dim - 1))
+        # The fold meets the nodes in reverse preorder.
+        mine = reversed(labels[taken : taken + count])
+        taken += count
+        root = fold(
+            spec, lambda i: None, lambda node, children: TreeNode(next(mine), tuple(children)), _SLOTS
+        )
+        nu = _picked(tuple(root.index.nodes), entry["node_order"], "node_order")
+        lam = _picked(tuple(root.index.leaves), entry["leaf_order"], "leaf_order")
+        built.append(Opetope(dim, PasteTree(dim - 2, root, None, nu, lam)))
+    if taken != len(labels):
         raise IllTyped("metatree stages contain unused trees")
-    return top
-
-
-def _built_stage(stages: Sequence[dict], cursors: List[int], stage: int) -> Opetope:
-    """The shape of the next unread tree of ``stage``; its labels are the
-    next unread shapes one stage down."""
-    entry = stages[stage]["trees"][cursors[stage]]
-    cursors[stage] += 1
-    if entry.get("arrow"):
-        return ARROW
-    dim = stage + 1
-    if entry.get("empty"):
-        return Opetope(dim, empty_tree(dim - 2, from_code(entry["type_code"])))
-    order = _spec_preorder(entry["root"])
-    labels = [_built_stage(stages, cursors, stage - 1) for _ in order]
-    root = _spec_tree(order, labels)
-    nu = _picked(tuple(root.index.nodes), entry["node_order"], "node_order")
-    lam = _picked(tuple(root.index.leaves), entry["leaf_order"], "leaf_order")
-    return Opetope(dim, PasteTree(dim - 2, root, None, nu, lam))
-
-
-def _spec_preorder(spec: dict) -> List[list]:
-    """The slot lists of a slot spec's nodes in preorder, read by one walk
-    with an explicit stack."""
-    order = []
-    stack = [spec]
-    while stack:
-        slots = stack.pop()["slots"]
-        order.append(slots)
-        stack.extend(c for c in reversed(slots) if c is not None)
-    return order
-
-
-def _spec_tree(order: List[list], labels: List[Opetope]) -> TreeNode:
-    """The tree of preorder slot lists ``order``, node i labelled
-    ``labels[i]``.  Nodes are built from the last back, so each node's
-    subtrees are built just before it, the first child's on top."""
-    built: List[TreeNode] = []
-    for slots, label in zip(reversed(order), reversed(labels)):
-        built.append(TreeNode(label, tuple(None if c is None else built.pop() for c in slots)))
-    return built.pop()
+    return built
 
 
 def _picked(paths: Tuple[Path, ...], indices, name: str) -> Tuple[Path, ...]:

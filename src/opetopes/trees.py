@@ -35,13 +35,19 @@ is validated (see :func:`opetopes.shapes._validate_tree`).  A node's
 index may be shared and must never be mutated: the corollas that
 :func:`single_node_tree` builds share one index, one children tuple and
 one leaf order per arity, since a corolla's index depends only on its
-arity.  Indexing, equality, hashing and substitution walk a tree with an
-explicit stack or a loop, so any depth indexes, compares, hashes and
-substitutes.
+arity.
+
+One mechanism walks trees: ``preorder`` lists a tree's nodes and dangling
+slots with an explicit stack, and ``fold`` folds the tree bottom up over
+that list reversed.  Equality, hashing and substitution here, and
+grafting and the metatree in :mod:`opetopes.shapes`, use the two, so any
+depth compares, hashes, substitutes, grafts and serialises.  Indexing
+keeps its own walk, as it needs each node's path.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, Dict, Iterator, NamedTuple, Optional, Tuple
 
 from .errors import IllTyped, NoSuchNode
@@ -67,9 +73,8 @@ class TreeNode(Value):
     """One node of a pasting tree: a label plus one child per slot.
 
     ``children`` has exactly ``label.arity`` entries; ``None`` marks a
-    dangling slot (a leaf edge).  Nodes compare and hash structurally,
-    walking the tree with an explicit stack, so any depth compares and
-    hashes.
+    dangling slot (a leaf edge).  Nodes compare and hash by their
+    ``preorder`` label lists, so any depth compares and hashes.
     """
 
     __slots__ = ("label", "children", "_index", "_valid")
@@ -92,30 +97,10 @@ class TreeNode(Value):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is b:
-                continue
-            if a is None or b is None or len(a.children) != len(b.children):
-                return False
-            if a.label is not b.label and not a.label == b.label:
-                return False
-            pairs.extend(zip(a.children, b.children))
-        return True
+        return self is other or _labels(self) == _labels(other)
 
     def __hash__(self) -> int:
-        # The labels and dangling slots in one fixed walk order fix the tree.
-        seen = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node is None:
-                seen.append(None)
-            else:
-                seen.append(node.label)
-                stack.extend(node.children)
-        return hash(tuple(seen))
+        return hash(tuple(_labels(self)))
 
     @property
     def index(self) -> TreeIndex:
@@ -132,10 +117,52 @@ class TreeNode(Value):
         return found
 
 
+_CHILDREN = attrgetter("children")
+
+
+def preorder(root, children: Callable = _CHILDREN) -> list:
+    """The nodes of the tree at ``root`` and its dangling slots (``None``)
+    in depth-first slot order, listed with one explicit stack, so any depth
+    is walked.  ``children(node)`` gives a node's slots: a ``TreeNode``'s
+    children, or with ``itemgetter("slots")`` a metatree slot spec's."""
+    listed = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        listed.append(node)
+        if node is not None:
+            stack += reversed(children(node))
+    return listed
+
+
+def fold(root, leaf: Callable, node: Callable, children: Callable = _CHILDREN):
+    """The tree at ``root`` folded bottom up: ``leaf(i)`` is the value of
+    the dangling slot at index ``i`` of the planar order, counted from the
+    end (-1 is the last), and ``node(n, values)`` that of a node ``n`` with
+    ``values`` the list of its slots' values.  It reads ``preorder(root,
+    children)`` backwards, so ``node`` meets the nodes in reverse
+    preorder, and keeps the values on one stack."""
+    i = 0
+    values: list = []
+    for n in reversed(preorder(root, children)):
+        if n is None:
+            i -= 1
+            values.append(leaf(i))
+        else:
+            values.append(node(n, [values.pop() for _ in children(n)]))
+    return values.pop()
+
+
+def _labels(root: TreeNode) -> list:
+    """The preorder labels, ``None`` at each dangling slot; with arities they fix the tree."""
+    return [None if n is None else n.label for n in preorder(root)]
+
+
 def _index_tree(root: TreeNode) -> TreeIndex:
     """Number the nodes in preorder and the leaves in planar order, by one
     walk that keeps the nodes it will come back to on an explicit stack,
-    each with its path and next slot, so any depth indexes."""
+    each with its path and next slot, so any depth indexes.  It is not a
+    ``preorder`` walk because it needs each node's path."""
     nodes: Dict[Path, int] = {(): 0}
     leaves: Dict[Path, int] = {}
     stack = []
@@ -269,12 +296,6 @@ def single_node_tree(level: int, label: object) -> PasteTree:
 # -- substitution ---------------------------------------------------------
 
 
-# Recursive walks here and in ``shapes`` are module-level functions that take
-# their state as arguments.  A nested function that calls itself holds a
-# closure cell that refers back to the function, so every call would leave a
-# reference cycle that only the cyclic garbage collector can free.
-
-
 def _rebuild_with(node: TreeNode, path: Path, replacement) -> Optional[TreeNode]:
     """Return the tree rooted at ``node`` with the node at ``path`` swapped
     for ``replacement``.
@@ -346,13 +367,12 @@ def substitute_tree(
     def remap(q: Path) -> Path:
         if q == path:
             raise NoSuchNode("the replaced node has no image")
-        if q[: len(path)] == path and len(q) > len(path):
+        if q[: len(path)] == path:
             j = q[len(path)]
             return path + slot_target[j] + q[len(path) + 1 :]
         return q
 
-    inner_leaf_index = {leaf: j for j, leaf in enumerate(inner.leaf_order)}
-    grafted = _filled(inner.root, inner_leaf_index, victim.children)
+    grafted = _filled(inner, victim.children)
 
     new_root = _rebuild_with(tree.root, path, grafted)
     pos = tree.node_order.index(path)
@@ -366,26 +386,10 @@ def substitute_tree(
     return new_tree, remap
 
 
-def _filled(root: TreeNode, leaf_index: Dict[Path, int], hung: tuple) -> TreeNode:
-    """The inner tree at ``root`` with ``hung[j]`` on its j-th leaf.
-
-    The nodes whose children are still being filled are kept on an
-    explicit stack, each with its path and its children so far, so a deep
-    inner tree cannot exhaust the recursion limit."""
-    stack = []
-    node, at, children = root, (), []
-    while True:
-        slots = node.children
-        while len(children) < len(slots):
-            j = len(children)
-            child = slots[j]
-            if child is None:
-                children.append(hung[leaf_index[at + (j,)]])
-            else:
-                stack.append((node, at, children))
-                node, at, children, slots = child, at + (j,), [], child.children
-        filled = TreeNode(node.label, tuple(children))
-        if not stack:
-            return filled
-        node, at, children = stack.pop()
-        children.append(filled)
+def _filled(inner: PasteTree, hung: tuple) -> TreeNode:
+    """The inner tree with ``hung[j]`` on its j-th leaf in leaf order."""
+    planar = [None] * len(hung)
+    leaves = inner.index.leaves
+    for leaf, child in zip(inner.leaf_order, hung):
+        planar[leaves[leaf]] = child
+    return fold(inner.root, planar.__getitem__, lambda n, kids: TreeNode(n.label, tuple(kids)))

@@ -146,6 +146,7 @@ def test_metatree_round_trip():
         ("node_order", ["0", 1]),
         ("node_order", [0.0, 1]),
         ("leaf_order", [3]),
+        ("node_order", [2, 0]),
     ],
 )
 def test_metatree_orders_must_be_in_range_ints(field, order):
@@ -157,6 +158,45 @@ def test_metatree_orders_must_be_in_range_ints(field, order):
     stages[-1]["trees"][0][field] = order
     with pytest.raises(IllTyped, match="%s must list indices in range" % field):
         from_metatree(stages)
+
+
+def _drop_root(stages):
+    del stages[1]["trees"][0]["root"]
+
+
+def _empty_stage_one(stages):
+    stages[0]["trees"] = []
+
+
+def _slots_not_a_list(stages):
+    stages[1]["trees"][0]["root"]["slots"] = 3
+
+
+def _stage_not_an_object(stages):
+    stages[0] = stages[0]["trees"]
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (_empty_stage_one, "metatree stage 1 has too few trees"),
+        (_drop_root, "malformed metatree (KeyError: 'root')"),
+        (_slots_not_a_list, "malformed metatree (TypeError: "),
+        (_stage_not_an_object, "malformed metatree (TypeError: "),
+    ],
+)
+def test_a_malformed_metatree_is_ill_typed(damage, message):
+    # Every error of the public API is an OpetopeError: a metatree document
+    # that is not laid out as metatree_stages writes it is IllTyped, not a
+    # bare IndexError, KeyError or TypeError.
+    from opetopes import IllTyped
+
+    binary = next(s for s in enumerate_opetopes(2, 2) if s.arity == 2)
+    stages = metatree_stages(binary)
+    damage(stages)
+    with pytest.raises(IllTyped) as raised:
+        from_metatree(stages)
+    assert str(raised.value).startswith(message)
 
 
 def test_enumeration_deterministic_across_calls():
@@ -171,6 +211,13 @@ def test_size_counts_all_stages():
     ternary = [s for s in enumerate_opetopes(3, 4) if s.tree.node_count == 1]
     for shape in ternary:
         assert shape.size == 1 + shape.inputs[0].size
+    # The size by its definition: the node count plus the labels' sizes,
+    # or the edge type's for an empty tree.
+    for dim, bound in [(3, 5), (4, 5), (5, 4)]:
+        for shape in enumerate_opetopes(dim, bound):
+            tree = shape.tree
+            below = [tree.edge_type] if tree.is_empty else shape.inputs
+            assert shape.size == tree.node_count + sum(s.size for s in below) <= bound
 
 
 def test_malformed_codes_are_rejected_cleanly():
@@ -882,6 +929,29 @@ def test_a_deep_chain_has_a_metatree_without_recursion(length):
         "  ".join(["|"] * length), "(" * length, ")" * length, order
     )
     assert from_metatree(stages) is shape
+
+
+def test_a_shape_deeper_than_the_recursion_limit_has_a_size_and_a_metatree(fresh_shapes):
+    # The metatree is written and read one stage at a time and the size is
+    # summed lowest dimension first, so a shape of dimension 1,200 sizes,
+    # renders and round-trips like a low one, on cold tables.
+    from opetopes import render_metatree
+
+    shape = POINT
+    for _ in range(1200):
+        shape = identity_on(shape)
+    assert shape.dim == 1200 and shape.size == 1199
+    stages = metatree_stages(shape)
+    assert [stage["dim"] for stage in stages] == list(range(1, 1201))
+    assert stages[0]["trees"] == [{"arrow": True}]
+    unary = [{"root": {"slots": [None]}, "node_order": [0], "leaf_order": [0]}]
+    assert all(stage["trees"] == unary for stage in stages[1:])
+    lines = render_metatree(shape).split("\n")
+    assert lines[0] == "dim 1: |" and lines[1:] == ["dim %d: (_) n0 l0" % d for d in range(2, 1201)]
+    assert from_metatree(stages) is shape
+    fresh_shapes()
+    rebuilt = from_metatree(stages)
+    assert rebuilt is not shape and rebuilt.code == shape.code and rebuilt.size == 1199
 
 
 @pytest.mark.parametrize("length", [600, 1200])

@@ -104,6 +104,17 @@ def test_substitute_empty_deletes_unary_node():
     assert leaf_paths(result) == [(0,)]
 
 
+def test_deleting_a_unary_node_fuses_its_edges_in_the_remap():
+    # The deleted node's output edge keeps its address, its input edge
+    # fuses with it, and what hung below moves up one slot.
+    outer = chain(3)
+    result, remap = substitute_tree(outer, (0,), empty_tree(0, ARROW))
+    assert remap(()) == () and remap((0,)) == (0,)
+    assert remap((0, 0)) == (0,) and remap((0, 0, 0)) == (0, 0)
+    assert result.node_at(remap((0, 0))) is outer.node_at((0, 0))
+    assert result.leaf_order == ((0, 0),)
+
+
 def test_substitute_empty_at_root_collapses_to_empty():
     outer = single_node_tree(0, ARROW)
     result, _ = substitute_tree(outer, (), empty_tree(0, ARROW))

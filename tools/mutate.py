@@ -9,7 +9,10 @@ test suite):
     python tools/mutate.py --workdir DIR   # build the mutant copies in DIR
     python tools/mutate.py --module shapes.py --function graft
                                            # only the mutants of one module's
-                                           # named functions (repeatable)
+                                           # named functions (repeatable; a
+                                           # name the module does not define
+                                           # is refused, one with no mutable
+                                           # site is noted and skipped)
 
 A mutant changes one site of the module by one operator:
 
@@ -209,17 +212,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     source = (ROOT / target).read_text(encoding="utf-8")
     equivalent = EQUIVALENT.get(args.module, {})
-    mutants = sites(ast.parse(source))
+    tree = ast.parse(source)
+    mutants = sites(tree)
     known = {(s.function, s.operator, s.original) for s in mutants}
     stale = sorted(set(equivalent) - known)
     if stale:
         print("EQUIVALENT names no mutant: %s" % stale, file=sys.stderr)
         return 2
     if args.function:
-        unknown = sorted(set(args.function) - {s.function for s in mutants})
+        defined = {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        unknown = sorted(set(args.function) - defined)
         if unknown:
-            print("no mutant in function %s of %s" % (", ".join(unknown), target), file=sys.stderr)
+            print("no function %s in %s" % (", ".join(unknown), target), file=sys.stderr)
             return 2
+        for name in sorted(set(args.function) - {s.function for s in mutants}):
+            print("note: function %s of %s has no mutable site" % (name, target), file=sys.stderr)
         mutants = [s for s in mutants if s.function in args.function]
     if args.list:
         for s in mutants:
