@@ -57,8 +57,8 @@ from .operads import (
     eval_algebra,
     identity_perm,
     initial_operad,
+    slice_operad,
 )
-from .slices import ReductionLaw, graft_composite, slice_operad, substitute
 from .counting import brute_force_count
 from .osets import (
     BoundaryConfig,
@@ -75,7 +75,6 @@ from .universality import (
     CheckVerdict,
     Verdict,
     check_weak_n_category,
-    composites,
     is_balanced,
     is_universal,
 )

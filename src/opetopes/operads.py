@@ -172,6 +172,20 @@ def initial_operad() -> OperadLevel:
     return OperadLevel(0)
 
 
+def slice_operad(operad) -> OperadLevel:
+    """The slice of a tower level: level ``d`` goes to level ``d + 1``.
+
+    The types of the slice are the operations below, and its operations
+    are the reduction laws below: pasting trees paired with their
+    composite, which ``shapes.graft`` works out from canonical codes.  Only
+    tower levels can be sliced; a table operad has genuine relations, and
+    identifying its reduction laws is out of scope.
+    """
+    if not isinstance(operad, OperadLevel):
+        raise UnsupportedOperad("only tower levels can be sliced")
+    return OperadLevel(operad.level + 1)
+
+
 # -- finite table operads -------------------------------------------------------
 
 

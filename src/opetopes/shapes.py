@@ -554,8 +554,8 @@ def _encode(shape: Opetope) -> str:
     else:
         body = _encode_node(tree.root)
     nodes, leaves = tree.index
-    nu = ".".join(str(nodes[p]) for p in tree.node_order)
-    lam = ".".join(str(leaves[p]) for p in tree.leaf_order)
+    nu = ".".join([str(nodes[p]) for p in tree.node_order])
+    lam = ".".join([str(leaves[p]) for p in tree.leaf_order])
     return "[%s|n%s|l%s]" % (body, nu, lam)
 
 

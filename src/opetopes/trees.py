@@ -326,9 +326,11 @@ def substitute_tree(
     its single input edge with its output edge.
 
     Returns the new tree together with a remap taking old addresses (node
-    or edge, excluding the replaced node itself) to their new addresses.
-    The new tree's node order splices the inner order in place of the
-    replaced node; the leaf order is the outer one, remapped.
+    or edge) to their new addresses.  The replaced node's own address
+    reads as its output edge, which keeps its address as the inner tree's
+    root edge or as the fused edge, so ``remap(path) == path``.  The new
+    tree's node order splices the inner order in place of the replaced
+    node; the leaf order is the outer one, remapped.
     """
     victim = tree.node_at(path)
     arity = len(victim.children)
@@ -365,9 +367,7 @@ def substitute_tree(
     slot_target = {j: inner.leaf_order[j] for j in range(arity)}
 
     def remap(q: Path) -> Path:
-        if q == path:
-            raise NoSuchNode("the replaced node has no image")
-        if q[: len(path)] == path:
+        if q[: len(path)] == path and len(q) > len(path):
             j = q[len(path)]
             return path + slot_target[j] + q[len(path) + 1 :]
         return q

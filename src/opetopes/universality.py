@@ -1,5 +1,5 @@
-"""Universal niche-occupants, balanced punctured niches, composites, and
-the weak n-category check.
+"""Universal niche-occupants, balanced punctured niches, and the weak
+n-category check.
 
 Universality and balancedness are mutually recursive relative to a target
 dimension n.  An occupant of a j-dimensional niche with j > n is universal
@@ -267,19 +267,6 @@ def _balanced(ctx: CheckContext, shape: Opetope, infaces: tuple, extensions: tup
                         ) + sub.witnesses
                         return Verdict(False, witness)
     return Verdict(True)
-
-
-def composites(ctx: CheckContext, niche: BoundaryConfig) -> Tuple[str, ...]:
-    """The outfaces of the niche's universal occupants, deduplicated and
-    sorted; at dimension n+1 there is at most one."""
-    if niche.kind != "niche":
-        raise MalformedConfig("composites are asked of niches")
-    out = {
-        ctx.oset.outface_of(u)
-        for u in occupants(ctx.oset, niche)
-        if is_universal(ctx, u)
-    }
-    return tuple(sorted(out))
 
 
 class CheckVerdict(Record):

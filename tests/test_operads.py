@@ -345,6 +345,22 @@ def test_type_round_trip_on_five_hundred_shapes():
     assert OperadLevel(0).types() == (POINT,)
 
 
+def test_unbounded_listings_stop_where_the_tower_becomes_infinite():
+    # Levels 0 and 1 have finitely many types, level 0 finitely many
+    # operations; from there on a listing needs a bound.
+    assert OperadLevel(1).types() == (ARROW,)
+    assert OperadLevel(0).operations() == (ARROW,)
+    with pytest.raises(ValueError, match="level >= 2 has infinitely many types"):
+        OperadLevel(2).types()
+    with pytest.raises(ValueError, match="level >= 1 has infinitely many operations"):
+        OperadLevel(1).operations()
+
+
+def test_a_shape_of_another_dimension_is_not_an_operation():
+    with pytest.raises(TypeMismatch, match="^a level-1 operation is a 2-dimensional shape$"):
+        OperadLevel(1).arity(ARROW)
+
+
 # -- the action read off tables, against a per-instance replay ------------------
 
 

@@ -86,8 +86,9 @@ def test_substitute_a_deep_inner_tree():
     assert result.node_count == length
     assert result == chain(length)
     assert remap((0,)) == (0,) * length
-    with pytest.raises(NoSuchNode):
-        remap(())
+    # The replaced node's address reads as its output edge, now the inner
+    # tree's root edge.
+    assert remap(()) == ()
     outer = chain(2)
     result, remap = substitute_tree(outer, (), chain(length))
     assert result.node_count == length + 1

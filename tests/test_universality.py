@@ -14,7 +14,6 @@ from opetopes import (
     UnknownCell,
     Verdict,
     check_weak_n_category,
-    composites,
     enumerate_opetopes,
     is_balanced,
     is_universal,
@@ -24,13 +23,14 @@ from opetopes import (
 )
 from opetopes.fixtures import _standard_binary, monoid_set, z2_weak2
 from opetopes.osets import competitors, enumerate_configs, outface_extensions
-from opetopes.universality import _note_dim
+from opetopes.universality import _note_dim, ray_on_input_shape, ray_on_output_shape
 from reference_configs import (
     config_with,
     input_competition_niche,
     niche_of,
     output_composition_niche,
 )
+from reference_slices import composites
 
 
 def diagram_binary():
@@ -137,6 +137,52 @@ def test_unfillable_punctured_niche_is_not_balanced():
     verdict = is_balanced(ctx, cfg)
     assert not verdict.value
     assert any("no-universal-filler" in w for w in verdict.witnesses)
+
+
+def test_faithfulness_skips_non_universal_occupants():
+    # At n = 2 the punctured niche (a, ?) -> ? has two occupants over its
+    # one extension a.  Y = (a, c) -> a is universal: 3-cells paste the
+    # unary cell ia : a -> a onto its output, and ic : c -> c and
+    # r : c2 -> c onto its input c, so its output composition and its
+    # input competitions at c and c2 are filled.  V = (a, c2) -> a is not
+    # universal, as nothing fills its output composition, and its input
+    # competition at c (met by Y) has no 3-cell either.  So the niche is
+    # balanced only because faithfulness skips V.
+    arrow = enumerate_opetopes(1, 1)[0]
+    binary = diagram_binary()
+    unary = next(s for s in enumerate_opetopes(2, 2) if s.arity == 1)
+    cells = {"o": "pt", "p": "pt"}
+    faces = {}
+
+    def add(name, shape, infaces, outface):
+        cells[name] = shape.code
+        faces[name] = (tuple(infaces), outface)
+
+    add("a", arrow, ("p",), "o")
+    add("c", arrow, ("o",), "o")
+    add("c2", arrow, ("o",), "o")
+    add("Y", binary, ("a", "c"), "a")
+    add("V", binary, ("a", "c2"), "a")
+    add("ia", unary, ("a",), "a")
+    add("ic", unary, ("c",), "c")
+    add("r", unary, ("c2",), "c")
+    for mirrored in (False, True):
+        for ray, (big, pos), outface in (
+            ("ia", ray_on_output_shape(binary, mirrored), "Y"),
+            ("ic", ray_on_input_shape(binary, 1, mirrored), "Y"),
+            ("r", ray_on_input_shape(binary, 1, mirrored), "V"),
+        ):
+            infaces = [ray, ray]
+            infaces[pos] = "Y"
+            add("%s-%d" % (ray, mirrored), big, infaces, outface)
+    oset = OpetopicSet(3, 3, cells, faces)
+    assert validate(oset).ok
+    ctx = CheckContext(oset, 2)
+    assert is_universal(ctx, "Y") and not is_universal(ctx, "V")
+    cfg = make_config(oset, binary.code, ("a", None), None, {(): "o"})
+    assert outface_extensions(oset, cfg) == ("a",)
+    assert occupants(oset, cfg) == ("V", "Y")
+    assert is_balanced(ctx, cfg) == Verdict(True)
 
 
 # -- composites ---------------------------------------------------------------

@@ -28,10 +28,12 @@ A mutant changes one site of the module by one operator:
 
 For each mutant the package is copied into the work directory with the
 mutated module, and the tier-1 suite runs with ``-x`` against the copy.  The
-mutant is *killed* when the suite fails or overruns the timeout and
-*survives* when it passes.  Mutants listed in ``EQUIVALENT`` cannot change
-any result of the module (each entry says why); they are counted as
-equivalent and not run.  The unmutated copy runs first and must pass.
+mutant is *killed* when the suite fails or overruns the timeout (reported
+as ``killed (timeout)``) and *survives* when it passes.  Mutants listed in
+``EQUIVALENT`` cannot change any result of the module (each entry says
+why); they are counted as equivalent and not run.  The unmutated copy runs
+first and must pass, and its time sets every mutant's timeout
+(``mutant_timeout``), so a mutant that never ends costs a few suite runs.
 """
 
 from __future__ import annotations
@@ -51,7 +53,15 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src/opetopes")
 DEFAULT_MODULE = "universality.py"
 SUITE = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
-TIMEOUT_S = 900
+# The unmutated copy's own limit: it must finish well inside this.
+UNMUTATED_TIMEOUT_S = 900
+# A mutant may take this many times the unmutated run: the unmutated suite
+# has measured 33-56 s on one host (1.7x drift between runs), and a mutant
+# may slow the suite without failing it, so 4x leaves room for both.
+TIMEOUT_FACTOR = 4
+# ... but never less than this: a run measured on a quiet host, or a suite
+# far shorter than startup noise, must not time out a slow passing mutant.
+TIMEOUT_FLOOR_S = 120
 
 # By module, the (function, operator, original source) of the mutants that
 # cannot change a verdict, a witness or a message, with the reason.
@@ -172,18 +182,24 @@ def mutant_source(source: str, target: Site) -> str:
     return ast.unparse(ast.fix_missing_locations(tree)) + "\n"
 
 
-def run_suite(copy: Path) -> Tuple[bool, float]:
-    """Run the tier-1 suite against the package in ``copy``; True if it passes."""
+def mutant_timeout(unmutated_s: float) -> float:
+    """Seconds a mutant's suite may run, given the unmutated copy's time."""
+    return max(TIMEOUT_FLOOR_S, TIMEOUT_FACTOR * unmutated_s)
+
+
+def run_suite(copy: Path, timeout_s: float) -> Tuple[str, float]:
+    """Run the tier-1 suite against the package in ``copy``: ``"pass"``,
+    ``"fail"`` or ``"timeout"``, and the seconds it took."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     start = time.perf_counter()
     try:
         done = subprocess.run(
-            [sys.executable, *SUITE], cwd=ROOT, env=env, timeout=TIMEOUT_S,
+            [sys.executable, *SUITE], cwd=ROOT, env=env, timeout=timeout_s,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
     except subprocess.TimeoutExpired:
-        return False, time.perf_counter() - start
-    return done.returncode == 0, time.perf_counter() - start
+        return "timeout", time.perf_counter() - start
+    return ("pass" if done.returncode == 0 else "fail"), time.perf_counter() - start
 
 
 def imported_from(copy: Path) -> str:
@@ -229,6 +245,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("note: function %s of %s has no mutable site" % (name, target), file=sys.stderr)
         mutants = [s for s in mutants if s.function in args.function]
     if args.list:
+        print("note: a mutant times out after %dx the unmutated run, at least %d s" % (
+            TIMEOUT_FACTOR, TIMEOUT_FLOOR_S), file=sys.stderr)
         for s in mutants:
             flag = "  (equivalent)" if (s.function, s.operator, s.original) in equivalent else ""
             print(describe(s) + flag)
@@ -243,10 +261,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not imported_from(copy).startswith(str(copy)):
         print("the suite would not import the copy in %s" % copy, file=sys.stderr)
         return 2
-    passed, seconds = run_suite(copy)
-    print("unmutated copy: %s (%.0f s)" % ("pass" if passed else "FAIL", seconds), flush=True)
-    if not passed:
+    outcome, seconds = run_suite(copy, UNMUTATED_TIMEOUT_S)
+    print("unmutated copy: %s (%.0f s)" % (outcome if outcome == "pass" else outcome.upper(), seconds), flush=True)
+    if outcome != "pass":
         return 2
+    timeout_s = mutant_timeout(seconds)
+    print("mutant timeout: %.0f s" % timeout_s, flush=True)
 
     counts = {"killed": 0, "survived": 0, "equivalent": 0}
     survivors = []
@@ -257,12 +277,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print("%2d equivalent  %s" % (number, describe(s)), flush=True)
                 continue
             module.write_text(mutant_source(source, s), encoding="utf-8")
-            passed, seconds = run_suite(copy)
-            outcome = "survived" if passed else "killed"
-            counts[outcome] += 1
-            if passed:
+            outcome, seconds = run_suite(copy, timeout_s)
+            counts["survived" if outcome == "pass" else "killed"] += 1
+            if outcome == "pass":
                 survivors.append(s)
-            print("%2d %-10s %s (%.0f s)" % (number, outcome, describe(s), seconds), flush=True)
+            label = {"pass": "survived", "fail": "killed", "timeout": "killed (timeout)"}[outcome]
+            print("%2d %-16s %s (%.0f s)" % (number, label, describe(s), seconds), flush=True)
     finally:
         module.write_text(source, encoding="utf-8")
 
