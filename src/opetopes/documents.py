@@ -194,39 +194,50 @@ def set_from_document(doc: dict) -> OpetopicSet:
     # and str() would read null as the cell "None".
     # The cells are checked in place and copied once, by the set.  A face
     # is an object or an (infaces, outface) pair, which the set keeps.
-    try:
-        cells = doc["cells"]
-        for name, code in cells.items():
-            if type(name) is not str:
-                raise _malformed("a cell name", name)
-            if type(code) is not str:
-                raise _malformed("the code of cell %s" % shapes.quote(name), code)
-        faces = {}
-        for name, v in doc["faces"].items():
-            if type(name) is not str:
-                raise _malformed("a cell name", name)
-            pair = type(v) is tuple
-            if pair:
-                infaces, outface = v
-            else:
-                infaces = v["infaces"]
-            if type(infaces) not in (list, tuple):
-                raise _malformed("the infaces of cell %s" % shapes.quote(name), infaces, "a list")
-            for face in infaces:
-                if type(face) is not str:
-                    raise _malformed("an inface of cell %s" % shapes.quote(name), face)
-            if not pair:
-                outface = v["outface"]
-            if type(outface) is not str:
-                raise _malformed("the outface of cell %s" % shapes.quote(name), outface)
-            faces[name] = v if pair else (tuple(infaces), outface)
-        bounds = doc["max_dim"], doc["shape_bound"]
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise DocumentError("malformed opetopic_set document: %s" % exc)
+    cells = _entry(doc, "cells", "the document")
+    if type(cells) is not dict:
+        raise _malformed("cells", cells, "an object")
+    for name, code in cells.items():
+        if type(name) is not str:
+            raise _malformed("a cell name", name)
+        if type(code) is not str:
+            raise _malformed("the code of cell %s" % shapes.quote(name), code)
+    listed = _entry(doc, "faces", "the document")
+    if type(listed) is not dict:
+        raise _malformed("faces", listed, "an object")
+    faces = {}
+    for name, v in listed.items():
+        if type(name) is not str:
+            raise _malformed("a cell name", name)
+        pair = type(v) is tuple and len(v) == 2
+        if pair:
+            infaces, outface = v
+        else:
+            where = "the face of cell %s" % shapes.quote(name)
+            if type(v) is not dict:
+                raise _malformed(where, v, "an object")
+            infaces, outface = _entry(v, "infaces", where), _entry(v, "outface", where)
+        if type(infaces) not in (list, tuple):
+            raise _malformed("the infaces of cell %s" % shapes.quote(name), infaces, "a list")
+        for face in infaces:
+            if type(face) is not str:
+                raise _malformed("an inface of cell %s" % shapes.quote(name), face)
+        if type(outface) is not str:
+            raise _malformed("the outface of cell %s" % shapes.quote(name), outface)
+        faces[name] = v if pair else (tuple(infaces), outface)
+    bounds = _entry(doc, "max_dim", "the document"), _entry(doc, "shape_bound", "the document")
     for key, value in zip(("max_dim", "shape_bound"), bounds):
         if type(value) is not int:
             raise _malformed(key, value, "an integer")
     return OpetopicSet(*bounds, cells, faces)
+
+
+def _entry(obj: dict, key: str, where: str):
+    """``obj[key]``, or a DocumentError saying that ``where`` has no ``key``."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise DocumentError("malformed opetopic_set document: %s has no %s" % (where, key)) from None
 
 
 def _malformed(what: str, value, kind: str = "a string") -> DocumentError:

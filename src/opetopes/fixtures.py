@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import UnknownFixture
 from .osets import BoundaryConfig, OpetopicSet, enumerate_configs, outface_extensions
 from .shapes import Opetope, enumerate_opetopes, from_code
-from .universality import ray_on_input_shape, ray_on_output_shape
+from .universality import ray_shape
 
 Element = str
 Table = Dict[Tuple[Element, Element], Element]
@@ -146,12 +146,11 @@ def _witness_name(base: OpetopicSet, slot: int, cfg: BoundaryConfig) -> str:
 def _recursion_shapes(two_shapes: Sequence[Opetope], bound: int) -> List[Opetope]:
     """The dim-3 shapes the n = 2 recursion can ask about: those within the
     bound, plus the two-node ray shapes it pastes over every stored
-    2-shape, in both listing orders."""
+    2-shape, at its output and every input, in both listing orders."""
     layer = set(enumerate_opetopes(3, bound))
     for q in two_shapes:
         for mirrored in (False, True):
-            layer.add(ray_on_output_shape(q, mirrored)[0])
-            layer.update(ray_on_input_shape(q, slot, mirrored)[0] for slot in range(q.arity))
+            layer.update(ray_shape(q, slot, mirrored)[0] for slot in range(-1, q.arity))
     return sorted(layer)
 
 

@@ -21,6 +21,10 @@ cells by infaces and by outface, built on the set's first query for the
 shape), each read one ``osets.cells_with`` lookup, without building a
 configuration:
 
+* the one ray step pastes the ray onto a cell at a slot (-1 its output,
+  i its input i) and asks both listing orders of that punctured niche to
+  be balanced; output composition is the step at slot -1, input
+  competition the step at the restored inface's slot;
 * output composition of a cell c at d' forces (c's infaces, d'), so its
   outface extensions are the occupants of c's niche with outface d';
 * input competition of an occupant u at a slot with a' forces (u's
@@ -47,7 +51,7 @@ always checked, in the order ``_ORDERS``.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .errors import (
     DimensionOverflow,
@@ -115,60 +119,34 @@ def _note_dim(ctx: CheckContext, dim: int) -> None:
         )
 
 
-def ray_on_output_shape(base: Opetope, mirrored: bool) -> Tuple[Opetope, int]:
-    """The two-node shape pasting a unary cell onto the output of ``base``.
+def ray_shape(base: Opetope, slot: int, mirrored: bool) -> Tuple[Opetope, int]:
+    """The two-node shape pasting a unary cell onto one face of ``base``:
+    at ``slot`` -1 its output, at i its input i, as in ``osets.PlanRow``.
 
-    The unary node (the identity shape on the base's outface) consumes the
-    base node's output; the composite outface has the base's own shape.
-    Returns the shape with the inface position of the base node;
-    ``mirrored`` swaps the listing order, giving the other of the two
-    genuinely distinct shapes.  The shape is kept in the derived table
-    (see :func:`opetopes.shapes.derived`) under the base shape.
+    The unary node, the identity shape on that face, lies below the base
+    node on its output or above it on input i; the composite outface has
+    the base's own shape.  The upper node is listed first unless
+    ``mirrored``, which gives the other of the two genuinely distinct
+    shapes.  Returns the shape with the inface position of the base node.
+    The shape is kept in the derived table (see
+    :func:`opetopes.shapes.derived`) under the base shape and one tag.
     """
-    shape = derived(base, ("ray-output", mirrored), _ray_on_output, base, mirrored)
-    return (shape, 1) if mirrored else (shape, 0)
+    shape = derived(base, ("ray", slot, mirrored), _ray, base, slot, mirrored)
+    return shape, int(mirrored == (slot < 0))
 
 
-def _ray_on_output(base: Opetope, mirrored: bool) -> Opetope:
-    ray = identity_on(base.output)
-    root = TreeNode(ray, (TreeNode(base, (None,) * base.arity),))
-    leaf_order = tuple((0, p) for p in range(base.arity))
-    base_path, ray_path = (0,), ()
-    node_order = (ray_path, base_path) if mirrored else (base_path, ray_path)
-    tree = PasteTree(base.dim - 1, root, None, node_order, leaf_order)
+def _ray(base: Opetope, slot: int, mirrored: bool) -> Opetope:
+    if slot < 0:
+        lower, upper, k = identity_on(base.output), base, 0
+    else:
+        lower, upper, k = base, identity_on(base.inputs[slot]), slot
+    children = [None] * lower.arity
+    children[k] = TreeNode(upper, (None,) * upper.arity)
+    leaves = [(p,) for p in range(lower.arity)]
+    leaves[k:k + 1] = [(k, q) for q in range(upper.arity)]
+    node_order = ((), (k,)) if mirrored else ((k,), ())
+    tree = PasteTree(base.dim - 1, TreeNode(lower, tuple(children)), None, node_order, tuple(leaves))
     return Opetope(base.dim + 1, tree)
-
-
-def ray_on_input_shape(base: Opetope, slot: int, mirrored: bool) -> Tuple[Opetope, int]:
-    """The two-node shape pasting a unary cell onto one input of ``base``.
-
-    The unary node sits above slot ``slot`` of the node labelled ``base``;
-    the composite outface again has the base's shape, with the pasted slot
-    fed through the unary cell.  Returns the shape with the position of
-    the base node; ``mirrored`` swaps the listing order.  The shape is
-    kept in the derived table under the base shape.
-    """
-    shape = derived(base, ("ray-input", slot, mirrored), _ray_on_input, base, slot, mirrored)
-    return (shape, 0) if mirrored else (shape, 1)
-
-
-def _ray_on_input(base: Opetope, slot: int, mirrored: bool) -> Opetope:
-    ray = identity_on(base.inputs[slot])
-    children = [None] * base.arity
-    children[slot] = TreeNode(ray, (None,))
-    root = TreeNode(base, tuple(children))
-    leaf_order = tuple(
-        (p, 0) if p == slot else (p,) for p in range(base.arity)
-    )
-    base_path, ray_path = (), (slot,)
-    node_order = (base_path, ray_path) if mirrored else (ray_path, base_path)
-    tree = PasteTree(base.dim - 1, root, None, node_order, leaf_order)
-    return Opetope(base.dim + 1, tree)
-
-
-def _beside_ray(cell: str, cell_pos: int) -> Tuple[Optional[str], Optional[str]]:
-    """A ray shape's punctured-niche infaces: the ray cell missing."""
-    return (cell, None) if cell_pos == 0 else (None, cell)
 
 
 def is_universal(ctx: CheckContext, cell: str) -> Verdict:
@@ -207,11 +185,9 @@ def _universal(ctx: CheckContext, cell: str) -> Verdict:
     outface_of = ctx.oset.outface_of
     for d_prime in sorted({outface_of(u) for u in occ}):
         extensions = tuple(u for u in occ if outface_of(u) == d_prime)
-        for mirrored in _ORDERS:
-            big, cell_pos = ray_on_output_shape(shape, mirrored)
-            sub = _balanced(ctx, big, _beside_ray(cell, cell_pos), extensions)
-            if not sub:
-                return Verdict(False, ("competitor:%s" % d_prime,) + sub.witnesses)
+        sub = _ray_step(ctx, shape, cell, -1, d_prime, extensions)
+        if not sub:
+            return sub
     return Verdict(True, (cell,))
 
 
@@ -257,15 +233,25 @@ def _balanced(ctx: CheckContext, shape: Opetope, infaces: tuple, extensions: tup
             for a_prime in competitors(oset, ins[slot]):
                 forced = ins[:slot] + (a_prime,) + ins[slot + 1:]
                 extended = cells_with(oset, shape.code, forced, out)
-                for mirrored in _ORDERS:
-                    big, cell_pos = ray_on_input_shape(shape, slot, mirrored)
-                    sub = _balanced(ctx, big, _beside_ray(u, cell_pos), extended)
-                    if not sub:
-                        witness = (
-                            "occupant:%s" % u,
-                            "competitor:%s" % a_prime,
-                        ) + sub.witnesses
-                        return Verdict(False, witness)
+                sub = _ray_step(ctx, shape, u, slot, a_prime, extended)
+                if not sub:
+                    return Verdict(False, ("occupant:%s" % u,) + sub.witnesses)
+    return Verdict(True)
+
+
+def _ray_step(
+    ctx: CheckContext, shape: Opetope, cell: str, slot: int, competitor: str, extensions: tuple
+) -> Verdict:
+    """The ray step: are the punctured niches pasting a missing unary cell
+    onto ``cell``, of ``shape``, at ``slot`` (see ``ray_shape``), its far
+    end on ``competitor``, balanced in both listing orders, given their
+    outface extensions?  A failure's witnesses follow the competitor's."""
+    for mirrored in _ORDERS:
+        big, cell_pos = ray_shape(shape, slot, mirrored)
+        infaces = (cell, None) if cell_pos == 0 else (None, cell)
+        sub = _balanced(ctx, big, infaces, extensions)
+        if not sub:
+            return Verdict(False, ("competitor:%s" % competitor,) + sub.witnesses)
     return Verdict(True)
 
 

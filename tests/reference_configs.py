@@ -3,13 +3,17 @@
 The checker reads frames, niches and the punctured niches of its
 recursion off the set's indexes and never builds them.  These builders
 make the same configurations the checked way, through ``make_config``, so
-the tests can compare the two readings.  ``cell_matches`` tests one cell
+the tests can compare the two readings; ``ray_on_output`` and
+``ray_on_input`` build the recursion's ray shapes directly, as a
+reference for ``ray_shape``.  ``cell_matches`` tests one cell
 against a configuration, field by field, as a scan reference for the
 index lookups of ``osets.cells_with``.
 """
 
-from opetopes import MalformedConfig, make_config
-from opetopes.universality import ray_on_input_shape, ray_on_output_shape
+from opetopes import MalformedConfig, Opetope, make_config
+from opetopes.shapes import identity_on
+from opetopes.trees import PasteTree, TreeNode
+from opetopes.universality import ray_shape
 
 
 def frame_of(oset, cell):
@@ -41,22 +45,43 @@ def config_with(oset, cfg, *, outface):
     return make_config(oset, cfg.shape_code, cfg.infaces, outface, dict(cfg.pins))
 
 
-def output_composition_niche(oset, cell, d_prime, mirrored):
+def ray_niche(oset, cell, slot, competitor, mirrored):
     """The punctured niche pasting ``cell`` with a missing unary cell on
-    its outface, the far end pinned to the frame-competitor ``d_prime``."""
-    big, cell_pos = ray_on_output_shape(oset.shape_of(cell), mirrored)
+    its face at ``slot`` (-1 its outface, i its i-th inface), the far end
+    pinned to the frame-competitor ``competitor``."""
+    big, cell_pos = ray_shape(oset.shape_of(cell), slot, mirrored)
     infaces = [None, None]
     infaces[cell_pos] = cell
-    return make_config(oset, big.code, infaces, None, {(): d_prime})
+    far_end = () if slot < 0 else (slot, 0)
+    return make_config(oset, big.code, infaces, None, {far_end: competitor})
 
 
-def input_competition_niche(oset, cell, slot, a_prime, mirrored):
-    """The punctured niche pasting ``cell`` with a missing unary cell on
-    its ``slot``-th inface, the far end pinned to ``a_prime``."""
-    big, cell_pos = ray_on_input_shape(oset.shape_of(cell), slot, mirrored)
-    infaces = [None, None]
-    infaces[cell_pos] = cell
-    return make_config(oset, big.code, infaces, None, {(slot, 0): a_prime})
+def ray_on_output(base, mirrored):
+    """The shape pasting a unary cell onto the output of ``base``, built
+    directly, with the position of the base node: the unary node is the
+    root, and the base node, above it, is listed first unless mirrored."""
+    ray = identity_on(base.output)
+    root = TreeNode(ray, (TreeNode(base, (None,) * base.arity),))
+    leaf_order = tuple((0, p) for p in range(base.arity))
+    base_path, ray_path = (0,), ()
+    node_order = (ray_path, base_path) if mirrored else (base_path, ray_path)
+    tree = PasteTree(base.dim - 1, root, None, node_order, leaf_order)
+    return Opetope(base.dim + 1, tree), 1 if mirrored else 0
+
+
+def ray_on_input(base, slot, mirrored):
+    """The shape pasting a unary cell onto input ``slot`` of ``base``, built
+    directly, with the position of the base node: the base node is the
+    root, and the unary node, above it, is listed first unless mirrored."""
+    ray = identity_on(base.inputs[slot])
+    children = [None] * base.arity
+    children[slot] = TreeNode(ray, (None,))
+    root = TreeNode(base, tuple(children))
+    leaf_order = tuple((p, 0) if p == slot else (p,) for p in range(base.arity))
+    base_path, ray_path = (), (slot,)
+    node_order = (base_path, ray_path) if mirrored else (ray_path, base_path)
+    tree = PasteTree(base.dim - 1, root, None, node_order, leaf_order)
+    return Opetope(base.dim + 1, tree), 0 if mirrored else 1
 
 
 def cell_matches(oset, cfg, cell):

@@ -233,6 +233,62 @@ def test_check_reads_names_and_codes_only_as_strings(tmp_path, capsys, edit, mes
     assert captured.out == ""
 
 
+def _drop(*path):
+    def edit(doc):
+        place = doc
+        for step in path[:-1]:
+            place = place[step]
+        del place[path[-1]]
+
+    return edit
+
+
+def _put(*path_and_value):
+    *path, key, value = path_and_value
+
+    def edit(doc):
+        place = doc
+        for step in path:
+            place = place[step]
+        place[key] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_drop("faces", "a0", "outface"), "the face of cell 'a0' has no outface"),
+        (_drop("faces", "a0", "infaces"), "the face of cell 'a0' has no infaces"),
+        (_put("faces", "a0", 3), "the face of cell 'a0' must be an object, got 3"),
+        (_put("faces", []), "faces must be an object, got []"),
+        (_put("cells", ["o"]), 'cells must be an object, got ["o"]'),
+        (_drop("faces"), "the document has no faces"),
+        (_drop("cells"), "the document has no cells"),
+        (_drop("max_dim"), "the document has no max_dim"),
+        (_drop("shape_bound"), "the document has no shape_bound"),
+    ],
+    ids=[
+        "no_outface", "no_infaces", "face_not_an_object", "faces_not_an_object",
+        "cells_not_an_object", "no_faces", "no_cells", "no_max_dim", "no_shape_bound",
+    ],
+)
+def test_check_names_each_structural_fault_of_a_set(tmp_path, capsys, edit, message):
+    # A set document missing a field, or holding the wrong kind of JSON
+    # value where an object belongs, is named field by field, never as
+    # the text of a Python exception.
+    fix = tmp_path / "z2.json"
+    main(["fixture", "z2_monoid", "--out", str(fix)])
+    doc = json.loads(fix.read_text())
+    edit(doc)
+    fix.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["check", str(fix), "--n", "1", "--bound", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["input error: malformed opetopic_set document: " + message]
+    assert captured.out == ""
+
+
 def test_check_frees_the_set_before_it_writes_the_verdict(tmp_path, capsys, monkeypatch):
     import weakref
 

@@ -185,6 +185,12 @@ READ_CASES = {
     "listed_inface": _edit(["faces", "a0"], "infaces", [["o"]]),
     "null_outface": _edit(["faces", "a0"], "outface", None),
     "unknown_inface": _edit(["faces", "a0"], "infaces", ["zz"]),
+    "face_without_outface": _edit(["faces"], "a0", {"infaces": ["o"]}),
+    "face_without_infaces": _edit(["faces"], "a0", {"outface": "o"}),
+    "face_not_an_object": _edit(["faces"], "a0", 3),
+    "faces_not_an_object": _edit([], "faces", []),
+    "cells_not_an_object": _edit([], "cells", ["o"]),
+    "no_max_dim": lambda doc: {k: v for k, v in doc.items() if k != "max_dim"},
 }
 
 
@@ -217,3 +223,15 @@ def test_set_from_document_takes_a_face_as_a_pair(z2_set):
         with pytest.raises(DocumentError) as raised:
             documents.set_from_document(dict(doc, faces=dict(pairs, a0=pair)))
         assert str(raised.value) == "malformed opetopic_set document: " + message
+
+
+def test_a_face_of_three_entries_is_no_pair(z2_set):
+    # A library caller's tuple is a face pair only with two entries.
+    doc = documents.set_to_document(z2_set)
+    faces = dict(doc["faces"], a0=(("o",), "o", "o"))
+    with pytest.raises(DocumentError) as raised:
+        documents.set_from_document(dict(doc, faces=faces))
+    assert str(raised.value) == (
+        "malformed opetopic_set document: the face of cell 'a0' must be an object, "
+        'got [["o"], "o", "o"]'
+    )

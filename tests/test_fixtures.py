@@ -6,9 +6,9 @@ import itertools
 
 import pytest
 
-from opetopes import build_fixture, documents
+from opetopes import build_fixture, check_weak_n_category, documents, universality
 from opetopes.cli import main
-from opetopes.fixtures import FIXTURES, z2_weak2
+from opetopes.fixtures import FIXTURES, _cyclic_table, monoid_set, z2_weak2
 from opetopes.osets import outface_extensions
 from reference_configs import niche_of
 
@@ -108,3 +108,32 @@ def test_every_filled_niche_has_exactly_one_outface_extension(name):
     oset = _build(name)
     for cell in oset.cells_of_dim(3):
         assert outface_extensions(oset, niche_of(oset, cell)) == (oset.outface_of(cell),)
+
+
+# -- the recursion-complete layer against the rays the check asks for --------
+
+
+@pytest.mark.parametrize(
+    "order, bound, asked_for",
+    [(2, 2, 14), (4, 3, 26)],
+    ids=["z2_weak2", "z4_deep"],
+)
+def test_the_recursion_complete_layer_holds_every_ray_the_check_asks_for(
+    monkeypatch, order, bound, asked_for
+):
+    # ``z2_weak2`` and the Z/4 set the check workload builds, checked at
+    # n = 2: every dim-3 ray shape the recursion pastes is some cell's shape.
+    oset = monoid_set(*_cyclic_table(order), shape_bound=bound, deep_dim3=True)
+    asked = set()
+    real = universality.ray_shape
+
+    def recorded(base, slot, mirrored):
+        shape, cell_pos = real(base, slot, mirrored)
+        asked.add(shape)
+        return shape, cell_pos
+
+    monkeypatch.setattr(universality, "ray_shape", recorded)
+    assert check_weak_n_category(oset, 2, bound).ok
+    assert len(asked) == asked_for
+    rays = [shape for shape in asked if shape.dim == 3]
+    assert rays and set(shape.code for shape in rays) <= set(oset.cells.values())

@@ -27,14 +27,7 @@ from opetopes.osets import (
     outface_extensions,
 )
 from opetopes.universality import _config_label
-from reference_configs import (
-    cell_matches,
-    config_with,
-    frame_of,
-    input_competition_niche,
-    niche_of,
-    output_composition_niche,
-)
+from reference_configs import cell_matches, config_with, frame_of, niche_of, ray_niche
 
 def _face_ref(oset, infaces, outface, ref):
     """Reference resolver: the cell an incidence reference names on a
@@ -535,12 +528,12 @@ def test_forced_boundaries_of_recursion_niches_match_faces_and_pins(make_set, co
     oset = make_set()
     niches = []
     for cell in oset.cells_of_dim(1) + oset.cells_of_dim(2):
+        ins, out = oset.faces[cell]
         for mirrored in (False, True):
-            for d_prime in competitors(oset, oset.outface_of(cell)):
-                niches.append(output_composition_niche(oset, cell, d_prime, mirrored))
-            for slot, face in enumerate(oset.infaces_of(cell)):
-                for a_prime in competitors(oset, face):
-                    niches.append(input_competition_niche(oset, cell, slot, a_prime, mirrored))
+            # Slot -1 is the output composition, the others input competition.
+            for slot, face in enumerate((out,) + ins, start=-1):
+                for competitor in competitors(oset, face):
+                    niches.append(ray_niche(oset, cell, slot, competitor, mirrored))
     for pn in niches:
         assert pn.kind == "punctured_niche"
         assert forced_outface_boundary(oset, pn) == _reference_forced(oset, pn), pn
@@ -567,7 +560,7 @@ def test_a_hand_built_config_reads_as_its_checked_copies(z2_set):
         "BoundaryConfig(shape_code='[!pt|n|l0]', infaces=(), outface=None, pins=(((), 'o'),))"
     )
     assert _config_label(hand) == _config_label(listed) == "[!pt|n|l0]()->?[root=o]"
-    ray = input_competition_niche(z2_set, "a1", 0, "o", True)
+    ray = ray_niche(z2_set, "a1", 0, "o", True)
     assert _config_label(ray) == "[(ar:(ar:_))|n0.1|l0](a1,?)->?[00=o]"
     # The forced boundary is read off the fields alone, so the hand-built
     # copy gets the same boundary and the same outface fillers.
@@ -593,7 +586,7 @@ def test_an_unpinned_free_edge_forces_no_outface_boundary(z2_set):
         forced_outface_boundary(z2_set, unpinned)
     with pytest.raises(MalformedConfig, match="needs a pin"):
         outface_extensions(z2_set, unpinned)
-    ray = input_competition_niche(z2_set, "a1", 0, "o", True)
+    ray = ray_niche(z2_set, "a1", 0, "o", True)
     bare = BoundaryConfig(ray.shape_code, ray.infaces, None, ())
     with pytest.raises(MalformedConfig, match=r"edge \(0, 0\) of .* needs a pin"):
         forced_outface_boundary(z2_set, bare)

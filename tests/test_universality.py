@@ -23,13 +23,8 @@ from opetopes import (
 )
 from opetopes.fixtures import _standard_binary, monoid_set, z2_weak2
 from opetopes.osets import competitors, enumerate_configs, outface_extensions
-from opetopes.universality import _note_dim, ray_on_input_shape, ray_on_output_shape
-from reference_configs import (
-    config_with,
-    input_competition_niche,
-    niche_of,
-    output_composition_niche,
-)
+from opetopes.universality import _note_dim, ray_shape
+from reference_configs import config_with, niche_of, ray_niche, ray_on_input, ray_on_output
 from reference_slices import composites
 
 
@@ -168,9 +163,9 @@ def test_faithfulness_skips_non_universal_occupants():
     add("r", unary, ("c2",), "c")
     for mirrored in (False, True):
         for ray, (big, pos), outface in (
-            ("ia", ray_on_output_shape(binary, mirrored), "Y"),
-            ("ic", ray_on_input_shape(binary, 1, mirrored), "Y"),
-            ("r", ray_on_input_shape(binary, 1, mirrored), "V"),
+            ("ia", ray_shape(binary, -1, mirrored), "Y"),
+            ("ic", ray_shape(binary, 1, mirrored), "Y"),
+            ("r", ray_shape(binary, 1, mirrored), "V"),
         ):
             infaces = [ray, ray]
             infaces[pos] = "Y"
@@ -183,6 +178,29 @@ def test_faithfulness_skips_non_universal_occupants():
     assert outface_extensions(oset, cfg) == ("a",)
     assert occupants(oset, cfg) == ("V", "Y")
     assert is_balanced(ctx, cfg) == Verdict(True)
+
+
+# -- the ray shapes -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "dim, bound, outputs, inputs", [(2, 5, 308, 1438), (3, 4, 110, 132), (4, 3, 26, 6)]
+)
+def test_ray_shape_is_the_directly_built_ray(dim, bound, outputs, inputs):
+    # Every slot of every base in both orders: the derived ray is the
+    # interned copy of the directly built one, with its base position.
+    triples = {"output": 0, "input": 0}
+    for base in enumerate_opetopes(dim, bound):
+        for mirrored in (False, True):
+            for slot in range(-1, base.arity):
+                if slot < 0:
+                    reference, kind = ray_on_output(base, mirrored), "output"
+                else:
+                    reference, kind = ray_on_input(base, slot, mirrored), "input"
+                shape, cell_pos = ray_shape(base, slot, mirrored)
+                assert shape is reference[0] and cell_pos == reference[1], (base.code, slot, mirrored)
+                triples[kind] += 1
+    assert triples == {"output": outputs, "input": inputs}
 
 
 # -- composites ---------------------------------------------------------------
@@ -527,7 +545,7 @@ def _reference_universal(ctx, cell, memo, orders):
     outface = ctx.oset.outface_of(cell)
     for d_prime in competitors(ctx.oset, outface):
         for mirrored in orders:
-            pn = output_composition_niche(ctx.oset, cell, d_prime, mirrored)
+            pn = ray_niche(ctx.oset, cell, -1, d_prime, mirrored)
             sub = reference_is_balanced(ctx, pn, memo, orders)
             if not sub:
                 return Verdict(False, ("competitor:%s" % d_prime,) + sub.witnesses)
@@ -558,7 +576,7 @@ def reference_is_balanced(ctx, cfg, memo, orders):
             restored = ctx.oset.infaces_of(u)[slot]
             for a_prime in competitors(ctx.oset, restored):
                 for mirrored in orders:
-                    pn = input_competition_niche(ctx.oset, u, slot, a_prime, mirrored)
+                    pn = ray_niche(ctx.oset, u, slot, a_prime, mirrored)
                     sub = reference_is_balanced(ctx, pn, memo, orders)
                     if not sub:
                         witness = (
