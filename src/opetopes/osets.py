@@ -374,14 +374,6 @@ class BoundaryConfig(Value):
             return "punctured_niche"
         return "partial"
 
-    def sort_key(self):
-        return (
-            self.shape_code,
-            tuple(c or "" for c in self.infaces),
-            self.outface or "",
-            self.pins,
-        )
-
 
 def make_config(
     oset: OpetopicSet,
@@ -421,10 +413,13 @@ def make_config(
     faces = oset.faces
     boundary = infaces + (outface,)
     for edge, (su, fu, sl, fl) in entry.plan.items():
-        face = boundary[su]
-        a = None if face is None else (faces[face][1] if fu < 0 else faces[face][0][fu])
-        face = boundary[sl]
-        b = None if face is None else (faces[face][1] if fl < 0 else faces[face][0][fl])
+        try:
+            face = boundary[su]
+            a = None if face is None else (faces[face][1] if fu < 0 else faces[face][0][fu])
+            face = boundary[sl]
+            b = None if face is None else (faces[face][1] if fl < 0 else faces[face][0][fl])
+        except (KeyError, IndexError):
+            raise MalformedConfig("the faces of %r do not reach edge %r" % (face, edge)) from None
         pin = pins.pop(edge, None)
         cell = b if a is None else a
         if (b is not None and b != cell) or (pin is not None and cell is not None and pin != cell):
@@ -603,12 +598,12 @@ def enumerate_configs(
     size_bound: Optional[int] = None,
     shape: Optional[Opetope] = None,
 ) -> Tuple[BoundaryConfig, ...]:
-    """All well-formed configurations of one kind at one dimension.
-
-    Shapes range over the enumeration at the set's declared bound (or the
-    override).  Assignments range over the set's cells, filtered by the
-    incidence relations; free edges range over all cells of the edge's
-    type.  The listing is deduplicated and canonically ordered.
+    """All well-formed configurations of one kind at one dimension, each
+    once and in canonical order: shape code, infaces slot by slot (each
+    slot's cells in name order, a punctured niche's missing inface first),
+    outface, then pins in edge order.  Shapes are those listed at the set's
+    bound (or the override).  An assignment whose incidence check reads a
+    face its cell lacks is left out, as ``cells_with`` leaves such cells out.
     """
     if kind not in ("frame", "niche", "punctured_niche"):
         raise ValueError("unknown configuration kind %r" % kind)
@@ -616,36 +611,38 @@ def enumerate_configs(
         raise DimOutOfRange("dimension %d not in 1..%d" % (dim, oset.max_dim))
     bound = oset.shape_bound if size_bound is None else size_bound
     candidates = (shape,) if shape is not None else shapes.enumerate_opetopes(dim, bound)
+    missing = (None,) if kind == "punctured_niche" else ()
     found: List[BoundaryConfig] = []
     for sh in candidates:
         if sh.dim != dim or sh.size > bound:
             continue
         entry = oset.shape_entry(sh.code)
-        pools = [oset.cells_of_shape(code) for code in entry.input_codes]
+        pools = [missing + oset.cells_of_shape(code) for code in entry.input_codes]
         outs = oset.cells_of_shape(entry.output_code) if kind == "frame" else (None,)
-        missing_choices = range(len(pools)) if kind == "punctured_niche" else (None,)
-        for missing in missing_choices:
-            slots = [(None,) if i == missing else pool for i, pool in enumerate(pools)]
-            for *infaces, out in itertools.product(*slots, outs):
-                found.extend(_pin_completions(oset, entry, tuple(infaces), out))
-    uniq = sorted(set(found), key=BoundaryConfig.sort_key)
-    return tuple(uniq)
+        for *infaces, out in itertools.product(*pools, outs):
+            if missing and infaces.count(None) != 1:
+                continue
+            found.extend(_pin_completions(oset, entry, tuple(infaces), out))
+    return tuple(found)
 
 
 def _pin_completions(
     oset: OpetopicSet, entry: ShapeEntry, infaces, outface
 ) -> Iterator[BoundaryConfig]:
     """The configurations over one assignment, its free edges pinned with
-    every cell of their types; none when the assignment breaks an
-    incidence.  Each one is checked here, as ``make_config`` would."""
+    every cell of their types, checked as ``make_config`` would: none when
+    the assignment breaks an incidence or reads a face its cell lacks."""
     faces = oset.faces
     boundary = infaces + (outface,)
     free: List[EdgeKey] = []
     for edge, (su, fu, sl, fl) in entry.plan.items():
-        face = boundary[su]
-        a = None if face is None else (faces[face][1] if fu < 0 else faces[face][0][fu])
-        face = boundary[sl]
-        b = None if face is None else (faces[face][1] if fl < 0 else faces[face][0][fl])
+        try:
+            face = boundary[su]
+            a = None if face is None else (faces[face][1] if fu < 0 else faces[face][0][fu])
+            face = boundary[sl]
+            b = None if face is None else (faces[face][1] if fl < 0 else faces[face][0][fl])
+        except (KeyError, IndexError):
+            return
         if a is None:
             if b is None:
                 free.append(edge)

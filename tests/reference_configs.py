@@ -7,10 +7,17 @@ the tests can compare the two readings; ``ray_on_output`` and
 ``ray_on_input`` build the recursion's ray shapes directly, as a
 reference for ``ray_shape``.  ``cell_matches`` tests one cell
 against a configuration, field by field, as a scan reference for the
-index lookups of ``osets.cells_with``.
+index lookups of ``osets.cells_with``.  ``reference_configs`` lists
+configurations the other way: one product per missing inface, then a
+dedup set and a sort, as a reference for the canonical order that
+``osets.enumerate_configs`` builds directly.
 """
 
+import itertools
+
 from opetopes import MalformedConfig, Opetope, make_config
+from opetopes import shapes
+from opetopes.osets import _pin_completions
 from opetopes.shapes import identity_on
 from opetopes.trees import PasteTree, TreeNode
 from opetopes.universality import ray_shape
@@ -102,3 +109,29 @@ def cell_matches(oset, cfg, cell):
         if (face[1] if fu < 0 else face[0][fu]) != pin:
             return False
     return True
+
+
+def _sort_key(cfg):
+    """The canonical order as a key: a missing face reads as ``""``, so it
+    sorts before every cell of a set with no cell named ``""``."""
+    return (cfg.shape_code, tuple(c or "" for c in cfg.infaces), cfg.outface or "", cfg.pins)
+
+
+def reference_configs(oset, kind, dim, size_bound=None, shape=None):
+    """Every configuration of one kind at one dimension, by a product per
+    missing inface, deduplicated and sorted by ``_sort_key``."""
+    bound = oset.shape_bound if size_bound is None else size_bound
+    candidates = (shape,) if shape is not None else shapes.enumerate_opetopes(dim, bound)
+    found = []
+    for sh in candidates:
+        if sh.dim != dim or sh.size > bound:
+            continue
+        entry = oset.shape_entry(sh.code)
+        pools = [oset.cells_of_shape(code) for code in entry.input_codes]
+        outs = oset.cells_of_shape(entry.output_code) if kind == "frame" else (None,)
+        missing_choices = range(len(pools)) if kind == "punctured_niche" else (None,)
+        for missing in missing_choices:
+            slots = [(None,) if i == missing else pool for i, pool in enumerate(pools)]
+            for *infaces, out in itertools.product(*slots, outs):
+                found.extend(_pin_completions(oset, entry, tuple(infaces), out))
+    return tuple(sorted(set(found), key=_sort_key))
