@@ -107,7 +107,7 @@ def monoid_set(
     # The encoding stores one 2-cell per (shape, infaces), so a niche has at
     # most one outface extension: the filler exists iff the niche closes up.
     for si, shape3 in enumerate(layer):
-        niches = enumerate_configs(base, "niche", 3, size_bound=shape3.size, shape=shape3)
+        niches = enumerate_configs(base, 3, size_bound=shape3.size, shape=shape3)
         for index, cfg in enumerate(niches):
             for outface in outface_extensions(base, cfg):
                 name = "h%d_%d" % (si, index) if deep_dim3 else _witness_name(base, si, cfg)

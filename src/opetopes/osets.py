@@ -26,13 +26,15 @@ configurations, niches, frames and outface fillers alike.  It reads two
 indexes per shape, its cells by infaces (the niche index) and by outface,
 built on the first lookup that needs them (``OpetopicSet._shape_index``),
 so a set keeps only the indexes of the shapes it has been asked about.
+``enumerate_configs`` lists niches, the configurations the weak
+n-category conditions quantify over, checking each inface as it assigns it.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DimOutOfRange, IllTyped, MalformedConfig, UnknownCell
 from . import shapes
@@ -593,64 +595,60 @@ def competitors(oset: OpetopicSet, cell: str) -> Tuple[str, ...]:
 
 def enumerate_configs(
     oset: OpetopicSet,
-    kind: str,
     dim: int,
     size_bound: Optional[int] = None,
     shape: Optional[Opetope] = None,
 ) -> Tuple[BoundaryConfig, ...]:
-    """All well-formed configurations of one kind at one dimension, each
-    once and in canonical order: shape code, infaces slot by slot (each
-    slot's cells in name order, a punctured niche's missing inface first),
-    outface, then pins in edge order.  Shapes are those listed at the set's
-    bound (or the override).  An assignment whose incidence check reads a
-    face its cell lacks is left out, as ``cells_with`` leaves such cells out.
-    """
-    if kind not in ("frame", "niche", "punctured_niche"):
-        raise ValueError("unknown configuration kind %r" % kind)
+    """All niches at one dimension, each once and in canonical order:
+    shape code, infaces slot by slot (each slot's cells in name order),
+    then pins.  Shapes are those listed at the set's bound (or the
+    override).  Each plan row is checked when the later of its node slots
+    is assigned, dropping the assignment if the row's ends disagree or it
+    reads a face its cell lacks, as ``cells_with`` leaves such cells out.
+    An empty tree's one row is pinned with every cell of its type."""
     if dim < 1 or dim > oset.max_dim:
         raise DimOutOfRange("dimension %d not in 1..%d" % (dim, oset.max_dim))
     bound = oset.shape_bound if size_bound is None else size_bound
     candidates = (shape,) if shape is not None else shapes.enumerate_opetopes(dim, bound)
-    missing = (None,) if kind == "punctured_niche" else ()
+    faces = oset.faces
     found: List[BoundaryConfig] = []
     for sh in candidates:
         if sh.dim != dim or sh.size > bound:
             continue
         entry = oset.shape_entry(sh.code)
-        pools = [missing + oset.cells_of_shape(code) for code in entry.input_codes]
-        outs = oset.cells_of_shape(entry.output_code) if kind == "frame" else (None,)
-        for *infaces, out in itertools.product(*pools, outs):
-            if missing and infaces.count(None) != 1:
-                continue
-            found.extend(_pin_completions(oset, entry, tuple(infaces), out))
+        # Each row, at its later node slot s, as (face f of s, the other slot t, face g of t).
+        reads: List[List[Tuple[int, int, int]]] = [[] for _ in entry.input_codes]
+        free: List[EdgeKey] = []
+        for edge, row in entry.plan.items():
+            (s, f), (t, g) = sorted((row[:2], row[2:]), reverse=True)
+            if s < 0:
+                free.append(edge)
+            else:
+                reads[s].append((f, t, g))
+        assigned: List[Tuple[str, ...]] = [()]
+        for code, rows in zip(entry.input_codes, reads):
+            assigned = [
+                prefix + (cell,) for prefix in assigned for cell in oset.cells_of_shape(code)
+                if _agrees(faces, prefix, cell, rows)
+            ]
+        pools = [oset.cells_of_shape(entry.edge_types[edge]) for edge in free]
+        pinnings = [tuple(zip(free, combo)) for combo in itertools.product(*pools)]
+        found += [BoundaryConfig(sh.code, ins, None, pins) for ins in assigned for pins in pinnings]
     return tuple(found)
 
 
-def _pin_completions(
-    oset: OpetopicSet, entry: ShapeEntry, infaces, outface
-) -> Iterator[BoundaryConfig]:
-    """The configurations over one assignment, its free edges pinned with
-    every cell of their types, checked as ``make_config`` would: none when
-    the assignment breaks an incidence or reads a face its cell lacks."""
-    faces = oset.faces
-    boundary = infaces + (outface,)
-    free: List[EdgeKey] = []
-    for edge, (su, fu, sl, fl) in entry.plan.items():
-        try:
-            face = boundary[su]
-            a = None if face is None else (faces[face][1] if fu < 0 else faces[face][0][fu])
-            face = boundary[sl]
-            b = None if face is None else (faces[face][1] if fl < 0 else faces[face][0][fl])
-        except (KeyError, IndexError):
-            return
-        if a is None:
-            if b is None:
-                free.append(edge)
-        elif b is not None and a != b:
-            return
-    pools = [oset.cells_of_shape(entry.edge_types[edge]) for edge in free]
-    for combo in itertools.product(*pools):
-        yield BoundaryConfig(entry.shape.code, infaces, outface, tuple(zip(free, combo)))
+def _agrees(faces, prefix: Tuple[str, ...], cell: str, rows: List[Tuple[int, int, int]]) -> bool:
+    """Do the rows read at ``cell``'s slot, the one after ``prefix``, pass?
+    A row whose other end is the outface (t < 0) is only read, and a read
+    of a face the cell lacks fails."""
+    try:
+        for f, t, g in rows:
+            a = faces[cell][1] if f < 0 else faces[cell][0][f]
+            if t >= 0 and a != (faces[prefix[t]][1] if g < 0 else faces[prefix[t]][0][g]):
+                return False
+    except (KeyError, IndexError):
+        return False
+    return True
 
 
 def _edge_type_code(shape: Opetope, edge: EdgeKey) -> str:

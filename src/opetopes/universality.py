@@ -193,8 +193,8 @@ def _universal(ctx: CheckContext, cell: str) -> Verdict:
 
 def is_balanced(ctx: CheckContext, cfg: BoundaryConfig) -> Verdict:
     """Is the punctured niche balanced, relative to the context's n?  ``cfg``
-    must pin its free edges, as ``make_config`` and enumeration do, and the
-    set be validated."""
+    must pin its free edges, as ``make_config`` does, and the set be
+    validated."""
     if cfg.kind != "punctured_niche":
         raise MalformedConfig("balancedness is asked of punctured niches")
     shape = ctx.oset.shape(cfg.shape_code)
@@ -307,7 +307,7 @@ def check_weak_n_category(oset: OpetopicSet, n: int, shape_bound: int) -> CheckV
     ctx = CheckContext(oset, n)
     verdict = CheckVerdict(ok=True, n=n, shape_bound=shape_bound)
     for dim in range(1, n + 2):
-        niches = enumerate_configs(oset, "niche", dim, size_bound=shape_bound)
+        niches = enumerate_configs(oset, dim, size_bound=shape_bound)
         verdict.niche_counts[dim] = len(niches)
         for cfg in niches:
             label = _config_label(cfg)

@@ -8,16 +8,17 @@ the tests can compare the two readings; ``ray_on_output`` and
 reference for ``ray_shape``.  ``cell_matches`` tests one cell
 against a configuration, field by field, as a scan reference for the
 index lookups of ``osets.cells_with``.  ``reference_configs`` lists
-configurations the other way: one product per missing inface, then a
-dedup set and a sort, as a reference for the canonical order that
-``osets.enumerate_configs`` builds directly.
+frames, niches and punctured niches: one product per missing inface,
+each assignment checked over the whole plan, then a dedup set and a
+sort.  It is the only lister of frames and punctured niches, and for
+niches the reference for ``osets.enumerate_configs``, which checks each
+inface slot as it assigns it and builds the canonical order directly.
 """
 
 import itertools
 
-from opetopes import MalformedConfig, Opetope, make_config
+from opetopes import BoundaryConfig, MalformedConfig, Opetope, make_config
 from opetopes import shapes
-from opetopes.osets import _pin_completions
 from opetopes.shapes import identity_on
 from opetopes.trees import PasteTree, TreeNode
 from opetopes.universality import ray_shape
@@ -135,3 +136,28 @@ def reference_configs(oset, kind, dim, size_bound=None, shape=None):
             for *infaces, out in itertools.product(*slots, outs):
                 found.extend(_pin_completions(oset, entry, tuple(infaces), out))
     return tuple(sorted(set(found), key=_sort_key))
+
+
+def _pin_completions(oset, entry, infaces, outface):
+    """The configurations over one assignment, its free edges pinned with
+    every cell of their types, checked as ``make_config`` would: none when
+    the assignment breaks an incidence or reads a face its cell lacks."""
+    faces = oset.faces
+    boundary = infaces + (outface,)
+    free = []
+    for edge, (su, fu, sl, fl) in entry.plan.items():
+        try:
+            face = boundary[su]
+            a = None if face is None else (faces[face][1] if fu < 0 else faces[face][0][fu])
+            face = boundary[sl]
+            b = None if face is None else (faces[face][1] if fl < 0 else faces[face][0][fl])
+        except (KeyError, IndexError):
+            return
+        if a is None:
+            if b is None:
+                free.append(edge)
+        elif b is not None and a != b:
+            return
+    pools = [oset.cells_of_shape(entry.edge_types[edge]) for edge in free]
+    for combo in itertools.product(*pools):
+        yield BoundaryConfig(entry.shape.code, infaces, outface, tuple(zip(free, combo)))

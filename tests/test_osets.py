@@ -48,6 +48,14 @@ def _face_ref(oset, infaces, outface, ref):
     return None if outface is None else oset.outface_of(outface)
 
 
+def configs_of(oset, kind, dim):
+    """The configurations of one kind: niches as enumeration lists them,
+    frames and punctured niches as the reference does."""
+    if kind == "niche":
+        return enumerate_configs(oset, dim)
+    return reference_configs(oset, kind, dim)
+
+
 def binary_shapes():
     return [s for s in enumerate_opetopes(2, 2) if s.arity == 2]
 
@@ -128,24 +136,24 @@ def test_occupants_of_an_unfilled_niche_are_empty():
 
 
 def test_dim1_frames_in_the_one_point_set(point_set):
-    frames = enumerate_configs(point_set, "frame", 1)
+    frames = reference_configs(point_set, "frame", 1)
     assert len(frames) == 1
 
 
 def test_z2_binary_niches_count(z2_set):
     shape = diagram_binary()
-    per_shape = enumerate_configs(z2_set, "niche", 2, shape=shape)
+    per_shape = enumerate_configs(z2_set, 2, shape=shape)
     assert len([c for c in per_shape if None not in c.infaces]) == 4
     both = [
         c
-        for c in enumerate_configs(z2_set, "niche", 2)
+        for c in enumerate_configs(z2_set, 2)
         if z2_set.shape(c.shape_code).arity == 2
     ]
     assert len(both) == 8
 
 
 def test_punctured_niche_enumeration_matches_direct_assembly(z2_set):
-    listed = enumerate_configs(z2_set, "punctured_niche", 2)
+    listed = reference_configs(z2_set, "punctured_niche", 2)
     # Independent assembly: for every shape, missing position, assignment
     # of the other infaces, and pin choice, keep the consistent ones.
     count = 0
@@ -257,11 +265,9 @@ def test_config_enumeration_rejects_out_of_range_dimensions(z2_set):
     from opetopes import DimOutOfRange
 
     with pytest.raises(DimOutOfRange):
-        enumerate_configs(z2_set, "niche", 0)
+        enumerate_configs(z2_set, 0)
     with pytest.raises(DimOutOfRange):
-        enumerate_configs(z2_set, "niche", z2_set.max_dim + 1)
-    with pytest.raises(ValueError):
-        enumerate_configs(z2_set, "mystery", 1)
+        enumerate_configs(z2_set, z2_set.max_dim + 1)
 
 
 def test_niche_competitors_are_frame_competitors_with_matching_outface(z2_set):
@@ -468,26 +474,33 @@ def two_object_set():
     return oset
 
 
-@pytest.mark.parametrize("name", sorted(FIXTURES) + ["z2_weak2", "two_objects"])
+@pytest.mark.parametrize(
+    "name", sorted(FIXTURES) + ["z2_weak2", "two_objects", "faceless_no-entry", "faceless_short"]
+)
 def test_enumeration_equals_the_sorted_deduplicated_reference(name):
-    # Enumeration builds each configuration once and in canonical order;
-    # the reference takes one product per missing inface, then a dedup
-    # set and a sort.  They agree at every kind, dimension and bound.
-    builders = {"z2_weak2": z2_weak2, "two_objects": two_object_set}
+    # Enumeration builds each niche once and in canonical order, checking
+    # each inface slot as it assigns it; the reference checks whole
+    # assignments, then takes a dedup set and a sort.  They agree at every
+    # dimension and bound.
+    builders = {
+        "z2_weak2": z2_weak2,
+        "two_objects": two_object_set,
+        "faceless_no-entry": faceless_set,
+        "faceless_short": lambda: faceless_set(((), "o")),
+    }
     oset = builders[name]() if name in builders else build_fixture(name)
-    for kind in ("frame", "niche", "punctured_niche"):
-        for dim in range(1, oset.max_dim + 1):
-            for bound in range(oset.shape_bound + 1):
-                listed = enumerate_configs(oset, kind, dim, bound)
-                assert type(listed) is tuple
-                assert listed == reference_configs(oset, kind, dim, bound), (kind, dim, bound)
+    for dim in range(1, oset.max_dim + 1):
+        for bound in range(oset.shape_bound + 1):
+            listed = enumerate_configs(oset, dim, bound)
+            assert type(listed) is tuple
+            assert listed == reference_configs(oset, "niche", dim, bound), (dim, bound)
 
 
 def test_a_punctured_niches_missing_inface_comes_before_every_cell_at_its_slot():
     oset = two_object_set()
     binary = "[(ar:(ar:_))|n0.1|l0]"
     listed = [
-        (c.infaces, c.pins) for c in enumerate_configs(oset, "punctured_niche", 2)
+        (c.infaces, c.pins) for c in reference_configs(oset, "punctured_niche", 2)
         if c.shape_code == binary
     ]
     # The free edge is the one the missing inface would fill; its pins
@@ -497,6 +510,31 @@ def test_a_punctured_niches_missing_inface_comes_before_every_cell_at_its_slot()
         for infaces, edge in [((None, a), ()) for a in "kmn"] + [((a, None), (0, 0)) for a in "kmn"]
         for pin in "xy"
     ]
+
+
+def test_enumeration_checks_a_row_at_the_later_of_two_far_apart_slots():
+    # Slot 0 of this dim-3 shape is a binary 2-cell, and nullary 2-cells
+    # at slots 1 and 2 sit on its two infaces, so edge (1,) joins slots 0
+    # and 2.  (c, na, nb) and (d, na, na) break that edge and no other.
+    code = "[([(ar:(ar:_))|n0.1|l0]:([!pt|n|l0]:),([!pt|n|l0]:))|n0.1.2|l]"
+    binary, nullary = "[(ar:(ar:_))|n0.1|l0]", "[!pt|n|l0]"
+    cells = {"o": "pt", "a": "ar", "b": "ar", "c": binary, "d": binary, "na": nullary, "nb": nullary}
+    faces = {
+        "a": (("o",), "o"), "b": (("o",), "o"), "c": (("a", "a"), "a"), "d": (("a", "b"), "a"),
+        "na": ((), "a"), "nb": ((), "b"),
+    }
+    oset = OpetopicSet(3, 5, cells, faces)
+    assert validate(oset).ok
+    assert oset.shape_entry(code).plan == {
+        (): (0, -1, -1, -1), (0,): (1, -1, 0, 0), (1,): (2, -1, 0, 1)
+    }
+    shape = oset.shape(code)
+    listed = enumerate_configs(oset, 3, shape=shape)
+    assert [cfg.infaces for cfg in listed] == [("c", "na", "na"), ("d", "na", "nb")]
+    assert listed == reference_configs(oset, "niche", 3, shape=shape)
+    for infaces in (("c", "na", "nb"), ("d", "na", "na")):
+        with pytest.raises(MalformedConfig, match=r"edge \(1,\) of .* resolves inconsistently"):
+            make_config(oset, code, infaces, None)
 
 
 def faceless_set(b_faces=None):
@@ -524,8 +562,8 @@ def test_enumeration_leaves_out_assignments_through_a_faceless_cell(b_faces):
     counts = {}
     for kind in ("frame", "niche", "punctured_niche"):
         for dim in (1, 2):
-            listed = enumerate_configs(oset, kind, dim)
-            assert listed == enumerate_configs(without_b, kind, dim), (kind, dim)
+            listed = configs_of(oset, kind, dim)
+            assert listed == configs_of(without_b, kind, dim), (kind, dim)
         counts[kind] = len(listed)
     assert counts == {"frame": 4, "niche": 4, "punctured_niche": 5}
 
@@ -550,7 +588,7 @@ def test_enumerated_configs_are_canonical_and_well_kinded():
     for oset in (build_fixture("z3_monoid"), build_fixture("broken_magma"), z2_weak2()):
         for dim in range(1, oset.max_dim + 1):
             for kind in ("frame", "niche", "punctured_niche"):
-                for cfg in enumerate_configs(oset, kind, dim):
+                for cfg in configs_of(oset, kind, dim):
                     assert cfg.kind == kind
                     rebuilt = make_config(
                         oset, cfg.shape_code, cfg.infaces, cfg.outface, dict(cfg.pins)
@@ -609,7 +647,7 @@ def _trial_outface_extensions(oset, cfg):
 def test_outface_extensions_match_trial_extension(make_set):
     oset = make_set()
     for dim in range(2, oset.max_dim + 1):
-        for cfg in enumerate_configs(oset, "punctured_niche", dim):
+        for cfg in reference_configs(oset, "punctured_niche", dim):
             assert outface_extensions(oset, cfg) == _trial_outface_extensions(oset, cfg), cfg
     for code in {oset.cells[c] for c in oset.cells}:
         # The plan has one row per edge, in sorted edge order.
@@ -646,7 +684,7 @@ def test_a_hand_built_config_reads_as_its_checked_copies(z2_set):
     nullary = next(s for s in enumerate_opetopes(2, 2) if s.arity == 0)
     pins = (((), "o"),)
     (listed,) = [
-        c for c in enumerate_configs(z2_set, "niche", 2, shape=nullary) if c.pins == pins
+        c for c in enumerate_configs(z2_set, 2, shape=nullary) if c.pins == pins
     ]
     rebuilt = make_config(z2_set, nullary.code, (), None, dict(pins))
     hand = BoundaryConfig(nullary.code, (), None, pins)
@@ -710,9 +748,9 @@ def test_occupants_match_a_scan_of_the_shape(make_set):
     oset = make_set()
     configs = []
     for dim in range(1, oset.max_dim + 1):
-        configs += enumerate_configs(oset, "frame", dim)
-        configs += enumerate_configs(oset, "niche", dim)
-        for cfg in enumerate_configs(oset, "punctured_niche", dim):
+        configs += reference_configs(oset, "frame", dim)
+        configs += enumerate_configs(oset, dim)
+        for cfg in reference_configs(oset, "punctured_niche", dim):
             configs.append(cfg)
             configs += [config_with(oset, cfg, outface=b) for b in outface_extensions(oset, cfg)]
     kinds = {cfg.kind for cfg in configs}
@@ -751,7 +789,7 @@ def test_cell_matches_reads_each_pin_through_the_cells_faces():
     assert validate(oset).ok
     matched = [
         (cfg.infaces, cfg.pins)
-        for cfg in enumerate_configs(oset, "punctured_niche", 2, shape=shape)
+        for cfg in reference_configs(oset, "punctured_niche", 2, shape=shape)
         if cell_matches(oset, cfg, "c")
     ]
     assert matched == [((None, "g"), (((0, 0), "p"),)), (("f", None), (((), "r"),))]
@@ -763,7 +801,7 @@ def test_occupants_read_each_pin_off_the_face_that_meets_its_edge():
     # matches.  With both infaces missing, the inner edge carries f's
     # outface q, not the outface h's own outface r.
     shape, oset = _triangle()
-    configs = list(enumerate_configs(oset, "punctured_niche", 2, shape=shape))
+    configs = list(reference_configs(oset, "punctured_niche", 2, shape=shape))
     configs += [make_config(oset, shape.code, (None, None), "h", {(0,): p}) for p in "pqr"]
     matched = []
     for cfg in configs:
@@ -793,9 +831,9 @@ def test_niche_and_frame_competitors_differ_when_the_outfaces_do():
 def test_config_enumeration_skips_a_given_shape_off_its_dimension_or_bound(z2_set):
     binary = diagram_binary()
     assert binary.size == 2
-    assert enumerate_configs(z2_set, "niche", 2, shape=binary)
-    assert enumerate_configs(z2_set, "niche", 2, size_bound=1, shape=binary) == ()
-    assert enumerate_configs(z2_set, "niche", 1, shape=binary) == ()
+    assert enumerate_configs(z2_set, 2, shape=binary)
+    assert enumerate_configs(z2_set, 2, size_bound=1, shape=binary) == ()
+    assert enumerate_configs(z2_set, 1, shape=binary) == ()
 
 
 def test_an_inconsistent_pin_is_named_with_every_cell_on_its_edge(z2_set):
@@ -946,7 +984,7 @@ def test_threads_build_each_shape_index_once(monkeypatch):
         cfg
         for dim in range(1, serial_set.max_dim + 1)
         for kind in ("niche", "punctured_niche")
-        for cfg in enumerate_configs(serial_set, kind, dim)
+        for cfg in configs_of(serial_set, kind, dim)
     ]
     expected = [occupants(serial_set, cfg) for cfg in configs]
     assert any(expected) and not all(expected)

@@ -230,7 +230,7 @@ def test_nullary_composite_is_the_unit(z3_set):
 
 def test_composites_unique_at_dimension_n_plus_one(z3_set):
     ctx = CheckContext(z3_set, 1)
-    for cfg in enumerate_configs(z3_set, "niche", 2)[:100]:
+    for cfg in enumerate_configs(z3_set, 2)[:100]:
         assert len(composites(ctx, cfg)) <= 1
 
 
@@ -269,7 +269,7 @@ def test_invalid_sets_are_rejected():
 def test_every_top_niche_has_exactly_one_occupant_in_passing_sets(z2_set, z3_set):
     for oset, bound in ((z2_set, 2), (z3_set, 4)):
         assert check_weak_n_category(oset, 1, bound).ok
-        for cfg in enumerate_configs(oset, "niche", 2, size_bound=bound):
+        for cfg in enumerate_configs(oset, 2, size_bound=bound):
             assert len(occupants(oset, cfg)) == 1
 
 
