@@ -11,9 +11,10 @@ cells must coincide.  A set is checked once, by the same pass over its
 cells that groups them by shape when it is built, and ``validate``
 returns that pass's report.
 
-Each shape's references are compiled once, when the set first meets the
-shape, into a plan of small integers (see ``ShapeEntry``); validation and
-every configuration read that plan, never the references themselves.
+Each shape's references are read off its tree once, when the set first
+meets the shape, as a plan of small integers per edge (``edge_incidences``,
+kept in ``ShapeEntry``); validation, every configuration and an edge's type
+all read that plan.
 
 A boundary configuration assigns cells to some of the face positions.
 Edges none of whose two references land on an assigned face are *free*;
@@ -42,86 +43,55 @@ from .records import Record, Value
 from .shapes import Opetope
 from .trees import Path
 
-# An incidence is one of:
-#   ("ii", i, j)  inface i's j-th inface
-#   ("oi", i)     inface i's outface
-#   ("io", p)     the outface's p-th inface
-#   ("oo",)       the outface's outface
-Incidence = tuple
 EdgeKey = Path
+# A plan row: the two face references meeting on one edge, (upper slot,
+# upper face, lower slot, lower face).  A slot picks a face of the boundary
+# and a face picks a face of that face: i is inface i and -1 the outface.
+PlanRow = Tuple[int, int, int, int]
 
 
-def edge_incidences(shape: Opetope) -> Dict[EdgeKey, Tuple[Incidence, Incidence]]:
-    """The two face references meeting on each edge of the shape's tree.
-
-    Shapes of dimension one have no tree and hence no relations.
-    """
+def edge_incidences(shape: Opetope) -> Dict[EdgeKey, PlanRow]:
+    """The plan of the shape: one row per edge of its tree, in sorted edge
+    order, read off the tree in one pass (none below dimension 2).  From
+    above, an edge is its node's outface, or at a leaf the outface's
+    inface; from below, it is the parent's inface, or at the root the
+    outface's outface.  The empty tree's one edge runs from the outface's
+    only inface to its outface."""
     if shape.dim < 2:
         return {}
     tree = shape.tree
     if tree.is_empty:
-        return {(): (("io", 0), ("oo",))}
-    node_index = {p: i for i, p in enumerate(tree.node_order)}
-    leaf_index = {p: i for i, p in enumerate(tree.leaf_order)}
-    out: Dict[EdgeKey, Tuple[Incidence, Incidence]] = {}
-    for edge in tree.iter_edge_paths():
-        if edge == ():
-            lower: Incidence = ("oo",)
-        else:
-            lower = ("ii", node_index[edge[:-1]], edge[-1])
-        if edge in node_index:
-            upper: Incidence = ("oi", node_index[edge])
-        else:
-            upper = ("io", leaf_index[edge])
-        out[edge] = (upper, lower)
-    return out
-
-
-# A plan row: the two references of one edge, (upper slot, upper face,
-# lower slot, lower face).  A slot picks a face of the boundary and a face
-# picks a face of that face: i is inface i and -1 the outface.
-PlanRow = Tuple[int, int, int, int]
-
-
-def _slot_pair(ref: Incidence) -> Tuple[int, int]:
-    """One reference as (boundary slot, face slot)."""
-    if ref[0] == "ii":
-        return ref[1], ref[2]
-    if ref[0] == "oi":
-        return ref[1], -1
-    if ref[0] == "io":
-        return -1, ref[1]
-    return -1, -1
+        return {(): (-1, 0, -1, -1)}
+    node_slot = {p: i for i, p in enumerate(tree.node_order)}
+    leaf_slot = {p: i for i, p in enumerate(tree.leaf_order)}
+    plan: Dict[EdgeKey, PlanRow] = {}
+    # Each edge is the path of the node it leaves or of a leaf, and the
+    # index lists each kind in sorted order, so the sort merges two runs.
+    for edge in sorted([*tree.index.nodes, *tree.index.leaves]):
+        upper = (node_slot[edge], -1) if edge in node_slot else (-1, leaf_slot[edge])
+        plan[edge] = upper + ((node_slot[edge[:-1]], edge[-1]) if edge else (-1, -1))
+    return plan
 
 
 class ShapeEntry(NamedTuple):
     """What the set reads off one shape, derived once per shape code.
 
     ``input_codes`` is empty and ``output_code`` None for the point.
-    ``plan`` compiles ``edge_incidences(shape)``: one ``PlanRow`` per edge,
-    in sorted edge order.
+    ``plan`` is ``edge_incidences(shape)``: one ``PlanRow`` per edge, in
+    sorted edge order.  An edge's type is read off its row (``_edge_type``).
     """
 
     shape: Opetope
     input_codes: Tuple[str, ...]
     output_code: Optional[str]
     plan: Dict[EdgeKey, PlanRow]
-    edge_types: Dict[EdgeKey, str]
 
     @classmethod
     def of(cls, shape: Opetope) -> "ShapeEntry":
         if shape.dim == 0:
-            return cls(shape, (), None, {}, {})
-        plan = {
-            edge: _slot_pair(upper) + _slot_pair(lower)
-            for edge, (upper, lower) in sorted(edge_incidences(shape).items())
-        }
+            return cls(shape, (), None, {})
         return cls(
-            shape,
-            tuple(s.code for s in shape.inputs),
-            shape.output.code,
-            plan,
-            {edge: _edge_type_code(shape, edge) for edge in plan},
+            shape, tuple(s.code for s in shape.inputs), shape.output.code, edge_incidences(shape)
         )
 
 
@@ -434,14 +404,22 @@ def make_config(
                 raise MalformedConfig("edge %r of %s needs a pin" % (edge, shape_code))
             if pin not in cells:
                 raise UnknownCell("no cell named %r" % pin)
-            if cells[pin] != entry.edge_types[edge]:
-                raise MalformedConfig(
-                    "pin on edge %r must be %s-shaped" % (edge, entry.edge_types[edge])
-                )
+            edge_type = _edge_type(oset, entry, edge)
+            if cells[pin] != edge_type:
+                raise MalformedConfig("pin on edge %r must be %s-shaped" % (edge, edge_type))
             kept.append((edge, pin))
     if pins:
         raise MalformedConfig("pins on unknown edges: %r" % sorted(pins))
     return BoundaryConfig(shape_code, infaces, outface, tuple(kept))
+
+
+def _edge_type(oset: OpetopicSet, entry: ShapeEntry, edge: EdgeKey) -> str:
+    """The shape code of the cells on an edge: face f of the shape at slot
+    s, for the upper end (s, f) of the edge's row, read through the set's
+    shape table."""
+    s, f = entry.plan[edge][:2]
+    face = oset.shape_entry(entry.output_code if s < 0 else entry.input_codes[s])
+    return face.output_code if f < 0 else face.input_codes[f]
 
 
 def cells_with(
@@ -458,11 +436,11 @@ def cells_with(
     matches no query that assigns a face, one whose inface count differs
     from its shape's matches no partly assigned infaces, and one whose
     boundary does not reach a pinned edge (a face on the way has no face
-    entry or too few infaces) matches no query that pins it.  The
-    candidates are one lookup, already in name order: in the shape's index
-    by infaces when all are assigned, else in its index by outface when it
-    is, else every cell of the shape.  The shape's indexes are built by
-    the first lookup that reads one."""
+    entry or too few infaces, or the shape has no such edge) matches no
+    query that pins it.  The candidates are one lookup, already in name
+    order: in the shape's index by infaces when all are assigned, else in
+    its index by outface when it is, else every cell of the shape.  The
+    shape's indexes are built by the first lookup that reads one."""
     faces = oset.faces
     if None not in infaces:
         pool = oset._shape_index(code)[0].get(infaces, ())
@@ -482,7 +460,9 @@ def cells_with(
             )
     if pins:
         plan = oset.shape_entry(code).plan
-        pool = tuple(c for c in pool if all(_carries(oset, c, plan[e], pin) for e, pin in pins))
+        pool = tuple(
+            c for c in pool if all(e in plan and _carries(oset, c, plan[e], pin) for e, pin in pins)
+        )
     return pool
 
 
@@ -631,7 +611,7 @@ def enumerate_configs(
                 prefix + (cell,) for prefix in assigned for cell in oset.cells_of_shape(code)
                 if _agrees(faces, prefix, cell, rows)
             ]
-        pools = [oset.cells_of_shape(entry.edge_types[edge]) for edge in free]
+        pools = [oset.cells_of_shape(_edge_type(oset, entry, edge)) for edge in free]
         pinnings = [tuple(zip(free, combo)) for combo in itertools.product(*pools)]
         found += [BoundaryConfig(sh.code, ins, None, pins) for ins in assigned for pins in pinnings]
     return tuple(found)
@@ -650,12 +630,3 @@ def _agrees(faces, prefix: Tuple[str, ...], cell: str, rows: List[Tuple[int, int
         return False
     return True
 
-
-def _edge_type_code(shape: Opetope, edge: EdgeKey) -> str:
-    tree = shape.tree
-    if tree.is_empty:
-        return tree.edge_type.code
-    if edge == ():
-        return tree.node_at(()).label.output.code
-    node = tree.node_at(edge[:-1])
-    return node.label.inputs[edge[-1]].code

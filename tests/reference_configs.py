@@ -13,6 +13,9 @@ each assignment checked over the whole plan, then a dedup set and a
 sort.  It is the only lister of frames and punctured niches, and for
 niches the reference for ``osets.enumerate_configs``, which checks each
 inface slot as it assigns it and builds the canonical order directly.
+``reference_incidences`` and ``reference_edge_type`` name each edge's two
+face references and its type straight off the tree, as references for
+the plan rows of ``osets.edge_incidences`` and the types read off them.
 """
 
 import itertools
@@ -22,6 +25,41 @@ from opetopes import shapes
 from opetopes.shapes import identity_on
 from opetopes.trees import PasteTree, TreeNode
 from opetopes.universality import ray_shape
+
+
+# An incidence reference is one of:
+#   ("ii", i, j)  inface i's j-th inface
+#   ("oi", i)     inface i's outface
+#   ("io", p)     the outface's p-th inface
+#   ("oo",)       the outface's outface
+
+
+def reference_incidences(shape):
+    """The two references (upper, lower) meeting on each edge of the
+    shape's tree, by edge; none below dimension 2."""
+    if shape.dim < 2:
+        return {}
+    tree = shape.tree
+    if tree.is_empty:
+        return {(): (("io", 0), ("oo",))}
+    node_index = {p: i for i, p in enumerate(tree.node_order)}
+    leaf_index = {p: i for i, p in enumerate(tree.leaf_order)}
+    out = {}
+    for edge in tree.iter_edge_paths():
+        lower = ("oo",) if edge == () else ("ii", node_index[edge[:-1]], edge[-1])
+        upper = ("oi", node_index[edge]) if edge in node_index else ("io", leaf_index[edge])
+        out[edge] = (upper, lower)
+    return out
+
+
+def reference_edge_type(shape, edge):
+    """The shape code of the cells on an edge, read off the tree's labels."""
+    tree = shape.tree
+    if tree.is_empty:
+        return tree.edge_type.code
+    if edge == ():
+        return tree.node_at(()).label.output.code
+    return tree.node_at(edge[:-1]).label.inputs[edge[-1]].code
 
 
 def frame_of(oset, cell):
@@ -158,6 +196,6 @@ def _pin_completions(oset, entry, infaces, outface):
                 free.append(edge)
         elif b is not None and a != b:
             return
-    pools = [oset.cells_of_shape(entry.edge_types[edge]) for edge in free]
+    pools = [oset.cells_of_shape(reference_edge_type(entry.shape, edge)) for edge in free]
     for combo in itertools.product(*pools):
         yield BoundaryConfig(entry.shape.code, infaces, outface, tuple(zip(free, combo)))

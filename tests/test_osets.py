@@ -19,7 +19,7 @@ from opetopes import (
 from opetopes.fixtures import FIXTURES, build_fixture, z2_weak2
 from opetopes.osets import (
     BoundaryConfig,
-    _edge_type_code,
+    _edge_type,
     cells_with,
     edge_incidences,
     forced_outface_boundary,
@@ -34,6 +34,8 @@ from reference_configs import (
     niche_of,
     ray_niche,
     reference_configs,
+    reference_edge_type,
+    reference_incidences,
 )
 
 def _face_ref(oset, infaces, outface, ref):
@@ -167,7 +169,7 @@ def test_punctured_niche_enumeration_matches_direct_assembly(z2_set):
                     infaces[i] = cell
                 free_pools = []
                 ok = True
-                for edge, (upper, lower) in sorted(edge_incidences(shape).items()):
+                for edge, (upper, lower) in sorted(reference_incidences(shape).items()):
                     a = _face_ref(z2_set, infaces, None, upper)
                     b = _face_ref(z2_set, infaces, None, lower)
                     if a is not None and b is not None and a != b:
@@ -175,7 +177,7 @@ def test_punctured_niche_enumeration_matches_direct_assembly(z2_set):
                         break
                     if a is None and b is None:
                         free_pools.append(
-                            len(z2_set.cells_of_shape(_edge_type_code(shape, edge)))
+                            len(z2_set.cells_of_shape(reference_edge_type(shape, edge)))
                         )
                 if not ok:
                     continue
@@ -421,7 +423,7 @@ def _reference_edges(oset, cfg):
     faces through _face_ref, else off the pins."""
     pins = dict(cfg.pins)
     carried = []
-    for edge, refs in sorted(edge_incidences(oset.shape(cfg.shape_code)).items()):
+    for edge, refs in sorted(reference_incidences(oset.shape(cfg.shape_code)).items()):
         found = {_face_ref(oset, cfg.infaces, cfg.outface, ref) for ref in refs} - {None}
         assert len(found) <= 1, (cfg, edge)
         carried.append(found.pop() if found else pins[edge])
@@ -432,7 +434,7 @@ def _reference_forced(oset, cfg):
     """Reference forced outface boundary: the cells the reference edge
     vector puts on the outface's own infaces and outface."""
     ins, out = {}, None
-    incidences = sorted(edge_incidences(oset.shape(cfg.shape_code)).items())
+    incidences = sorted(reference_incidences(oset.shape(cfg.shape_code)).items())
     for (edge, refs), cell in zip(incidences, _reference_edges(oset, cfg)):
         for ref in refs:
             if ref[0] == "io":
@@ -448,7 +450,7 @@ def _reference_niche(oset, cell):
     ins, out = oset.faces[cell]
     pins = tuple(
         (edge, _face_ref(oset, ins, out, upper))
-        for edge, (upper, lower) in sorted(edge_incidences(oset.shape_of(cell)).items())
+        for edge, (upper, lower) in sorted(reference_incidences(oset.shape_of(cell)).items())
         if _face_ref(oset, ins, None, upper) is None and _face_ref(oset, ins, None, lower) is None
     )
     return BoundaryConfig(oset.cells[cell], ins, None, pins)
@@ -614,16 +616,58 @@ def test_enumerated_configs_are_canonical_and_well_kinded():
 
 def test_outface_inface_references_cover_its_positions_once():
     # forced_outface_boundary finds the edge on each face of the outface
-    # from the "io" and "oo" references alone.
+    # from the rows with an end on the outface alone: each inface p of the
+    # outface is the upper end of one row, and one row ends below on the
+    # outface's outface.
     checked = 0
     for dim, bound in ((2, 6), (3, 6), (4, 5)):
         for shape in enumerate_opetopes(dim, bound):
-            refs = [ref for pair in edge_incidences(shape).values() for ref in pair]
-            io = sorted(ref[1] for ref in refs if ref[0] == "io")
-            assert io == list(range(shape.output.arity)), shape.code
-            assert sum(ref[0] == "oo" for ref in refs) == 1, shape.code
+            rows = edge_incidences(shape).values()
+            upper = sorted(row[1] for row in rows if row[0] == -1)
+            assert upper == list(range(shape.output.arity)), shape.code
+            assert sum(row[2:] == (-1, -1) for row in rows) == 1, shape.code
             checked += 1
     assert checked == 17970
+
+
+def _slot_pair(ref):
+    """A tagged reference as (boundary slot, face slot) of a plan row."""
+    if ref[0] == "ii":
+        return ref[1], ref[2]
+    if ref[0] == "oi":
+        return ref[1], -1
+    if ref[0] == "io":
+        return -1, ref[1]
+    return -1, -1
+
+
+def test_plan_rows_are_the_reference_incidences_and_carry_the_edge_types():
+    # Each plan row is the slot pairs of the edge's two tagged references,
+    # in sorted edge order, and the type read off either end of the row --
+    # face f of the shape at slot s -- is the edge's type read off the
+    # tree's labels.  The set's reader takes the upper end through its
+    # shape table.
+    table = OpetopicSet(5, 6, {}, {})
+    listed = edges = 0
+    for dim, bound in ((2, 6), (3, 6), (4, 5), (5, 4)):
+        for shape in enumerate_opetopes(dim, bound):
+            plan = edge_incidences(shape)
+            expected = [
+                (edge, _slot_pair(upper) + _slot_pair(lower))
+                for edge, (upper, lower) in sorted(reference_incidences(shape).items())
+            ]
+            assert list(plan.items()) == expected, shape.code
+            entry = table.shape_entry(shape.code)
+            assert entry.plan == plan
+            for edge, row in plan.items():
+                want = reference_edge_type(shape, edge)
+                for s, f in (row[:2], row[2:]):
+                    face = shape.output if s < 0 else shape.inputs[s]
+                    assert (face.output if f < 0 else face.inputs[f]).code == want, (shape.code, edge)
+                assert _edge_type(table, entry, edge) == want
+                edges += 1
+            listed += 1
+    assert (listed, edges) == (18042, 104663)
 
 
 def _trial_outface_extensions(oset, cfg):
@@ -651,7 +695,7 @@ def test_outface_extensions_match_trial_extension(make_set):
             assert outface_extensions(oset, cfg) == _trial_outface_extensions(oset, cfg), cfg
     for code in {oset.cells[c] for c in oset.cells}:
         # The plan has one row per edge, in sorted edge order.
-        assert list(oset.shape_entry(code).plan) == sorted(edge_incidences(oset.shape(code)))
+        assert list(oset.shape_entry(code).plan) == sorted(reference_incidences(oset.shape(code)))
 
 
 @pytest.mark.parametrize(
@@ -966,6 +1010,18 @@ def test_a_pin_read_off_a_face_without_a_face_entry_matches_nothing():
     oset = OpetopicSet(2, 2, cells, faces)
     assert cells_with(oset, code, (None, None), None, (((0,), "o"),)) == ("c", "y")
     assert cells_with(oset, code, (None, None), None, (((0, 0), "o"),)) == ("c", "m")
+
+
+def test_a_pin_on_an_edge_the_shape_lacks_matches_nothing(z2_set):
+    # No boundary of the shape reaches an edge its tree does not have, so
+    # a query pinning one finds no cell; make_config refuses to build it.
+    code = z2_set.cells["f1_00"]
+    cfg = BoundaryConfig(code, z2_set.faces["f1_00"][0], None, (((7,), "o"),))
+    assert occupants(z2_set, cfg) == ()
+    assert cells_with(z2_set, code, (None, None), None, (((), "o"), ((7,), "o"))) == ()
+    assert cells_with(z2_set, "ar", ("o",), None, (((), "o"),)) == ()
+    with pytest.raises(MalformedConfig, match="pins on unknown edges"):
+        make_config(z2_set, code, z2_set.faces["f1_00"][0], None, {(7,): "o"})
 
 
 def test_threads_build_each_shape_index_once(monkeypatch):
